@@ -42,9 +42,7 @@ REACHABLE_OPERATIONS = {
               semicontinuity.candidate_spectrum, spectrum.add,
               spectrum.unit_window_degree),
     "search": (search.enumerate_configurations, search.germ_pool,
-               polar.huh_inequality_holds, polar.sectional_milnor_plane,
-               catalog.corank_curve, catalog.multiplicity_curve,
-               bounds.alpha1_threshold),
+               polar.sectional_milnor_plane, catalog.multiplicity_curve),
     "region": (bounds.candidate_region, bounds.ell, bounds.degree_bound,
                bounds.dimension_excluded, bounds.lemma1_region_k2),
     "verify-huh": (search.verify_huh_lists, search.load_huh_lists),
@@ -169,13 +167,11 @@ def _cmd_check(args) -> int:
 
 
 def _make_filters(disabled: list[str]) -> SearchFilters:
-    known = {"alpha1", "corank", "huh", "semicontinuity", "open-variant"}
+    known = {"huh", "semicontinuity", "open-variant"}
     unknown = set(disabled) - known
     if unknown:
         raise ValueError(f"unknown filter name(s) {sorted(unknown)}; choose from {sorted(known)}")
     return SearchFilters(
-        alpha1="alpha1" not in disabled,
-        corank="corank" not in disabled,
         huh="huh" not in disabled,
         semicontinuity="semicontinuity" not in disabled,
         open_variant="open-variant" not in disabled,

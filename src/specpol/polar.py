@@ -7,8 +7,9 @@ catalog germs in a :class:`Configuration`, the polar degree is
 
 which is non-negative for every configuration that an actual hypersurface can
 carry.  The gradient-map lower bound (polar degree >= sectional Milnor number
-at every singular point) is used as a filter: computed exactly in the plane
-case, and as a catalog-membership condition in higher dimension.
+at every singular point) is exact in the plane, where the search applies it to
+its germ pool.  In higher dimension it is only a catalog-membership condition,
+which every catalog germ meets, so the search does not call it there.
 """
 
 from __future__ import annotations
@@ -76,8 +77,15 @@ class Configuration:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Configuration":
-        n = int(obj["n"])
-        return cls(n, int(obj["d"]), tuple(parse_germ(s, n) for s in obj["germs"]))
+        if not isinstance(obj, dict):
+            raise ValueError(f"a configuration is a JSON object, got {obj!r}")
+        n, d, germs = obj.get("n"), obj.get("d"), obj.get("germs")
+        for name, value in (("n", n), ("d", d)):
+            if type(value) is not int:  # rejects floats (2.5, 1e400) and booleans
+                raise ValueError(f"configuration {name} must be an integer, got {value!r}")
+        if not isinstance(germs, list) or not all(isinstance(s, str) for s in germs):
+            raise ValueError(f"configuration germs must be a list of class strings, got {germs!r}")
+        return cls(n, d, tuple(parse_germ(s, n) for s in germs))
 
     @classmethod
     def from_json(cls, text: str) -> "Configuration":

@@ -7,15 +7,17 @@ canonically ordered germ pool (non-increasing germ order, so each multiset is
 produced exactly once); since every family's Milnor number grows strictly
 with its parameters, the pool of admissible classes is finite.
 
-Filters, in order:
+Filters:
 
-* ``alpha1`` (k >= 2): every germ spectrum's smallest element must exceed
-  -1 + (n-1)/(k+2); applied to the germ pool.
-* ``corank`` (k >= 2, n >= 3): the generic hyperplane section of a suspended
-  catalog germ has corank max(corank_curve - 1, 0), and 2 to that power can
-  be at most k; applied to the germ pool as an exact power comparison.
-* ``huh`` : the gradient-degree lower bound (exact multiplicity criterion in
-  the plane, catalog membership for n >= 3 when k <= 2); applied to the pool.
+* ``alpha1`` (germ minimum > -1 + (n-1)/(k+2)) and ``corank``
+  (2^max(corank_curve - 1, 0) <= k) are implied by the catalog for k >= 2:
+  every curve spectral number exceeds -2/3 (w1 + w2 - 1 > -2/3 from the
+  weights, (-2k+1)/(3k) for J), so a germ minimum exceeds
+  -2/3 + (n-2)/2 >= -1 + (n-1)/4, and corank_curve <= 2.  They are listed as
+  applied and prune nothing; ``test_implied_pool_filters_are_vacuous`` checks it.
+* ``huh`` (k >= 1, plane only): multiplicity - 1 <= k for every pool germ.
+  For n >= 3 the gradient-degree bound is catalog membership, which the pool
+  has by construction.
 * ``semicontinuity``: window counts of the summed spectrum must not exceed
   the diagonal-germ target's anywhere; applied to every complete
   configuration, and incrementally during the search (window counts only grow
@@ -40,12 +42,10 @@ from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Optional
 
-from .bounds import alpha1_threshold
-from .catalog import GermClass, corank_curve, fermat_spectrum, germ_spectrum
+from .catalog import GermClass, fermat_spectrum, germ_spectrum
 from .polar import (
     Configuration,
     InfeasibleConfigurationError,
-    huh_inequality_holds,
     polar_degree,
     sectional_milnor_plane,
 )
@@ -64,6 +64,8 @@ __all__ = [
 ]
 
 FILTER_NAMES = ("alpha1", "corank", "huh", "semicontinuity")
+# implied by the catalog (see the module docstring): no switch, no prunes
+_IMPLIED_FILTERS = ("alpha1", "corank")
 
 # Window labels whose target degrees are embedded in reports for the two
 # elimination cases, for cross-reading against the hand argument.
@@ -78,16 +80,15 @@ _DIAGNOSTIC_WINDOWS = (
 
 @dataclass(frozen=True)
 class SearchFilters:
-    """Which filters a search applies; all on by default."""
+    """Which switchable filters a search applies; all on by default."""
 
-    alpha1: bool = True
-    corank: bool = True
     huh: bool = True
     semicontinuity: bool = True
     open_variant: bool = True
 
     def applied_names(self) -> tuple[str, ...]:
-        names = [name for name in FILTER_NAMES if getattr(self, name)]
+        names = list(_IMPLIED_FILTERS)
+        names += [name for name in ("huh", "semicontinuity") if getattr(self, name)]
         if self.semicontinuity and self.open_variant:
             names.append("semicontinuity_open_variant")
         return tuple(names)
@@ -185,34 +186,12 @@ class _SearchContext:
         self.filters = filters
         self.target_mu = (d - 1) ** n - k
         self.target = fermat_spectrum(n, d)
-        self.pool_pruned: dict[str, int] = {name: 0 for name in FILTER_NAMES}
+        self.pool_pruned = dict.fromkeys(FILTER_NAMES, 0)
 
         pool = germ_pool(n, self.target_mu, sorted(whitelist))
-        if filters.alpha1 and k >= 2:
-            threshold = alpha1_threshold(n, k)
-            kept = []
-            for g in pool:
-                if germ_spectrum(g).min_spectral() > threshold:
-                    kept.append(g)
-                else:
-                    self.pool_pruned["alpha1"] += 1
-            pool = kept
-        if filters.corank and k >= 2 and n >= 3:
-            kept = []
-            for g in pool:
-                # generic slice of a suspended germ drops the curve corank by one
-                if 2 ** max(corank_curve(g) - 1, 0) <= k:
-                    kept.append(g)
-                else:
-                    self.pool_pruned["corank"] += 1
-            pool = kept
-        if filters.huh and k >= 1:
-            kept = []
-            for g in pool:
-                if self._huh_admits(g):
-                    kept.append(g)
-                else:
-                    self.pool_pruned["huh"] += 1
+        if filters.huh and n == 2 and k >= 1:
+            kept = [g for g in pool if sectional_milnor_plane(g) <= k]
+            self.pool_pruned["huh"] = len(pool) - len(kept)
             pool = kept
 
         # non-increasing canonical order: heaviest germ first
@@ -220,30 +199,24 @@ class _SearchContext:
         self.mus = [g.milnor for g in self.pool]
         if filters.semicontinuity:
             self.windows = _prune_windows(self.target, filters.open_variant)
-            self.rhs = [w[4] for w in self.windows]
             self.vectors = [
                 _germ_window_vector(germ_spectrum(g), self.windows) for g in self.pool
             ]
         else:
             self.windows = []
-            self.rhs = []
             self.vectors = [() for _ in self.pool]
-
-    def _huh_admits(self, g: GermClass) -> bool:
-        if self.n == 2:
-            return sectional_milnor_plane(g) <= self.k
-        return huh_inequality_holds(Configuration(self.n, self.d, (g,)), self.k)
+        self.rhs = [w[4] for w in self.windows]
 
 
 def _run_roots(ctx: _SearchContext, roots: list[int]) -> tuple[list[Configuration], int, int, int]:
     """DFS below the given top-level pool indices.
 
-    Returns (survivors, examined, subtree_prunes, final_rejections).
+    Returns (survivors, examined, subtree_prunes, final_rejections).  With
+    semicontinuity off there are no windows, so the window loops are empty.
     """
     n, d = ctx.n, ctx.d
     pool, mus, vectors, rhs = ctx.pool, ctx.mus, ctx.vectors, ctx.rhs
     nwin = len(rhs)
-    use_semi = ctx.filters.semicontinuity
     survivors: list[Configuration] = []
     examined = 0
     subtree_prunes = 0
@@ -251,61 +224,40 @@ def _run_roots(ctx: _SearchContext, roots: list[int]) -> tuple[list[Configuratio
     acc = [0] * nwin
     stack: list[int] = []
 
-    def finish() -> None:
-        nonlocal examined, final_rejections
-        examined += 1
-        config = Configuration(n, d, tuple(pool[i] for i in stack))
-        if use_semi:
-            report = check_configuration(config, ctx.filters.open_variant)
-            if not report.holds:
-                final_rejections += 1
-                return
-        survivors.append(config)
-
-    def dfs(start: int, remaining: int) -> None:
-        nonlocal subtree_prunes
+    def dfs(children: Iterable[int], remaining: int) -> None:
+        nonlocal examined, subtree_prunes, final_rejections
         if remaining == 0:
-            finish()
+            examined += 1
+            config = Configuration(n, d, tuple(pool[i] for i in stack))
+            if ctx.filters.semicontinuity and not check_configuration(
+                config, ctx.filters.open_variant
+            ).holds:
+                final_rejections += 1
+            else:
+                survivors.append(config)
             return
-        for idx in range(start, len(pool)):
+        for idx in children:
             if mus[idx] > remaining:
                 continue
-            if use_semi:
-                vec = vectors[idx]
-                violated = -1
-                for j in range(nwin):
-                    acc[j] += vec[j]
-                    if acc[j] > rhs[j]:
-                        violated = j
-                        break
-                if violated >= 0:
-                    for j in range(violated + 1):
-                        acc[j] -= vec[j]
-                    subtree_prunes += 1
-                    continue
-            stack.append(idx)
-            dfs(idx, remaining - mus[idx])
-            stack.pop()
-            if use_semi:
-                for j in range(nwin):
-                    acc[j] -= vec[j]
-
-    for root in roots:
-        if mus[root] > ctx.target_mu:
-            continue
-        if use_semi:
-            vec = vectors[root]
-            if any(vec[j] > rhs[j] for j in range(nwin)):
-                subtree_prunes += 1
-                continue
+            vec = vectors[idx]
+            violated = -1
             for j in range(nwin):
                 acc[j] += vec[j]
-        stack.append(root)
-        dfs(root, ctx.target_mu - mus[root])
-        stack.pop()
-        if use_semi:
+                if acc[j] > rhs[j]:
+                    violated = j
+                    break
+            if violated >= 0:
+                for j in range(violated + 1):
+                    acc[j] -= vec[j]
+                subtree_prunes += 1
+                continue
+            stack.append(idx)
+            dfs(range(idx, len(pool)), remaining - mus[idx])
+            stack.pop()
             for j in range(nwin):
                 acc[j] -= vec[j]
+
+    dfs(roots, ctx.target_mu)
     return survivors, examined, subtree_prunes, final_rejections
 
 
@@ -328,6 +280,7 @@ def enumerate_configurations(
 
     With ``workers > 1`` the top-level branches are fanned out over a process
     pool; the merged report is byte-identical to the single-process one.
+    ``workers`` must be at least 1.
 
     For k <= 2 restricting to the A/D/E/J catalog is forced by the
     gradient-degree bound; for k >= 3 the whitelist is an input assumption,
@@ -335,6 +288,8 @@ def enumerate_configurations(
     """
     if n < 2 or d < 2 or k < 0:
         raise ValueError(f"need n >= 2, d >= 2, k >= 0, got {(n, d, k)}")
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
     target_mu = (d - 1) ** n - k
     if target_mu < 0:
         raise InfeasibleConfigurationError(
@@ -343,34 +298,22 @@ def enumerate_configurations(
     whitelist = frozenset(whitelist)
     ctx = _SearchContext(n, d, k, whitelist, filters)
 
-    if target_mu == 0:
-        # only the smooth configuration; run it through the same final filter
-        survivors, examined, prunes, rejections = [], 1, 0, 0
-        config = Configuration(n, d, ())
-        if filters.semicontinuity:
-            if check_configuration(config, filters.open_variant).holds:
-                survivors.append(config)
-            else:
-                rejections += 1
-        else:
-            survivors.append(config)
+    # target_mu == 0 gives an empty pool: the DFS examines the smooth
+    # configuration once and runs it through the same final check
+    roots = list(range(len(ctx.pool)))
+    if workers > 1 and len(roots) > 1:
+        chunks = [roots[i::workers] for i in range(workers)]
+        args = [(n, d, k, whitelist, filters, chunk) for chunk in chunks if chunk]
+        survivors = []
+        examined = prunes = rejections = 0
+        with ProcessPoolExecutor(max_workers=workers) as pool_exec:
+            for surv_objs, exa, pru, rej in pool_exec.map(_worker, args):
+                survivors += [Configuration.from_json_obj(o) for o in surv_objs]
+                examined += exa
+                prunes += pru
+                rejections += rej
     else:
-        roots = list(range(len(ctx.pool)))
-        if workers > 1 and len(roots) > 1:
-            chunks = [roots[i::workers] for i in range(workers)]
-            args = [
-                (n, d, k, whitelist, filters, chunk) for chunk in chunks if chunk
-            ]
-            survivors = []
-            examined = prunes = rejections = 0
-            with ProcessPoolExecutor(max_workers=workers) as pool_exec:
-                for surv_objs, exa, pru, rej in pool_exec.map(_worker, args):
-                    survivors += [Configuration.from_json_obj(o) for o in surv_objs]
-                    examined += exa
-                    prunes += pru
-                    rejections += rej
-        else:
-            survivors, examined, prunes, rejections = _run_roots(ctx, roots)
+        survivors, examined, prunes, rejections = _run_roots(ctx, roots)
 
     pruned = dict(ctx.pool_pruned)
     pruned["semicontinuity"] = prunes + rejections

@@ -143,9 +143,19 @@ class Spectrum:
 
     @classmethod
     def from_json_obj(cls, obj: list[dict[str, int]]) -> "Spectrum":
-        return make_spectrum(
-            (Fraction(e["num"], e["den"]), e["mult"]) for e in obj
-        )
+        if not isinstance(obj, list):
+            raise ValueError(f"a spectrum is a JSON list of entries, got {obj!r}")
+        pairs = []
+        for e in obj:
+            # type() is int rejects JSON floats and booleans alike
+            if not isinstance(e, dict) or not all(
+                type(e.get(key)) is int for key in ("num", "den", "mult")
+            ):
+                raise ValueError(f"spectrum entry {e!r} needs integer num, den and mult")
+            if e["den"] == 0:
+                raise ValueError(f"spectrum entry {e!r} has den 0")
+            pairs.append((Fraction(e["num"], e["den"]), e["mult"]))
+        return make_spectrum(pairs)
 
     @classmethod
     def from_json(cls, text: str) -> "Spectrum":

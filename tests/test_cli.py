@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 import specpol
 from specpol.cli import REACHABLE_OPERATIONS, run
 
@@ -152,6 +154,34 @@ def test_usage_errors_exit_two(capsys):
     assert invoke(capsys, "nonsense")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--config", '{"n":2,"d":3,"germs":5}'],
+        ["check", "--config", '{"n":2,"d":3,"germs":[5]}'],
+        ["check", "--config", '{"n":1e400,"d":3,"germs":[]}'],
+        ["check", "--config", '{"n":2.5,"d":3,"germs":[]}'],
+        ["check", "--config", '{"n":2,"d":true,"germs":[]}'],
+        ["check", "--config", "[2,3]"],
+        ["deg", "{spectrum_file}", "--from=-inf", "--to=+inf"],
+        ["search", "2", "3", "2", "--workers", "0"],
+        ["search", "2", "3", "2", "--workers", "-3"],
+        ["verify-huh", "--workers", "0"],
+        ["verify-huh", "--workers", "-3"],
+        ["search", "2", "3", "2", "--no-filter", "alpha1"],
+        ["search", "2", "3", "2", "--no-filter", "corank"],
+    ],
+)
+def test_malformed_input_exits_two_with_one_line(argv, tmp_path, capsys):
+    spectrum_file = tmp_path / "spec.json"
+    spectrum_file.write_text('[{"num":1,"den":0,"mult":1}]')
+    argv = [a.replace("{spectrum_file}", str(spectrum_file)) for a in argv]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_spectrum_file_and_stdin_sources(tmp_path, capsys):
     spec = specpol.fermat_spectrum(2, 4)
     path = tmp_path / "spec.json"
@@ -165,21 +195,26 @@ def test_every_operation_is_reachable():
         specpol.make_spectrum, specpol.add, specpol.shift, specpol.suspend,
         specpol.join, specpol.deg_window, specpol.total, specpol.min_spectral,
         specpol.is_symmetric, specpol.unit_window_degree,
-        specpol.milnor, specpol.corank_curve, specpol.weights,
+        specpol.milnor, specpol.weights,
         specpol.spectrum_from_weights, specpol.curve_spectrum,
         specpol.germ_spectrum, specpol.fermat_spectrum,
         specpol.multiplicity_curve, specpol.parse_germ,
         specpol.polar_degree, specpol.sectional_milnor_plane,
-        specpol.huh_inequality_holds,
         specpol.candidate_spectrum, specpol.check, specpol.check_configuration,
         specpol.enumerate_configurations, specpol.verify_huh_lists,
         specpol.load_huh_lists, specpol.germ_pool,
         specpol.ell, specpol.degree_bound, specpol.dimension_excluded,
-        specpol.lemma1_region_k2, specpol.alpha1_threshold,
-        specpol.candidate_region,
+        specpol.lemma1_region_k2, specpol.candidate_region,
+    }
+    # the filters the catalog implies (alpha1, corank) and the off-plane huh
+    # bound: kept as library functions, called by no subcommand
+    library_only = {
+        specpol.alpha1_threshold, specpol.corank_curve, specpol.huh_inequality_holds,
     }
     reachable = set()
     for funcs in REACHABLE_OPERATIONS.values():
         reachable.update(funcs)
     missing = sorted(f.__name__ for f in operations - reachable)
     assert not missing, f"operations unreachable from any subcommand: {missing}"
+    claimed = sorted(f.__name__ for f in library_only & reachable)
+    assert not claimed, f"library-only operations claimed by a subcommand: {claimed}"

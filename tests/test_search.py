@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from specpol import (
     Configuration,
     InfeasibleConfigurationError,
     SearchFilters,
+    alpha1_threshold,
     candidate_spectrum,
+    corank_curve,
+    curve_spectrum,
     enumerate_configurations,
     germ_pool,
+    huh_inequality_holds,
     load_huh_lists,
     parse_germ,
     polar_degree,
@@ -42,6 +48,33 @@ def test_germ_pool_whitelist():
 def test_infeasible_parameters_error():
     with pytest.raises(InfeasibleConfigurationError):
         enumerate_configurations(2, 2, 5)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_rejected(workers):
+    with pytest.raises(ValueError):
+        enumerate_configurations(2, 3, 2, workers=workers)
+
+
+def test_implied_pool_filters_are_vacuous():
+    # The search has no alpha1 or corank pass and applies huh in the plane
+    # only; these are the inequalities that make the other cases prune nothing.
+    curves = germ_pool(2, 200)
+    # alpha1: every curve spectral number exceeds -2/3, so a germ minimum in
+    # ambient n exceeds -2/3 + (n-2)/2, which is at least the threshold
+    assert all(curve_spectrum(g).min_spectral() > Fraction(-2, 3) for g in curves)
+    for n in range(2, 41):
+        for k in range(2, 41):
+            assert Fraction(-2, 3) + Fraction(n - 2, 2) >= alpha1_threshold(n, k)
+    # corank: the generic slice has corank at most 1, and 2 <= k
+    assert all(2 ** max(corank_curve(g) - 1, 0) <= 2 for g in curves)
+    # huh for n >= 3 only asks for catalog membership
+    for n in (3, 4, 5):
+        for k in (1, 2, 3):
+            assert all(
+                huh_inequality_holds(Configuration(n, 3, (g,)), k)
+                for g in germ_pool(n, 200)
+            )
 
 
 def test_cubic_fourfold_elimination():
@@ -160,6 +193,8 @@ def test_report_json_shape():
         {"d": 3, "germs": ["A2"], "n": 2},
     ]
     assert set(obj["pruned_by"]) == {"alpha1", "corank", "huh", "semicontinuity"}
+    assert obj["pruned_by"]["alpha1"] == obj["pruned_by"]["corank"] == 0
+    assert obj["filters_applied"][:2] == ["alpha1", "corank"]
 
 
 def test_bundled_lists_load():
