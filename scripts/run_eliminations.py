@@ -3,15 +3,15 @@
 
 Enumerates all catalog germ multisets with the right total Milnor number for
 each requested (n, d) pair and prints the survivors.  The pairs (4,3), (5,3),
-(3,4), (2,6) and (2,7) come out empty; the low ones reproduce the known
+(3,4), (2,6), (2,7) and (2,8) come out empty; the low ones reproduce the known
 candidate lists.
 
 The default pair set is every pair of the k=2 region that finishes in
-seconds: on a 2-core machine with Python 3.11, (3,4) takes 0.16 s, (2,6)
-0.34 s and (2,7) 3.3 s.  The plane curves of degree 8 and up are left out:
-(2,8) takes about 70 s and (2,9) did not finish in 300 s, because the search
-still scans every window in pure Python at each node.  Pass explicit pairs to
-try one anyway.
+seconds: on a 2-core machine with Python 3.11, (3,4) and (2,6) take under
+0.2 s, (2,7) about 0.35 s and (2,8) 3-4 s.  The plane curves of degree 9
+and up are left out: the search has no lookahead bound yet, so it visits every
+node whose partial window counts fit, and (2,9) takes about a minute (it comes
+out empty).  Pass explicit pairs to try one anyway.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import time
 
 from specpol import enumerate_configurations
 
-DEFAULT_PAIRS = [(2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4), (4, 3), (5, 3)]
+DEFAULT_PAIRS = [(2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (3, 3), (3, 4), (4, 3), (5, 3)]
 
 
 def main() -> None:

@@ -264,7 +264,8 @@ def fermat_spectrum(n: int, d: int) -> Spectrum:
     The multiplicity of k/d is the number of integer tuples (a_1, ..., a_n)
     with 1 <= a_j <= d-1 and sum a_j = k + d, counted by convolving the
     length-(d-1) all-ones vector n times (never by tuple enumeration); the
-    total is (d-1)^n.
+    total is (d-1)^n.  Each convolution is a running sum over a window of
+    width d-1, so it is linear in the support.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -272,10 +273,14 @@ def fermat_spectrum(n: int, d: int) -> Spectrum:
         raise ValueError(f"need d >= 2, got {d}")
     counts = [1]  # counts[m] = ways to reach sum m + (#parts so far)
     for _ in range(n):
-        step = [0] * (len(counts) + d - 2)
-        for m, c in enumerate(counts):
-            for a in range(d - 1):
-                step[m + a] += c
+        padded = counts + [0] * (d - 2)
+        step, window = [], 0
+        for m, c in enumerate(padded):
+            # window = counts[m-d+2] + ... + counts[m]
+            window += c
+            if m >= d - 1:
+                window -= padded[m - d + 1]
+            step.append(window)
         counts = step
     # sum of parts = n + m, spectral number (n + m)/d - 1
     return make_spectrum(

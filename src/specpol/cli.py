@@ -137,18 +137,28 @@ def _cmd_deg(args) -> int:
 
 
 def _cmd_pol(args) -> int:
+    # parsed under the int digit limit, so an over-long number in the input
+    # still exits 2; the exact result may exceed it, so it is lifted for output
+    # (0 means no limit, as on Python before 3.10.7, which has no such call)
     config = _load_configuration(args.config)
     value = polar.polar_degree(config)
-    if args.json:
-        _emit_json(
-            {
-                "polar_degree": value,
-                "total_milnor": config.total_milnor,
-                "smooth_milnor": config.smooth_milnor,
-            }
-        )
-    else:
-        print(value)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.json:
+            _emit_json(
+                {
+                    "polar_degree": value,
+                    "total_milnor": config.total_milnor,
+                    "smooth_milnor": config.smooth_milnor,
+                }
+            )
+        else:
+            print(value)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

@@ -22,7 +22,10 @@ Filters:
   the diagonal-germ target's anywhere; applied to every complete
   configuration, and incrementally during the search (window counts only grow
   when germs are added, so a partial sum that already exceeds a target window
-  prunes its whole subtree without changing the survivor set).
+  prunes its whole subtree without changing the survivor set).  The partial
+  counts live in one int, a lane of B bits per window, with B wide enough that
+  no lane carries into the next; a child adds its germ's packed counts and is
+  pruned if any lane's top bit is set (SWAR, SIMD within a register).
 
 Reported counts: ``examined`` is the number of complete configurations that
 reached the target Milnor sum and entered per-configuration checking;
@@ -36,6 +39,7 @@ necessary criterion only: they are candidates, not certified hypersurfaces.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -153,33 +157,39 @@ def germ_pool(n: int, mu_max: int, whitelist: Iterable[str] = ("A", "D", "E", "J
     return sorted(pool, key=GermClass.sort_key)
 
 
-def _prune_windows(
-    target: Spectrum, open_variant: bool
-) -> list[tuple[object, object, bool, bool, int]]:
-    # Windows used for incremental subtree pruning, derived from the target
-    # alone: unit windows of both kinds at every target test point plus the
-    # lower rays they imply.  Each entry is (a, b, left_open, right_open, rhs).
-    points = window_test_points(EMPTY, target)
-    windows = []
-    for a in points:
-        windows.append((a, a + 1, True, False, deg_window(target, a, a + 1, True, False)))
-        windows.append((None, a, True, False, deg_window(target, NEG_INF, a, True, False)))
+def _pack(values: list[int], width: int) -> int:
+    """Non-negative ints below 2^width, one per lane, the first in the lowest bits."""
+    return sum(v << (j * width) for j, v in enumerate(values))
+
+
+def _lanes(rhs: list[int], bound: int) -> tuple[int, int, int]:
+    """Lane width B, start state and top-bit mask for the window bounds ``rhs``.
+
+    Lane j starts at 2^(B-1) - 1 - rhs[j]; its top bit is set exactly when the
+    counts added to it exceed rhs[j], if no single add exceeds ``bound``.
+    """
+    width = max((bound, *rhs)).bit_length() + 1
+    half = 1 << (width - 1)
+    return width, _pack([half - 1 - r for r in rhs], width), _pack([half] * len(rhs), width)
+
+
+def _window_counts(
+    spec: Spectrum, points: list[tuple[Fraction, Fraction]], open_variant: bool
+) -> list[int]:
+    # Counts over the pruning windows in lane order: per test point (a, a+1),
+    # ]a,a+1] and ]-inf,a], then ]a,a+1[ and ]-inf,a[ with the open variant.
+    keys, cum = spec._keys, spec._cum
+    counts = []
+    for a, b in points:
+        le_a = cum[bisect_right(keys, a)]
+        counts += [cum[bisect_right(keys, b)] - le_a, le_a]
         if open_variant:
-            windows.append((a, a + 1, True, True, deg_window(target, a, a + 1, True, True)))
-            windows.append((None, a, True, True, deg_window(target, NEG_INF, a, True, True)))
-    return windows
-
-
-def _germ_window_vector(spec: Spectrum, windows) -> tuple[int, ...]:
-    vec = []
-    for a, b, left_open, right_open, _rhs in windows:
-        lo = NEG_INF if a is None else a
-        vec.append(deg_window(spec, lo, b, left_open, right_open))
-    return tuple(vec)
+            counts += [cum[bisect_left(keys, b)] - le_a, cum[bisect_left(keys, a)]]
+    return counts
 
 
 class _SearchContext:
-    """Prepared pool, pruning windows and filter bookkeeping for one search."""
+    """Prepared pool, packed window vectors and filter bookkeeping for one search."""
 
     def __init__(self, n: int, d: int, k: int, whitelist: frozenset[str], filters: SearchFilters):
         self.n, self.d, self.k = n, d, k
@@ -197,34 +207,34 @@ class _SearchContext:
         # non-increasing canonical order: heaviest germ first
         self.pool = sorted(pool, key=lambda g: (-g.milnor,) + g.sort_key())
         self.mus = [g.milnor for g in self.pool]
-        if filters.semicontinuity:
-            self.windows = _prune_windows(self.target, filters.open_variant)
-            self.vectors = [
-                _germ_window_vector(germ_spectrum(g), self.windows) for g in self.pool
-            ]
-        else:
-            self.windows = []
-            self.vectors = [() for _ in self.pool]
-        self.rhs = [w[4] for w in self.windows]
+        # pruning windows: unit windows and the rays below every target test
+        # point; with semicontinuity off there are none and high == 0
+        test_points = window_test_points(EMPTY, self.target) if filters.semicontinuity else []
+        points = [(a, a + 1) for a in test_points]
+        rhs = _window_counts(self.target, points, filters.open_variant)
+        width, self.start, self.high = _lanes(rhs, self.target_mu)
+        # No carry between lanes: before an add every lane is at most 2^(B-1) - 1
+        # (a larger one was pruned), and germ g adds at most mu_g <= remaining
+        # <= target_mu < 2^(B-1) to a lane, so each stays below 2^B.
+        assert max(self.mus, default=0) <= self.target_mu < 1 << (width - 1)
+        self.packed = [
+            _pack(_window_counts(germ_spectrum(g), points, filters.open_variant), width)
+            for g in self.pool
+        ]
 
 
 def _run_roots(ctx: _SearchContext, roots: list[int]) -> tuple[list[Configuration], int, int, int]:
     """DFS below the given top-level pool indices.
 
-    Returns (survivors, examined, subtree_prunes, final_rejections).  With
-    semicontinuity off there are no windows, so the window loops are empty.
+    Returns (survivors, examined, subtree_prunes, final_rejections).  The
+    packed window state ``acc`` is passed down by value, so nothing is undone.
     """
-    n, d = ctx.n, ctx.d
-    pool, mus, vectors, rhs = ctx.pool, ctx.mus, ctx.vectors, ctx.rhs
-    nwin = len(rhs)
+    n, d, pool, mus, packed, high = ctx.n, ctx.d, ctx.pool, ctx.mus, ctx.packed, ctx.high
     survivors: list[Configuration] = []
-    examined = 0
-    subtree_prunes = 0
-    final_rejections = 0
-    acc = [0] * nwin
+    examined = subtree_prunes = final_rejections = 0
     stack: list[int] = []
 
-    def dfs(children: Iterable[int], remaining: int) -> None:
+    def dfs(children: Iterable[int], remaining: int, acc: int) -> None:
         nonlocal examined, subtree_prunes, final_rejections
         if remaining == 0:
             examined += 1
@@ -239,25 +249,15 @@ def _run_roots(ctx: _SearchContext, roots: list[int]) -> tuple[list[Configuratio
         for idx in children:
             if mus[idx] > remaining:
                 continue
-            vec = vectors[idx]
-            violated = -1
-            for j in range(nwin):
-                acc[j] += vec[j]
-                if acc[j] > rhs[j]:
-                    violated = j
-                    break
-            if violated >= 0:
-                for j in range(violated + 1):
-                    acc[j] -= vec[j]
+            nxt = acc + packed[idx]
+            if nxt & high:
                 subtree_prunes += 1
                 continue
             stack.append(idx)
-            dfs(range(idx, len(pool)), remaining - mus[idx])
+            dfs(range(idx, len(pool)), remaining - mus[idx], nxt)
             stack.pop()
-            for j in range(nwin):
-                acc[j] -= vec[j]
 
-    dfs(roots, ctx.target_mu)
+    dfs(roots, ctx.target_mu, ctx.start)
     return survivors, examined, subtree_prunes, final_rejections
 
 

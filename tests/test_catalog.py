@@ -320,6 +320,24 @@ def test_fermat_low_multiplicities_are_binomials():
                 assert s.multiplicity(F(n + j, d) - 1) == comb(n + j - 1, n - 1)
 
 
+def _fermat_by_nested_convolution(n, d):
+    # the direct convolution: one inner loop over the d-1 part sizes
+    counts = [1]
+    for _ in range(n):
+        step = [0] * (len(counts) + d - 2)
+        for m, c in enumerate(counts):
+            for a in range(d - 1):
+                step[m + a] += c
+        counts = step
+    return make_spectrum((F(n + m - d, d), c) for m, c in enumerate(counts) if c > 0)
+
+
+def test_fermat_running_sum_equals_nested_convolution():
+    for n in range(1, 5):
+        for d in range(2, 13):
+            assert fermat_spectrum(n, d) == _fermat_by_nested_convolution(n, d)
+
+
 def test_fermat_is_fast_at_moderate_size():
     s = fermat_spectrum(12, 12)
     assert s.total() == 11**12

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -78,6 +79,31 @@ def test_pol(capsys):
         "total_milnor": 14,
         "smooth_milnor": 16,
     }
+
+
+def test_pol_prints_values_beyond_the_int_digit_limit(capsys):
+    # (3-1)^20000 has 6021 digits, more than Python turns into text by default
+    limit = sys.get_int_max_str_digits()
+    config = '{"n":20000,"d":3,"germs":[]}'
+    code, plain, _ = invoke(capsys, "pol", "--config", config)
+    assert code == 0
+    code, as_json, _ = invoke(capsys, "pol", "--config", config, "--json")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(plain) == 2**20000
+        assert json.loads(as_json) == {
+            "polar_degree": 2**20000, "total_milnor": 0, "smooth_milnor": 2**20000,
+        }
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_spectrum_fermat_of_large_degree_returns(capsys):
+    code, out, _ = invoke(capsys, "spectrum", "fermat", "2", "20000")
+    assert code == 0
+    assert f"total\t{19999**2}" in out.splitlines()
 
 
 def test_check_verdict_is_data_not_exit_code(capsys):
@@ -170,6 +196,8 @@ def test_usage_errors_exit_two(capsys):
         ["verify-huh", "--workers", "-3"],
         ["search", "2", "3", "2", "--no-filter", "alpha1"],
         ["search", "2", "3", "2", "--no-filter", "corank"],
+        # over the int digit limit, which the output lifts but the input keeps
+        ["pol", "--config", '{"n":1' + "0" * 5000 + ',"d":3,"germs":[]}'],
     ],
 )
 def test_malformed_input_exits_two_with_one_line(argv, tmp_path, capsys):

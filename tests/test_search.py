@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from specpol import (
     Configuration,
@@ -14,14 +16,20 @@ from specpol import (
     candidate_spectrum,
     corank_curve,
     curve_spectrum,
+    deg_window,
     enumerate_configurations,
+    fermat_spectrum,
     germ_pool,
+    germ_spectrum,
     huh_inequality_holds,
     load_huh_lists,
     parse_germ,
     polar_degree,
     verify_huh_lists,
 )
+from specpol.search import _lanes, _pack, _window_counts
+from specpol.semicontinuity import window_test_points
+from specpol.spectrum import EMPTY, NEG_INF
 
 
 def config(n, d, *names):
@@ -75,6 +83,65 @@ def test_implied_pool_filters_are_vacuous():
                 huh_inequality_holds(Configuration(n, 3, (g,)), k)
                 for g in germ_pool(n, 200)
             )
+
+
+def _up_to(bound):
+    # a value in [0, bound], drawn often at the ends
+    return st.sampled_from([0, bound]) | st.integers(0, bound)
+
+
+@given(st.data())
+def test_packed_lanes_flag_exactly_the_exceeded_windows(data):
+    bound = data.draw(_up_to(300))
+    rhs = data.draw(st.lists(_up_to(300), max_size=12))
+    width, start, high = _lanes(rhs, bound)
+    # a state the search can hold: every window count so far within its bound
+    acc = [data.draw(_up_to(r)) for r in rhs]
+    vec = [data.draw(_up_to(bound)) for _ in rhs]
+    nxt = start + _pack(acc, width) + _pack(vec, width)
+    assert bool(nxt & high) == any(a + v > r for a, v, r in zip(acc, vec, rhs))
+    # no lane carried into its neighbour
+    half = 1 << (width - 1)
+    lanes = [(nxt >> (j * width)) & ((1 << width) - 1) for j in range(len(rhs))]
+    assert lanes == [half - 1 - r + a + v for a, v, r in zip(acc, vec, rhs)]
+    assert nxt >> (width * len(rhs)) == 0
+
+
+@pytest.mark.parametrize("open_variant", [True, False])
+def test_window_counts_equal_deg_window(open_variant):
+    # reference: one deg_window call per pruning window
+    for n, d in [(2, 5), (3, 3), (5, 3)]:
+        target = fermat_spectrum(n, d)
+        points = window_test_points(EMPTY, target)
+        windows = []
+        for a in points:
+            windows += [(a, a + 1, True, False), (NEG_INF, a, True, False)]
+            if open_variant:
+                windows += [(a, a + 1, True, True), (NEG_INF, a, True, True)]
+        pairs = [(a, a + 1) for a in points]
+        for spec in [target] + [germ_spectrum(g) for g in germ_pool(n, (d - 1) ** n)]:
+            expected = [deg_window(spec, *w) for w in windows]
+            assert _window_counts(spec, pairs, open_variant) == expected
+
+
+# pruned_by["semicontinuity"] and examined of the k=2 searches, pinned so that
+# a change to the pruning shows up here.  The lookahead bound of ROADMAP item 1
+# cuts subtrees earlier and will change these counts on purpose.
+@pytest.mark.parametrize(
+    "n, d, pruned, examined",
+    [
+        (4, 3, 351, 0),
+        (2, 5, 404, 8),
+        (2, 6, 6530, 0),
+        (3, 4, 7356, 0),
+        (5, 3, 11629, 0),
+        (2, 7, 101829, 0),
+    ],
+)
+def test_dfs_counts_are_pinned(n, d, pruned, examined):
+    report = enumerate_configurations(n, d, 2)
+    assert report.pruned_by_dict()["semicontinuity"] == pruned
+    assert report.examined == examined
 
 
 def test_cubic_fourfold_elimination():
