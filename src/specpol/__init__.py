@@ -60,6 +60,7 @@ from .spectrum import (
     WindowKind,
     add,
     deg_window,
+    from_numerators,
     is_symmetric,
     join,
     make_spectrum,

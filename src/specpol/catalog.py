@@ -28,6 +28,11 @@ in the convention where a curve spectrum is symmetric about 0 and contained in
 ]-1, 1[; an ambient-n germ spectrum is the (n-2)-fold suspension of its curve
 spectrum.
 
+Every builder here produces the integer form of :class:`Spectrum` directly:
+numerators over one denominator, the common denominator D of the weights,
+lcm(3k, 6k+2i) for J(k, i>0) and d for the diagonal germ.  No spectral number
+is formed or sorted as a `Fraction`.
+
 Note on the E(6r+1) family: expanding the per-family tabulated sum
 (0) + sum_{i=1,2} sum_{j=1..3r} (-i/3 + 2j/(6r+3)) breaks the symmetry of the
 spectrum about 0 already at r = 1 (it yields 1/3 and a doubled 0 instead of
@@ -44,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .spectrum import Spectrum, make_spectrum
+from .spectrum import Spectrum, from_numerators
 
 __all__ = [
     "FAMILIES",
@@ -205,28 +210,23 @@ def spectrum_from_weights(w1: Fraction, w2: Fraction) -> Spectrum:
     coeffs = _divide_by_one_minus_power(coeffs, p2)
     if any(c < 0 for c in coeffs):
         raise ValueError("weight expansion has a negative coefficient")
-    return make_spectrum(
-        (Fraction(e, D) - 1, c) for e, c in enumerate(coeffs) if c > 0
-    )
+    return from_numerators(D, ((e - D, c) for e, c in enumerate(coeffs) if c > 0))
 
 
-def _j_negative_part(k: int, i: int) -> list[Fraction]:
-    # Negative spectral numbers of the J(k, i>0) curve germ, in two groups.
+def _j_negative_part(k: int, i: int) -> tuple[int, list[int]]:
+    # Negative spectral numbers of the J(k, i>0) curve germ, in two groups over
+    # 3k and 6k+2i, returned as numerators over their common denominator.
     if k % 2 == 0:
         group1 = list(range(-2 * k + 1, -3 * k // 2 + 1))
     else:
         group1 = list(range(-2 * k + 1, (-3 * k - 1) // 2 + 1))
     group1 += list(range(-k + 1, 0))
-    negatives = [Fraction(num, 3 * k) for num in group1]
-    den = 6 * k + 2 * i
-    group2 = [
-        Fraction(num, den)
-        for num in range(-(3 * k + i) + 1, 0)
-        if (num - i) % 2 == 0
-    ]
-    half = Fraction(-1, 2)
-    assert all(v > half for v in group2), "second-group value not above -1/2"
-    return negatives + group2
+    den2 = 6 * k + 2 * i
+    group2 = [num for num in range(-(3 * k + i) + 1, 0) if (num - i) % 2 == 0]
+    assert all(2 * num > -den2 for num in group2), "second-group value not above -1/2"
+    den = lcm(3 * k, den2)
+    f1, f2 = den // (3 * k), den // den2
+    return den, [num * f1 for num in group1] + [num * f2 for num in group2]
 
 
 @lru_cache(maxsize=None)
@@ -235,15 +235,15 @@ def curve_spectrum(g: GermClass) -> Spectrum:
     g = g.in_ambient(2)
     if g.family != "J" or g.i == 0:
         return spectrum_from_weights(*weights(g))
-    negatives = _j_negative_part(g.k, g.i)
+    den, negatives = _j_negative_part(g.k, g.i)
     mu = g.milnor
     at_zero = mu - 2 * len(negatives)
     assert at_zero >= 0, f"negative multiplicity at 0 for {g}"
     pairs = [(v, 1) for v in negatives]
     pairs += [(-v, 1) for v in negatives]
     if at_zero:
-        pairs.append((Fraction(0), at_zero))
-    return make_spectrum(pairs)
+        pairs.append((0, at_zero))
+    return from_numerators(den, pairs)
 
 
 def germ_spectrum(g: GermClass) -> Spectrum:
@@ -283,6 +283,4 @@ def fermat_spectrum(n: int, d: int) -> Spectrum:
             step.append(window)
         counts = step
     # sum of parts = n + m, spectral number (n + m)/d - 1
-    return make_spectrum(
-        (Fraction(n + m - d, d), c) for m, c in enumerate(counts) if c > 0
-    )
+    return from_numerators(d, ((n + m - d, c) for m, c in enumerate(counts) if c > 0))

@@ -30,13 +30,15 @@ __all__ = ["main", "run", "REACHABLE_OPERATIONS"]
 REACHABLE_OPERATIONS = {
     "spectrum germ": (catalog.germ_spectrum, catalog.curve_spectrum,
                       catalog.spectrum_from_weights, catalog.weights,
-                      catalog.parse_germ, spectrum.make_spectrum,
+                      catalog.parse_germ, spectrum.from_numerators,
                       spectrum.shift, spectrum.suspend, spectrum.total,
                       spectrum.min_spectral, spectrum.is_symmetric),
-    "spectrum fermat": (catalog.fermat_spectrum, spectrum.total,
-                        spectrum.min_spectral, spectrum.is_symmetric),
-    "spectrum join": (spectrum.join, spectrum.total, spectrum.min_spectral),
-    "deg": (spectrum.deg_window,),
+    "spectrum fermat": (catalog.fermat_spectrum, spectrum.from_numerators,
+                        spectrum.total, spectrum.min_spectral,
+                        spectrum.is_symmetric),
+    "spectrum join": (spectrum.join, spectrum.make_spectrum, spectrum.total,
+                      spectrum.min_spectral),
+    "deg": (spectrum.deg_window, spectrum.make_spectrum),
     "pol": (polar.polar_degree, catalog.milnor),
     "check": (semicontinuity.check_configuration, semicontinuity.check,
               semicontinuity.candidate_spectrum, spectrum.add,

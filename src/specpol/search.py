@@ -25,7 +25,9 @@ Filters:
   prunes its whole subtree without changing the survivor set).  The partial
   counts live in one int, a lane of B bits per window, with B wide enough that
   no lane carries into the next; a child adds its germ's packed counts and is
-  pruned if any lane's top bit is set (SWAR, SIMD within a register).
+  pruned if any lane's top bit is set (SWAR, SIMD within a register).  The
+  counts themselves come from `Spectrum.count_below` at every test point a
+  and a+1: one integer threshold and one bisect over integer numerators each.
 
 Reported counts: ``examined`` is the number of complete configurations that
 reached the target Milnor sum and entered per-configuration checking;
@@ -39,7 +41,6 @@ necessary criterion only: they are candidates, not certified hypersurfaces.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -178,13 +179,12 @@ def _window_counts(
 ) -> list[int]:
     # Counts over the pruning windows in lane order: per test point (a, a+1),
     # ]a,a+1] and ]-inf,a], then ]a,a+1[ and ]-inf,a[ with the open variant.
-    keys, cum = spec._keys, spec._cum
     counts = []
     for a, b in points:
-        le_a = cum[bisect_right(keys, a)]
-        counts += [cum[bisect_right(keys, b)] - le_a, le_a]
+        le_a = spec.count_below(a, inclusive=True)
+        counts += [spec.count_below(b, inclusive=True) - le_a, le_a]
         if open_variant:
-            counts += [cum[bisect_left(keys, b)] - le_a, cum[bisect_left(keys, a)]]
+            counts += [spec.count_below(b) - le_a, spec.count_below(a)]
     return counts
 
 

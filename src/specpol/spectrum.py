@@ -1,9 +1,15 @@
 """Exact arithmetic on singularity spectra.
 
 A spectrum is a finite multiset of rational numbers: formally an element of
-the group ring Z[Q] with non-negative coefficients, stored as an ordered map
-from spectral number to multiplicity.  All coordinates are `fractions.Fraction`
-values, so every comparison and every window count below is exact.
+the group ring Z[Q] with non-negative coefficients.  It is stored over one
+positive denominator D as strictly increasing integer numerators x (the
+spectral number x/D) with their multiplicities and cumulative counts.  D is
+reduced against the numerators, so equal multisets are equal (and hash
+equal) however they were built.  `fractions.Fraction` values appear only at
+the interface: ``entries``, ``support``, the extreme spectral numbers, JSON,
+text and the arguments of the operations.  A window count turns each
+rational endpoint p/q into one integer threshold on the numerators, so every
+comparison below is an exact integer comparison.
 
 The operations here are pure combinatorics: pointwise sum, shift by a
 rational, suspension (shift by 1/2 per added square), the join (product of the
@@ -21,6 +27,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
+from operator import lt
 from typing import Iterable, Union
 
 __all__ = [
@@ -32,6 +40,7 @@ __all__ = [
     "WindowKind",
     "add",
     "deg_window",
+    "from_numerators",
     "is_symmetric",
     "join",
     "make_spectrum",
@@ -67,58 +76,92 @@ class WindowKind(Enum):
 class Spectrum:
     """Immutable multiset of spectral numbers with positive multiplicities.
 
-    ``entries`` is strictly increasing in the spectral number; use
-    :func:`make_spectrum` to build one from unsorted pairs.
+    The spectral numbers are ``nums[i] / den``: ``den`` is positive,
+    ``nums`` strictly increasing and every multiplicity positive.  The
+    constructor divides ``den`` and ``nums`` by their gcd.  Use
+    :func:`make_spectrum` to build one from unsorted rational pairs, or
+    :func:`from_numerators` from unsorted integer pairs over one denominator.
     """
 
-    entries: tuple[tuple[Fraction, int], ...]
-    _keys: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    den: int
+    nums: tuple[int, ...]
+    mults: tuple[int, ...]
     _cum: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        keys = tuple(a for a, _ in self.entries)
-        cum = [0]
-        for _, m in self.entries:
-            cum.append(cum[-1] + m)
-        object.__setattr__(self, "_keys", keys)
-        object.__setattr__(self, "_cum", tuple(cum))
+        den, nums, mults = self.den, tuple(self.nums), tuple(self.mults)
+        if den <= 0 or len(nums) != len(mults):
+            raise ValueError(f"need den > 0 and one multiplicity per numerator, got den {den}")
+        if not all(map(lt, nums, nums[1:])) or (mults and min(mults) <= 0):
+            raise ValueError("numerators must increase and multiplicities be positive")
+        g = math.gcd(den, *nums)
+        if g > 1:
+            den, nums = den // g, tuple(x // g for x in nums)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "mults", mults)
+        object.__setattr__(self, "_cum", (0, *accumulate(mults)))
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, int], ...]:
+        """(spectral number, multiplicity) pairs, increasing; built on each access."""
+        den = self.den
+        return tuple((Fraction(x, den), m) for x, m in zip(self.nums, self.mults))
 
     def __iter__(self):
         return iter(self.entries)
 
     def __bool__(self) -> bool:
-        return bool(self.entries)
+        return bool(self.nums)
 
     def __add__(self, other: "Spectrum") -> "Spectrum":
         return add(self, other)
 
     @property
     def support(self) -> tuple[Fraction, ...]:
-        return self._keys
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def multiplicity(self, alpha: Fraction) -> int:
-        i = bisect_left(self._keys, alpha)
-        if i < len(self._keys) and self._keys[i] == alpha:
-            return self.entries[i][1]
+        alpha = Fraction(alpha)
+        x, r = divmod(alpha.numerator * self.den, alpha.denominator)
+        i = bisect_left(self.nums, x)
+        if r == 0 and i < len(self.nums) and self.nums[i] == x:
+            return self.mults[i]
         return 0
+
+    def count_below(self, x: Bound, inclusive: bool = False) -> int:
+        """Spectral numbers (with multiplicity) < x, or <= x when inclusive.
+
+        x is an int, a Fraction p/q (q > 0) or the float +-inf.  The
+        numerators below p/q are those below the integer threshold
+        ceil(p*den/q), and those up to p/q are those up to floor(p*den/q).
+        """
+        if type(x) is float:
+            return 0 if x < 0 else self._cum[-1]
+        t, q = x.numerator * self.den, x.denominator
+        if inclusive:
+            return self._cum[bisect_right(self.nums, t // q)]
+        return self._cum[bisect_left(self.nums, -(-t // q))]
 
     def total(self) -> int:
         """Sum of all multiplicities (the Milnor number for a germ spectrum)."""
         return self._cum[-1]
 
     def min_spectral(self) -> Fraction:
-        if not self.entries:
+        if not self.nums:
             raise EmptySpectrumError("empty spectrum has no smallest spectral number")
-        return self._keys[0]
+        return Fraction(self.nums[0], self.den)
 
     def max_spectral(self) -> Fraction:
-        if not self.entries:
+        if not self.nums:
             raise EmptySpectrumError("empty spectrum has no largest spectral number")
-        return self._keys[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def shift(self, q: Fraction) -> "Spectrum":
         q = Fraction(q)
-        return Spectrum(tuple((a + q, m) for a, m in self.entries))
+        den = math.lcm(self.den, q.denominator)
+        scale, offset = den // self.den, q.numerator * (den // q.denominator)
+        return Spectrum(den, tuple(x * scale + offset for x in self.nums), self.mults)
 
     def suspend(self, m: int) -> "Spectrum":
         if m < 0:
@@ -126,17 +169,25 @@ class Spectrum:
         return self.shift(Fraction(m, 2))
 
     def is_symmetric(self, center: Fraction) -> bool:
+        # a -> 2c - a reverses the order, so it maps entry i onto entry -1-i
         two_c = 2 * Fraction(center)
-        return all(self.multiplicity(two_c - a) == m for a, m in self.entries)
+        t, r = divmod(two_c.numerator * self.den, two_c.denominator)
+        nums = self.nums
+        if r:
+            return not nums
+        return self.mults == self.mults[::-1] and all(
+            x + y == t for x, y in zip(nums, reversed(nums))
+        )
 
     def deg(self, a: Bound, b: Bound, left_open: bool = True, right_open: bool = True) -> int:
         return deg_window(self, a, b, left_open, right_open)
 
     def to_json_obj(self) -> list[dict[str, int]]:
-        return [
-            {"num": a.numerator, "den": a.denominator, "mult": m}
-            for a, m in self.entries
-        ]
+        out = []
+        for x, m in zip(self.nums, self.mults):
+            g = math.gcd(x, self.den)
+            out.append({"num": x // g, "den": self.den // g, "mult": m})
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
@@ -162,14 +213,33 @@ class Spectrum:
         return cls.from_json_obj(json.loads(text))
 
     def __str__(self) -> str:
-        if not self.entries:
+        if not self.nums:
             return "(empty)"
         return " + ".join(
             f"{m}({a})" if m > 1 else f"({a})" for a, m in self.entries
         )
 
 
-EMPTY = Spectrum(())
+EMPTY = Spectrum(1, (), ())
+
+
+def _from_counts(den: int, counts: dict[int, int]) -> Spectrum:
+    nums = sorted(counts)
+    return Spectrum(den, tuple(nums), tuple(counts[x] for x in nums))
+
+
+def from_numerators(den: int, pairs: Iterable[tuple[int, int]]) -> Spectrum:
+    """Build a spectrum from (numerator, multiplicity) pairs over one denominator.
+
+    The pair (x, m) stands for the spectral number x/den with multiplicity m;
+    duplicate numerators are merged and every multiplicity must be positive.
+    """
+    counts: dict[int, int] = {}
+    for x, m in pairs:
+        if m <= 0:
+            raise ValueError(f"multiplicity must be positive, got {m} at {x}/{den}")
+        counts[x] = counts.get(x, 0) + m
+    return _from_counts(den, counts)
 
 
 def make_spectrum(pairs: Iterable[tuple[Fraction, int]]) -> Spectrum:
@@ -178,25 +248,26 @@ def make_spectrum(pairs: Iterable[tuple[Fraction, int]]) -> Spectrum:
     Duplicate spectral numbers are merged by adding multiplicities; every
     multiplicity must be positive.
     """
-    acc: dict[Fraction, int] = {}
-    for alpha, m in pairs:
-        if m <= 0:
-            raise ValueError(f"multiplicity must be positive, got {m} at {alpha}")
-        alpha = Fraction(alpha)
-        acc[alpha] = acc.get(alpha, 0) + m
-    return Spectrum(tuple(sorted(acc.items())))
+    pairs = [(Fraction(alpha), m) for alpha, m in pairs]
+    den = math.lcm(*(alpha.denominator for alpha, _ in pairs))
+    return from_numerators(
+        den, ((alpha.numerator * (den // alpha.denominator), m) for alpha, m in pairs)
+    )
 
 
 def add(s1: Spectrum, s2: Spectrum) -> Spectrum:
     """Pointwise sum of multiplicities; total(add) = total(s1) + total(s2)."""
-    if not s1.entries:
+    if not s1.nums:
         return s2
-    if not s2.entries:
+    if not s2.nums:
         return s1
-    acc = dict(s1.entries)
-    for alpha, m in s2.entries:
-        acc[alpha] = acc.get(alpha, 0) + m
-    return Spectrum(tuple(sorted(acc.items())))
+    den = math.lcm(s1.den, s2.den)
+    f1, f2 = den // s1.den, den // s2.den
+    counts = dict(zip((x * f1 for x in s1.nums), s1.mults))
+    for x, m in zip(s2.nums, s2.mults):
+        x *= f2
+        counts[x] = counts.get(x, 0) + m
+    return _from_counts(den, counts)
 
 
 def shift(s: Spectrum, q: Fraction) -> Spectrum:
@@ -217,22 +288,31 @@ def join(s1: Spectrum, s2: Spectrum) -> Spectrum:
     with convolved multiplicities.  Totals multiply, and joining with the
     one-variable Morse spectrum {-1/2} equals a single suspension.
     """
-    if not s1.entries or not s2.entries:
+    if not s1.nums or not s2.nums:
         return EMPTY
-    acc: dict[Fraction, int] = {}
-    for a, ma in s1.entries:
-        for b, mb in s2.entries:
-            key = a + b + 1
-            acc[key] = acc.get(key, 0) + ma * mb
-    return Spectrum(tuple(sorted(acc.items())))
+    den = math.lcm(s1.den, s2.den)
+    right = [(y * (den // s2.den) + den, mb) for y, mb in zip(s2.nums, s2.mults)]
+    counts: dict[int, int] = {}
+    for x, ma in zip(s1.nums, s1.mults):
+        x *= den // s1.den
+        for y, mb in right:
+            counts[x + y] = counts.get(x + y, 0) + ma * mb
+    return _from_counts(den, counts)
 
 
 def _check_bound(x: Bound, name: str) -> Bound:
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         if not math.isinf(x):
             raise ValueError(f"{name} must be an exact rational or +-inf, got {x!r}")
-        return x
+        return POS_INF if x > 0 else NEG_INF
     return Fraction(x)
+
+
+def _side(x: Bound) -> int:
+    # -1 for -inf, 1 for +inf, 0 for a rational
+    return ((x > 0) - (x < 0)) if type(x) is float else 0
 
 
 def deg_window(
@@ -246,24 +326,18 @@ def deg_window(
 
     Endpoints are exact rationals or +-infinity; each side is open or closed
     independently, so unit windows ]a,a+1], rays ]-inf,t] and any mixed
-    interval all go through this one code path.
+    interval all go through this one code path.  Bounds with a > b are
+    rejected, infinite ones included.
     """
     a = _check_bound(a, "left endpoint")
     b = _check_bound(b, "right endpoint")
-    if not isinstance(a, float) and not isinstance(b, float) and a > b:
+    if type(a) is float or type(b) is float:
+        reversed_bounds = _side(a) > _side(b)
+    else:
+        reversed_bounds = a.numerator * b.denominator > b.numerator * a.denominator
+    if reversed_bounds:
         raise ValueError(f"empty interval bounds: {a} > {b}")
-    keys = s._keys
-    if isinstance(a, float):
-        lo = 0 if a < 0 else len(keys)
-    else:
-        lo = bisect_right(keys, a) if left_open else bisect_left(keys, a)
-    if isinstance(b, float):
-        hi = len(keys) if b > 0 else 0
-    else:
-        hi = bisect_left(keys, b) if right_open else bisect_right(keys, b)
-    if hi <= lo:
-        return 0
-    return s._cum[hi] - s._cum[lo]
+    return max(s.count_below(b, not right_open) - s.count_below(a, left_open), 0)
 
 
 def unit_window_degree(s: Spectrum, a: Fraction, kind: WindowKind) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -21,6 +22,7 @@ from specpol import (
     milnor,
     multiplicity_curve,
     parse_germ,
+    germ_pool,
     spectrum_from_weights,
     weights,
 )
@@ -341,3 +343,65 @@ def test_fermat_running_sum_equals_nested_convolution():
 def test_fermat_is_fast_at_moderate_size():
     s = fermat_spectrum(12, 12)
     assert s.total() == 11**12
+
+
+# --- the integer form against Fraction arithmetic ------------------------------
+
+
+def _fraction_curve_values(g):
+    """Curve spectral numbers of g computed in Fractions, one per basis element.
+
+    Weighted-homogeneous classes: (a+1) w1 + (b+1) w2 - 1 over a monomial basis
+    x^a y^b of the Milnor algebra.  J(k, i>0): the tabulated two groups of
+    negative values, their negatives and 0 for the rest of the Milnor number.
+    """
+    fam, k, i = g.family, g.k, g.i
+    if fam == "A":
+        return [F(a + 1, k + 1) - F(1, 2) for a in range(k)]
+    if fam == "D":  # x^2 y + y^(k-1): basis y^b (b <= k-2) and x
+        w1, w2 = F(k - 2, 2 * k - 2), F(1, k - 1)
+        return [w1 + (b + 1) * w2 - 1 for b in range(k - 1)] + [2 * w1 + w2 - 1]
+    if fam == "J" and i > 0:
+        if k % 2 == 0:
+            group1 = range(-2 * k + 1, -3 * k // 2 + 1)
+        else:
+            group1 = range(-2 * k + 1, (-3 * k - 1) // 2 + 1)
+        negatives = [F(x, 3 * k) for x in group1] + [F(x, 3 * k) for x in range(-k + 1, 0)]
+        negatives += [F(x, 6 * k + 2 * i) for x in range(-(3 * k + i) + 1, 0) if (x - i) % 2 == 0]
+        return negatives + [-v for v in negatives] + [F(0)] * (g.milnor - 2 * len(negatives))
+    # x^3 + ...: basis x^a y^b with a < 2 and b below the row length of a
+    r, res = divmod(k, 6)
+    if fam == "J":  # J(k,0), weights (1/3, 1/(3k))
+        w2, rows = F(1, 3 * k), (3 * k - 1, 3 * k - 1)
+    elif res == 0:  # E(6r) = x^3 + y^(3r+1)
+        w2, rows = F(1, 3 * r + 1), (3 * r, 3 * r)
+    elif res == 2:  # E(6r+2) = x^3 + y^(3r+2)
+        w2, rows = F(1, 3 * r + 2), (3 * r + 1, 3 * r + 1)
+    else:  # E(6r+1) = x^3 + x y^(2r+1): y^b (b <= 4r) and x y^b (b < 2r)
+        w2, rows = F(2, 6 * r + 3), (4 * r + 1, 2 * r)
+    return [F(a + 1, 3) + (b + 1) * w2 - 1 for a, length in enumerate(rows) for b in range(length)]
+
+
+def _assert_same(x, y):
+    assert x == y
+    assert hash(x) == hash(y)
+    assert x.to_json() == y.to_json()
+
+
+def test_catalog_equals_fraction_reference():
+    # every class with mu <= 60, in ambient 2..5, and every diagonal germ with
+    # (d-1)^n <= 60, against spectra built from Fractions with make_spectrum
+    for g in germ_pool(2, 60):
+        values = _fraction_curve_values(g)
+        assert len(values) == g.milnor, g
+        for n in range(2, 6):
+            reference = make_spectrum((v + F(n - 2, 2), 1) for v in values)
+            _assert_same(germ_spectrum(g.in_ambient(n)), reference)
+    for n in range(1, 7):
+        for d in range(2, 62):
+            if (d - 1) ** n > 60:
+                break
+            reference = make_spectrum(
+                (F(sum(parts), d) - 1, 1) for parts in product(range(1, d), repeat=n)
+            )
+            _assert_same(fermat_spectrum(n, d), reference)

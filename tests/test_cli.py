@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -190,6 +193,11 @@ def test_usage_errors_exit_two(capsys):
         ["check", "--config", '{"n":2,"d":true,"germs":[]}'],
         ["check", "--config", "[2,3]"],
         ["deg", "{spectrum_file}", "--from=-inf", "--to=+inf"],
+        # reversed bounds, infinite ones too
+        ["deg", "fermat:2:3", "--from=1", "--to=0"],
+        ["deg", "fermat:2:3", "--from=+inf", "--to=0"],
+        ["deg", "fermat:2:3", "--from=0", "--to=-inf"],
+        ["deg", "fermat:2:3", "--from=+inf", "--to=-inf"],
         ["search", "2", "3", "2", "--workers", "0"],
         ["search", "2", "3", "2", "--workers", "-3"],
         ["verify-huh", "--workers", "0"],
@@ -218,9 +226,21 @@ def test_spectrum_file_and_stdin_sources(tmp_path, capsys):
     assert out.strip() == "9"
 
 
+def test_python_dash_m_runs_from_a_checkout(capsys):
+    # README's commands work as `python -m specpol ...` with only src on the path
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "specpol", "region", "2", "--json"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = invoke(capsys, "region", "2", "--json")
+    assert proc.stdout == out
+
+
 def test_every_operation_is_reachable():
     operations = {
-        specpol.make_spectrum, specpol.add, specpol.shift, specpol.suspend,
+        specpol.make_spectrum, specpol.from_numerators, specpol.add, specpol.shift, specpol.suspend,
         specpol.join, specpol.deg_window, specpol.total, specpol.min_spectral,
         specpol.is_symmetric, specpol.unit_window_degree,
         specpol.milnor, specpol.weights,

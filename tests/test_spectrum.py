@@ -18,6 +18,7 @@ from specpol import (
     add,
     deg_window,
     fermat_spectrum,
+    from_numerators,
     is_symmetric,
     join,
     make_spectrum,
@@ -39,6 +40,12 @@ spectra = st.builds(
 nonempty_spectra = st.builds(
     make_spectrum,
     st.lists(st.tuples(rationals, st.integers(1, 4)), min_size=1, max_size=6),
+)
+# numerators over one denominator, often not reduced against it
+integer_spectra = st.builds(
+    from_numerators,
+    st.integers(1, 12),
+    st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 4)), max_size=6),
 )
 
 
@@ -145,10 +152,13 @@ def test_deg_window_endpoints():
 
 def test_deg_window_rejects_bad_bounds():
     s = make_spectrum([(F(0), 1)])
-    with pytest.raises(ValueError):
-        deg_window(s, F(1), F(0))
+    # every reversed pair, infinite bounds ordered as usual
+    for a, b in [(F(1), F(0)), (POS_INF, F(0)), (F(0), NEG_INF), (POS_INF, NEG_INF)]:
+        with pytest.raises(ValueError):
+            deg_window(s, a, b)
     with pytest.raises(ValueError):
         deg_window(s, 0.5, F(1))
+    assert deg_window(s, POS_INF, POS_INF) == deg_window(s, NEG_INF, NEG_INF) == 0
 
 
 @given(spectra, rationals, rationals, st.booleans(), st.booleans())
@@ -230,3 +240,71 @@ def test_random_shuffle_invariance():
     for _ in range(10):
         rng.shuffle(pairs)
         assert make_spectrum(pairs) == reference
+
+
+# --- the integer form --------------------------------------------------------
+
+
+def test_constructor_reduces_and_validates():
+    s = Spectrum(6, (-3, 2, 4), (1, 2, 1))
+    assert (s.den, s.nums, s.mults) == (6, (-3, 2, 4), (1, 2, 1))
+    assert Spectrum(12, (-6, 4, 8), (1, 2, 1)) == make_spectrum(
+        [(F(-1, 2), 1), (F(1, 3), 2), (F(2, 3), 1)]
+    )
+    assert Spectrum(7, (), ()) == make_spectrum([]) and Spectrum(7, (), ()).den == 1
+    for den, nums, mults in [(0, (1,), (1,)), (-2, (1,), (1,)), (2, (1, 1), (1, 1)),
+                             (2, (2, 1), (1, 1)), (2, (1,), (0,)), (2, (1, 3), (1,))]:
+        with pytest.raises(ValueError):
+            Spectrum(den, nums, mults)
+
+
+def test_spectrum_holds_integers_only():
+    # entries and support are built on access, never kept on the object
+    for s in (fermat_spectrum(3, 5), make_spectrum([(F(-7, 6), 2), (F(1, 4), 1)])):
+        assert set(vars(s)) == {"den", "nums", "mults", "_cum"}
+        assert all(type(v) is int for v in (s.den, *s.nums, *s.mults, *s._cum))
+
+
+def _probe_bounds(s: Spectrum) -> list[Fraction]:
+    # on, just below and just above every support point: its gaps are >= 1/den
+    eps = F(1, 3 * s.den)
+    bounds = {F(0)}
+    for v in s.support:
+        bounds |= {v - eps, v, v + eps}
+    return sorted(bounds)
+
+
+@given(integer_spectra | spectra, st.lists(rationals, max_size=3))
+@settings(max_examples=60)
+def test_integer_ranks_match_brute_force(s, extra):
+    pairs = list(s.entries)
+    bounds = sorted(set(_probe_bounds(s) + extra))
+    for x in bounds:
+        assert s.count_below(x) == brute_deg(pairs, NEG_INF, x, True, True)
+        assert s.count_below(x, inclusive=True) == brute_deg(pairs, NEG_INF, x, True, False)
+    ends = [NEG_INF] + bounds + [POS_INF]
+    for i, a in enumerate(ends):
+        for b in ends[i:]:
+            for left_open in (True, False):
+                for right_open in (True, False):
+                    assert deg_window(s, a, b, left_open, right_open) == brute_deg(
+                        pairs, a, b, left_open, right_open
+                    ), (a, b, left_open, right_open)
+
+
+def _same(x: Spectrum, y: Spectrum) -> None:
+    assert x == y
+    assert hash(x) == hash(y)
+    assert (x.den, x.to_json(), str(x)) == (y.den, y.to_json(), str(y))
+
+
+@given(spectra, integer_spectra, rationals, st.integers(0, 5))
+def test_construction_path_does_not_matter(s1, s2, q, m):
+    p1, p2 = list(s1.entries), list(s2.entries)
+    _same(shift(s1, q), make_spectrum((a + q, k) for a, k in p1))
+    _same(suspend(s2, m), make_spectrum((a + F(m, 2), k) for a, k in p2))
+    _same(add(s1, s2), make_spectrum(p1 + p2))
+    _same(join(s1, s2), make_spectrum((a + b + 1, k * l) for a, k in p1 for b, l in p2))
+    _same(shift(shift(s1, q), -q), s1)
+    _same(from_numerators(5 * s2.den, ((5 * x, k) for x, k in zip(s2.nums, s2.mults))), s2)
+    _same(Spectrum.from_json(s1.to_json()), s1)
