@@ -28,10 +28,10 @@ in the convention where a curve spectrum is symmetric about 0 and contained in
 ]-1, 1[; an ambient-n germ spectrum is the (n-2)-fold suspension of its curve
 spectrum.
 
-Every builder here produces the integer form of :class:`Spectrum` directly:
-numerators over one denominator, the common denominator D of the weights,
-lcm(3k, 6k+2i) for J(k, i>0) and d for the diagonal germ.  No spectral number
-is formed or sorted as a `Fraction`.
+Each function here that returns a spectrum makes the integer form of
+:class:`Spectrum` directly: numerators over one denominator, the common
+denominator D of the weights, lcm(3k, 6k+2i) for J(k, i>0) and d for the
+diagonal germ.  No spectral number is formed or sorted as a `Fraction`.
 
 Note on the E(6r+1) family: expanding the per-family tabulated sum
 (0) + sum_{i=1,2} sum_{j=1..3r} (-i/3 + 2j/(6r+3)) breaks the symmetry of the

@@ -27,7 +27,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import lt
 from typing import Iterable, Union
 
@@ -223,11 +223,6 @@ class Spectrum:
 EMPTY = Spectrum(1, (), ())
 
 
-def _from_counts(den: int, counts: dict[int, int]) -> Spectrum:
-    nums = sorted(counts)
-    return Spectrum(den, tuple(nums), tuple(counts[x] for x in nums))
-
-
 def from_numerators(den: int, pairs: Iterable[tuple[int, int]]) -> Spectrum:
     """Build a spectrum from (numerator, multiplicity) pairs over one denominator.
 
@@ -239,7 +234,14 @@ def from_numerators(den: int, pairs: Iterable[tuple[int, int]]) -> Spectrum:
         if m <= 0:
             raise ValueError(f"multiplicity must be positive, got {m} at {x}/{den}")
         counts[x] = counts.get(x, 0) + m
-    return _from_counts(den, counts)
+    nums = sorted(counts)
+    return Spectrum(den, tuple(nums), tuple(counts[x] for x in nums))
+
+
+def _over(s: Spectrum, den: int) -> Iterable[tuple[int, int]]:
+    # (numerator, multiplicity) pairs of s over den, a multiple of s.den
+    scale = den // s.den
+    return ((x * scale, m) for x, m in zip(s.nums, s.mults))
 
 
 def make_spectrum(pairs: Iterable[tuple[Fraction, int]]) -> Spectrum:
@@ -262,12 +264,7 @@ def add(s1: Spectrum, s2: Spectrum) -> Spectrum:
     if not s2.nums:
         return s1
     den = math.lcm(s1.den, s2.den)
-    f1, f2 = den // s1.den, den // s2.den
-    counts = dict(zip((x * f1 for x in s1.nums), s1.mults))
-    for x, m in zip(s2.nums, s2.mults):
-        x *= f2
-        counts[x] = counts.get(x, 0) + m
-    return _from_counts(den, counts)
+    return from_numerators(den, chain(_over(s1, den), _over(s2, den)))
 
 
 def shift(s: Spectrum, q: Fraction) -> Spectrum:
@@ -291,13 +288,10 @@ def join(s1: Spectrum, s2: Spectrum) -> Spectrum:
     if not s1.nums or not s2.nums:
         return EMPTY
     den = math.lcm(s1.den, s2.den)
-    right = [(y * (den // s2.den) + den, mb) for y, mb in zip(s2.nums, s2.mults)]
-    counts: dict[int, int] = {}
-    for x, ma in zip(s1.nums, s1.mults):
-        x *= den // s1.den
-        for y, mb in right:
-            counts[x + y] = counts.get(x + y, 0) + ma * mb
-    return _from_counts(den, counts)
+    right = [(y + den, mb) for y, mb in _over(s2, den)]
+    return from_numerators(
+        den, ((x + y, ma * mb) for x, ma in _over(s1, den) for y, mb in right)
+    )
 
 
 def _check_bound(x: Bound, name: str) -> Bound:
