@@ -41,8 +41,7 @@ REACHABLE_OPERATIONS = {
     "deg": (spectrum.deg_window, spectrum.make_spectrum),
     "pol": (polar.polar_degree, catalog.milnor),
     "check": (semicontinuity.check_configuration, semicontinuity.check,
-              semicontinuity.candidate_spectrum, spectrum.add,
-              spectrum.unit_window_degree),
+              semicontinuity.candidate_spectrum, spectrum.add),
     "search": (search.enumerate_configurations, search.germ_pool,
                polar.sectional_milnor_plane, catalog.multiplicity_curve),
     "region": (bounds.candidate_region, bounds.ell, bounds.degree_bound,
@@ -66,19 +65,28 @@ def _parse_bound(text: str):
     return _parse_rational(text)
 
 
+def _source_int(source: str, field: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"bad spectrum source {source!r}: {field} must be an integer, got {text!r}") from None
+
+
 def _load_spectrum(source: str) -> Spectrum:
     """A spectrum source: germ:<class>[:<vars>], fermat:<n>:<d>, a file, or -."""
     if source.startswith("germ:"):
         parts = source.split(":")
         if len(parts) not in (2, 3):
             raise ValueError(f"bad germ source {source!r}; use germ:<class>[:<vars>]")
-        ambient = int(parts[2]) if len(parts) == 3 else 2
+        ambient = _source_int(source, "<vars>", parts[2]) if len(parts) == 3 else 2
         return catalog.germ_spectrum(catalog.parse_germ(parts[1], ambient))
     if source.startswith("fermat:"):
         parts = source.split(":")
         if len(parts) != 3:
             raise ValueError(f"bad fermat source {source!r}; use fermat:<n>:<d>")
-        return catalog.fermat_spectrum(int(parts[1]), int(parts[2]))
+        return catalog.fermat_spectrum(
+            _source_int(source, "<n>", parts[1]), _source_int(source, "<d>", parts[2])
+        )
     text = sys.stdin.read() if source == "-" else Path(source).read_text()
     return Spectrum.from_json(text)
 

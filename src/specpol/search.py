@@ -26,8 +26,9 @@ Filters:
   counts live in one int, a lane of B bits per window, with B wide enough that
   no lane carries into the next; a child adds its germ's packed counts and is
   pruned if any lane's top bit is set (SWAR, SIMD within a register).  The
-  counts themselves come from `Spectrum.count_below` at every test point a
-  and a+1: one integer threshold and one bisect over integer numerators each.
+  counts themselves come from `Spectrum.rank` at every test point a and a+1,
+  both integers over one denominator D = 2*den of the target: one integer
+  threshold and one bisect over each germ's own numerators.
 
 Reported counts: ``examined`` is the number of complete configurations that
 reached the target Milnor sum and entered per-configuration checking;
@@ -54,7 +55,7 @@ from .polar import (
     polar_degree,
     sectional_milnor_plane,
 )
-from .semicontinuity import candidate_spectrum, check_configuration, window_test_points
+from .semicontinuity import candidate_spectrum, check_configuration, integer_test_points
 from .spectrum import EMPTY, NEG_INF, Spectrum, deg_window
 
 __all__ = [
@@ -174,17 +175,16 @@ def _lanes(rhs: list[int], bound: int) -> tuple[int, int, int]:
     return width, _pack([half - 1 - r for r in rhs], width), _pack([half] * len(rhs), width)
 
 
-def _window_counts(
-    spec: Spectrum, points: list[tuple[Fraction, Fraction]], open_variant: bool
-) -> list[int]:
-    # Counts over the pruning windows in lane order: per test point (a, a+1),
+def _window_counts(spec: Spectrum, den: int, points: list[int], open_variant: bool) -> list[int]:
+    # Counts over the pruning windows in lane order: per test point a = t/den,
     # ]a,a+1] and ]-inf,a], then ]a,a+1[ and ]-inf,a[ with the open variant.
+    rank = spec.rank
     counts = []
-    for a, b in points:
-        le_a = spec.count_below(a, inclusive=True)
-        counts += [spec.count_below(b, inclusive=True) - le_a, le_a]
+    for t in points:
+        le_a = rank(t, den, True)
+        counts += [rank(t + den, den, True) - le_a, le_a]
         if open_variant:
-            counts += [spec.count_below(b) - le_a, spec.count_below(a)]
+            counts += [rank(t + den, den) - le_a, rank(t, den)]
     return counts
 
 
@@ -209,16 +209,15 @@ class _SearchContext:
         self.mus = [g.milnor for g in self.pool]
         # pruning windows: unit windows and the rays below every target test
         # point; with semicontinuity off there are none and high == 0
-        test_points = window_test_points(EMPTY, self.target) if filters.semicontinuity else []
-        points = [(a, a + 1) for a in test_points]
-        rhs = _window_counts(self.target, points, filters.open_variant)
+        den, points = integer_test_points(EMPTY, self.target) if filters.semicontinuity else (1, [])
+        rhs = _window_counts(self.target, den, points, filters.open_variant)
         width, self.start, self.high = _lanes(rhs, self.target_mu)
         # No carry between lanes: before an add every lane is at most 2^(B-1) - 1
         # (a larger one was pruned), and germ g adds at most mu_g <= remaining
         # <= target_mu < 2^(B-1) to a lane, so each stays below 2^B.
         assert max(self.mus, default=0) <= self.target_mu < 1 << (width - 1)
         self.packed = [
-            _pack(_window_counts(germ_spectrum(g), points, filters.open_variant), width)
+            _pack(_window_counts(germ_spectrum(g), den, points, filters.open_variant), width)
             for g in self.pool
         ]
 

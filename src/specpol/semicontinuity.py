@@ -13,18 +13,23 @@ Both spectra are finite, so the quantifier over all real a reduces to a
 finite test-point set: the window count, as a function of a, can only change
 when a or a+1 crosses a support point.  We therefore test every breakpoint
 (support values and support values minus one), one midpoint inside each
-constancy interval, and one point beyond each end.
+constancy interval, and one point beyond each end.  Over D = 2*lcm of the two
+denominators every breakpoint is an even integer, so every test point is an
+integer t and its window ]t/D, t/D + 1] ends at (t + D)/D: the check counts
+each window with two integer ranks per spectrum (`Spectrum.rank`) and builds
+a `Fraction` only for the a of a violation.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import fermat_spectrum, germ_spectrum
 from .polar import Configuration
-from .spectrum import EMPTY, Spectrum, WindowKind, unit_window_degree
+from .spectrum import EMPTY, Spectrum, WindowKind
 
 __all__ = [
     "SemicontinuityReport",
@@ -32,6 +37,7 @@ __all__ = [
     "candidate_spectrum",
     "check",
     "check_configuration",
+    "integer_test_points",
     "window_test_points",
 ]
 
@@ -63,19 +69,6 @@ class SemicontinuityReport:
     def __post_init__(self) -> None:
         assert self.holds == (not self.violations)
 
-    def merged_with(self, other: "SemicontinuityReport") -> "SemicontinuityReport":
-        violations = tuple(
-            sorted(
-                self.violations + other.violations,
-                key=lambda v: (v.a, v.kind.value),
-            )
-        )
-        return SemicontinuityReport(
-            holds=self.holds and other.holds,
-            violations=violations,
-            breakpoints_checked=self.breakpoints_checked + other.breakpoints_checked,
-        )
-
     def to_json_obj(self) -> dict:
         return {
             "holds": self.holds,
@@ -87,6 +80,24 @@ class SemicontinuityReport:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
 
+def integer_test_points(candidate: Spectrum, target: Spectrum) -> tuple[int, list[int]]:
+    """(D, points): the test points of `window_test_points` as numerators over D.
+
+    D = 2*lcm(candidate.den, target.den), so every breakpoint is even over D
+    and every midpoint an integer.
+    """
+    den = 2 * math.lcm(candidate.den, target.den)
+    support = {x * (den // s.den) for s in (candidate, target) for x in s.nums}
+    if not support:
+        return den, [0]
+    breakpoints = sorted(support | {x - den for x in support})
+    points = [breakpoints[0] - den]
+    for x, y in zip(breakpoints, breakpoints[1:]):
+        points += (x, (x + y) // 2)
+    points += (breakpoints[-1], breakpoints[-1] + den)
+    return den, points
+
+
 def window_test_points(candidate: Spectrum, target: Spectrum) -> list[Fraction]:
     """Finite set of a-values whose unit windows decide all real a.
 
@@ -94,16 +105,30 @@ def window_test_points(candidate: Spectrum, target: Spectrum) -> list[Fraction]:
     midpoint per gap captures the generic value of each constancy interval,
     and one point below and above everything covers the unbounded tails.
     """
-    support = set(candidate.support) | set(target.support)
-    if not support:
-        return [Fraction(0)]
-    breakpoints = sorted(support | {alpha - 1 for alpha in support})
-    points = list(breakpoints)
-    for x, y in zip(breakpoints, breakpoints[1:]):
-        points.append(Fraction(x + y, 2))
-    points.append(breakpoints[0] - 1)
-    points.append(breakpoints[-1] + 1)
-    return sorted(points)
+    den, points = integer_test_points(candidate, target)
+    return [Fraction(t, den) for t in points]
+
+
+def _check(
+    candidate: Spectrum, target: Spectrum, kinds: tuple[WindowKind, ...]
+) -> SemicontinuityReport:
+    # one scan of the integer test points for every kind; violations come out
+    # ordered by a, then by kind in the order given
+    den, points = integer_test_points(candidate, target)
+    closed = [(kind, kind is WindowKind.OPEN_CLOSED) for kind in kinds]
+    violations = []
+    for t in points:
+        c0, r0, u = candidate.rank(t, den, True), target.rank(t, den, True), t + den
+        for kind, inclusive in closed:
+            lhs = candidate.rank(u, den, inclusive) - c0
+            rhs = target.rank(u, den, inclusive) - r0
+            if lhs > rhs:
+                violations.append(Violation(Fraction(t, den), lhs, rhs, kind))
+    return SemicontinuityReport(
+        holds=not violations,
+        violations=tuple(violations),
+        breakpoints_checked=len(points) * len(kinds),
+    )
 
 
 def check(candidate: Spectrum, target: Spectrum, kind: WindowKind) -> SemicontinuityReport:
@@ -112,18 +137,7 @@ def check(candidate: Spectrum, target: Spectrum, kind: WindowKind) -> Semicontin
     Scans every test point for the given window kind and reports each failed
     window with both side values.
     """
-    points = window_test_points(candidate, target)
-    violations = []
-    for a in points:
-        lhs = unit_window_degree(candidate, a, kind)
-        rhs = unit_window_degree(target, a, kind)
-        if lhs > rhs:
-            violations.append(Violation(a, lhs, rhs, kind))
-    return SemicontinuityReport(
-        holds=not violations,
-        violations=tuple(violations),
-        breakpoints_checked=len(points),
-    )
+    return _check(candidate, target, (kind,))
 
 
 def candidate_spectrum(c: Configuration) -> Spectrum:
@@ -141,9 +155,7 @@ def check_configuration(c: Configuration, apply_open_variant: bool = True) -> Se
     windows are always checked; the open windows are added unless
     ``apply_open_variant`` is False.
     """
-    cand = candidate_spectrum(c)
-    target = fermat_spectrum(c.n, c.d)
-    report = check(cand, target, WindowKind.OPEN_CLOSED)
+    kinds = (WindowKind.OPEN_CLOSED,)
     if apply_open_variant:
-        report = report.merged_with(check(cand, target, WindowKind.OPEN_OPEN))
-    return report
+        kinds += (WindowKind.OPEN_OPEN,)
+    return _check(candidate_spectrum(c), fermat_spectrum(c.n, c.d), kinds)

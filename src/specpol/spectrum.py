@@ -129,19 +129,26 @@ class Spectrum:
             return self.mults[i]
         return 0
 
-    def count_below(self, x: Bound, inclusive: bool = False) -> int:
-        """Spectral numbers (with multiplicity) < x, or <= x when inclusive.
+    def rank(self, p: int, q: int, inclusive: bool = False) -> int:
+        """Spectral numbers (with multiplicity) < p/q, or <= p/q when inclusive.
 
-        x is an int, a Fraction p/q (q > 0) or the float +-inf.  The
-        numerators below p/q are those below the integer threshold
-        ceil(p*den/q), and those up to p/q are those up to floor(p*den/q).
+        p and q are integers, q > 0.  The numerators below p/q are those
+        below the integer threshold ceil(p*den/q), and those up to p/q are
+        those up to floor(p*den/q): one C-level bisect on ints.
         """
-        if type(x) is float:
-            return 0 if x < 0 else self._cum[-1]
-        t, q = x.numerator * self.den, x.denominator
+        t = p * self.den
         if inclusive:
             return self._cum[bisect_right(self.nums, t // q)]
         return self._cum[bisect_left(self.nums, -(-t // q))]
+
+    def count_below(self, x: Bound, inclusive: bool = False) -> int:
+        """Spectral numbers (with multiplicity) < x, or <= x when inclusive.
+
+        x is an int, a Fraction or the float +-inf.
+        """
+        if type(x) is float:
+            return 0 if x < 0 else self._cum[-1]
+        return self.rank(x.numerator, x.denominator, inclusive)
 
     def total(self) -> int:
         """Sum of all multiplicities (the Milnor number for a germ spectrum)."""
@@ -326,12 +333,13 @@ def deg_window(
     a = _check_bound(a, "left endpoint")
     b = _check_bound(b, "right endpoint")
     if type(a) is float or type(b) is float:
-        reversed_bounds = _side(a) > _side(b)
+        if _side(a) <= _side(b):
+            return max(s.count_below(b, not right_open) - s.count_below(a, left_open), 0)
     else:
-        reversed_bounds = a.numerator * b.denominator > b.numerator * a.denominator
-    if reversed_bounds:
-        raise ValueError(f"empty interval bounds: {a} > {b}")
-    return max(s.count_below(b, not right_open) - s.count_below(a, left_open), 0)
+        p, q, r, u = a.numerator, a.denominator, b.numerator, b.denominator
+        if p * u <= r * q:
+            return max(s.rank(r, u, not right_open) - s.rank(p, q, left_open), 0)
+    raise ValueError(f"empty interval bounds: {a} > {b}")
 
 
 def unit_window_degree(s: Spectrum, a: Fraction, kind: WindowKind) -> int:

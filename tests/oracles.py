@@ -9,14 +9,26 @@ different algorithm than the library:
   against the parity construction of the J(k, i>0) negative part;
 * brute-force interval counts over raw (value, multiplicity) pairs, against
   the bisect-based window degree;
-* a dense-sampling semicontinuity verdict, against the breakpoint scan.
+* a dense-sampling semicontinuity verdict, against the breakpoint scan;
+* the breakpoint scan on `Fraction` test points, one `unit_window_degree`
+  call per point, kind and spectrum, against the integer scan.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from specpol import Spectrum, WindowKind, make_spectrum
+from specpol import (
+    Configuration,
+    SemicontinuityReport,
+    Spectrum,
+    Violation,
+    WindowKind,
+    candidate_spectrum,
+    fermat_spectrum,
+    make_spectrum,
+    unit_window_degree,
+)
 
 
 def a_row(k: int) -> Spectrum:
@@ -136,3 +148,50 @@ def dense_check(candidate: Spectrum, target: Spectrum, kind: WindowKind) -> bool
             return False
         a += step
     return True
+
+
+def fraction_test_points(candidate: Spectrum, target: Spectrum) -> list[Fraction]:
+    """Breakpoints alpha and alpha-1, one midpoint per gap and one point beyond each end."""
+    support = set(candidate.support) | set(target.support)
+    if not support:
+        return [Fraction(0)]
+    breakpoints = sorted(support | {alpha - 1 for alpha in support})
+    points = list(breakpoints)
+    for x, y in zip(breakpoints, breakpoints[1:]):
+        points.append(Fraction(x + y, 2))
+    points.append(breakpoints[0] - 1)
+    points.append(breakpoints[-1] + 1)
+    return sorted(points)
+
+
+def fraction_check(candidate: Spectrum, target: Spectrum, kind: WindowKind) -> SemicontinuityReport:
+    """The semicontinuity scan with Fraction test points and window bounds."""
+    points = fraction_test_points(candidate, target)
+    violations = []
+    for a in points:
+        lhs = unit_window_degree(candidate, a, kind)
+        rhs = unit_window_degree(target, a, kind)
+        if lhs > rhs:
+            violations.append(Violation(a, lhs, rhs, kind))
+    return SemicontinuityReport(
+        holds=not violations,
+        violations=tuple(violations),
+        breakpoints_checked=len(points),
+    )
+
+
+def fraction_check_configuration(c: Configuration, apply_open_variant: bool = True) -> SemicontinuityReport:
+    """The half-open scan, merged with the open one by (a, kind) when it applies."""
+    cand = candidate_spectrum(c)
+    target = fermat_spectrum(c.n, c.d)
+    reports = [fraction_check(cand, target, WindowKind.OPEN_CLOSED)]
+    if apply_open_variant:
+        reports.append(fraction_check(cand, target, WindowKind.OPEN_OPEN))
+    violations = sorted(
+        (v for r in reports for v in r.violations), key=lambda v: (v.a, v.kind.value)
+    )
+    return SemicontinuityReport(
+        holds=not violations,
+        violations=tuple(violations),
+        breakpoints_checked=sum(r.breakpoints_checked for r in reports),
+    )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -129,6 +130,48 @@ def test_check_no_open_variant(capsys):
     assert json.loads(out)["holds"] is True
 
 
+# Exact `check --json` bytes of violating configurations, so that the a of a
+# violation cannot drift when the denominator of the test points changes.
+# The A4 line is written out; the long ones are pinned by length and SHA-256.
+A4_HALF_OPEN = (
+    '{"breakpoints_checked":29,"holds":false,"violations":['
+    '{"a":{"den":10,"num":-11},"kind":"half","lhs":2,"rhs":1},'
+    '{"a":{"den":20,"num":-21},"kind":"half","lhs":2,"rhs":1},'
+    '{"a":{"den":10,"num":-7},"kind":"half","lhs":4,"rhs":3},'
+    '{"a":{"den":60,"num":-41},"kind":"half","lhs":4,"rhs":3},'
+    '{"a":{"den":3,"num":-1},"kind":"half","lhs":4,"rhs":3},'
+    '{"a":{"den":60,"num":-19},"kind":"half","lhs":4,"rhs":3},'
+    '{"a":{"den":1,"num":0},"kind":"half","lhs":2,"rhs":1},'
+    '{"a":{"den":20,"num":1},"kind":"half","lhs":2,"rhs":1}]}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "config, extra, length, digest",
+    [
+        ('{"n":2,"d":3,"germs":["A4"]}', [], 949,
+         "0876f7ca6df6758917847afc39786a5c24a5bbf34165c6df2f09a368504f2a46"),
+        ('{"n":2,"d":3,"germs":["A4"]}', ["--no-open-variant"], 504,
+         "cd5c48b84c2410d7cfd5c059634d64794fe561564d69133885bb004a69a61a72"),
+        ('{"n":5,"d":3,"germs":["J2_0","J2_0","J2_0"]}', [], 910,
+         "434d4c039657acc5d492ff60058465408109b7ea3dc7941a10e6adcdeb915b50"),
+        ('{"n":5,"d":3,"germs":["J2_0","J2_0","J2_0"]}', ["--no-open-variant"], 511,
+         "3879ecd47094b1dba6a9450fc150234b533c6a2aa7885dc648ff08ccb80fc907"),
+        ('{"n":2,"d":3,"germs":["A99"]}', [], 46813,
+         "c53ba282662bcab811e4c572b0c075d4072498943dbe54695c02cd0978731153"),
+        ('{"n":2,"d":3,"germs":["A99"]}', ["--no-open-variant"], 23465,
+         "a9df03830f3e5c64b6c83445d327aae4848d878d149861063ce7cb4571c5d9c4"),
+    ],
+)
+def test_check_json_bytes_are_pinned(config, extra, length, digest, capsys):
+    code, out, err = invoke(capsys, "check", "--config", config, *extra, "--json")
+    assert code == 0 and err == ""
+    if config == '{"n":2,"d":3,"germs":["A4"]}' and extra:
+        assert out == A4_HALF_OPEN
+    assert len(out) == length
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_search_json(capsys):
     code, out, _ = invoke(capsys, "search", "5", "3", "2", "--json")
     assert code == 0
@@ -206,6 +249,9 @@ def test_usage_errors_exit_two(capsys):
         ["search", "2", "3", "2", "--no-filter", "corank"],
         # over the int digit limit, which the output lifts but the input keeps
         ["pol", "--config", '{"n":1' + "0" * 5000 + ',"d":3,"germs":[]}'],
+        # a non-integer field of a spectrum source
+        ["deg", "germ:A2:abc", "--from=-inf", "--to=+inf"],
+        ["deg", "fermat:2:x", "--from=-inf", "--to=+inf"],
     ],
 )
 def test_malformed_input_exits_two_with_one_line(argv, tmp_path, capsys):
@@ -216,6 +262,16 @@ def test_malformed_input_exits_two_with_one_line(argv, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "source, field, bad",
+    [("germ:A2:abc", "<vars>", "abc"), ("fermat:2:x", "<d>", "x"), ("fermat:y:3", "<n>", "y")],
+)
+def test_bad_spectrum_source_names_the_source_and_field(source, field, bad, capsys):
+    code, _, err = invoke(capsys, "deg", source, "--from=-inf", "--to=+inf")
+    assert code == 2
+    assert err == f"error: bad spectrum source {source!r}: {field} must be an integer, got {bad!r}\n"
 
 
 def test_spectrum_file_and_stdin_sources(tmp_path, capsys):
@@ -242,7 +298,7 @@ def test_every_operation_is_reachable():
     operations = {
         specpol.make_spectrum, specpol.from_numerators, specpol.add, specpol.shift, specpol.suspend,
         specpol.join, specpol.deg_window, specpol.total, specpol.min_spectral,
-        specpol.is_symmetric, specpol.unit_window_degree,
+        specpol.is_symmetric,
         specpol.milnor, specpol.weights,
         specpol.spectrum_from_weights, specpol.curve_spectrum,
         specpol.germ_spectrum, specpol.fermat_spectrum,
@@ -254,10 +310,12 @@ def test_every_operation_is_reachable():
         specpol.ell, specpol.degree_bound, specpol.dimension_excluded,
         specpol.lemma1_region_k2, specpol.candidate_region,
     }
-    # the filters the catalog implies (alpha1, corank) and the off-plane huh
-    # bound: kept as library functions, called by no subcommand
+    # the filters the catalog implies (alpha1, corank), the off-plane huh
+    # bound and the Fraction unit-window count (the check counts on integer
+    # test points): kept as library functions, called by no subcommand
     library_only = {
         specpol.alpha1_threshold, specpol.corank_curve, specpol.huh_inequality_holds,
+        specpol.unit_window_degree,
     }
     reachable = set()
     for funcs in REACHABLE_OPERATIONS.values():

@@ -28,7 +28,7 @@ from specpol import (
     verify_huh_lists,
 )
 from specpol.search import _lanes, _pack, _window_counts
-from specpol.semicontinuity import window_test_points
+from specpol.semicontinuity import integer_test_points, window_test_points
 from specpol.spectrum import EMPTY, NEG_INF
 
 
@@ -109,19 +109,19 @@ def test_packed_lanes_flag_exactly_the_exceeded_windows(data):
 
 @pytest.mark.parametrize("open_variant", [True, False])
 def test_window_counts_equal_deg_window(open_variant):
-    # reference: one deg_window call per pruning window
+    # reference: one deg_window call per pruning window, on Fraction bounds
     for n, d in [(2, 5), (3, 3), (5, 3)]:
         target = fermat_spectrum(n, d)
-        points = window_test_points(EMPTY, target)
+        den, points = integer_test_points(EMPTY, target)
+        assert [Fraction(t, den) for t in points] == window_test_points(EMPTY, target)
         windows = []
-        for a in points:
+        for a in window_test_points(EMPTY, target):
             windows += [(a, a + 1, True, False), (NEG_INF, a, True, False)]
             if open_variant:
                 windows += [(a, a + 1, True, True), (NEG_INF, a, True, True)]
-        pairs = [(a, a + 1) for a in points]
         for spec in [target] + [germ_spectrum(g) for g in germ_pool(n, (d - 1) ** n)]:
             expected = [deg_window(spec, *w) for w in windows]
-            assert _window_counts(spec, pairs, open_variant) == expected
+            assert _window_counts(spec, den, points, open_variant) == expected
 
 
 # pruned_by["semicontinuity"] and examined of the k=2 searches, pinned so that

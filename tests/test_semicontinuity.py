@@ -5,6 +5,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from specpol import (
     Configuration,
     WindowKind,
@@ -12,14 +15,18 @@ from specpol import (
     check,
     check_configuration,
     deg_window,
+    enumerate_configurations,
     fermat_spectrum,
+    from_numerators,
     make_spectrum,
     parse_germ,
+    search,
     unit_window_degree,
+    verify_huh_lists,
 )
 from specpol.semicontinuity import window_test_points
-from specpol.spectrum import POS_INF
-from oracles import dense_check
+from specpol.spectrum import EMPTY, POS_INF
+from oracles import dense_check, fraction_check, fraction_check_configuration, fraction_test_points
 
 F = Fraction
 
@@ -33,6 +40,20 @@ def random_spectrum(rng, max_entries=5):
         (F(rng.randint(-18, 18), rng.randint(1, 9)), rng.randint(1, 3))
         for _ in range(rng.randint(0, max_entries))
     )
+
+
+@st.composite
+def spectra(draw):
+    # negative numerators; either mixed denominators, or one denominator that
+    # the numerators may share a factor with (reduced by the constructor)
+    entries = draw(
+        st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 12), st.integers(1, 3)), max_size=6)
+    )
+    if draw(st.booleans()):
+        scale = draw(st.integers(1, 4))
+        den = draw(st.integers(1, 12)) * scale
+        return from_numerators(den, [(p * scale, m) for p, _q, m in entries])
+    return make_spectrum((F(p, q), m) for p, q, m in entries)
 
 
 def test_candidate_spectrum_examples():
@@ -181,3 +202,35 @@ def test_existing_curves_pass_both_variants():
 def test_empty_candidate_always_holds():
     for n, d in [(2, 3), (3, 3), (4, 2)]:
         assert check_configuration(Configuration(n, d, ())).holds
+
+
+@given(st.just(EMPTY) | spectra(), st.just(EMPTY) | spectra(), st.sampled_from(list(WindowKind)))
+def test_integer_check_equals_fraction_reference(candidate, target, kind):
+    # same test points, and the same report: violations in the same order
+    # with the same a, lhs, rhs and kind, the same breakpoints_checked
+    assert window_test_points(candidate, target) == fraction_test_points(candidate, target)
+    fast, slow = check(candidate, target, kind), fraction_check(candidate, target, kind)
+    assert fast == slow
+    assert fast.to_json() == slow.to_json()
+
+
+def test_check_configuration_equals_fraction_reference_on_the_k2_sweep(monkeypatch):
+    # every configuration the k=2 sweep and the bundled lists send to the check
+    seen = []
+    real = search.check_configuration
+
+    def recording(c, apply_open_variant=True):
+        seen.append(c)
+        return real(c, apply_open_variant)
+
+    monkeypatch.setattr(search, "check_configuration", recording)
+    for n, d in [(2, 3), (3, 3), (2, 4), (4, 3), (2, 5), (2, 6), (3, 4), (5, 3), (2, 7)]:
+        enumerate_configurations(n, d, 2)
+    verify_huh_lists()
+    assert len(seen) > 15
+    for c in set(seen):
+        for open_variant in (True, False):
+            fast = check_configuration(c, open_variant)
+            slow = fraction_check_configuration(c, open_variant)
+            assert fast == slow
+            assert fast.to_json() == slow.to_json()
