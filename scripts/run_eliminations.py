@@ -7,11 +7,13 @@ each requested (n, d) pair and prints the survivors.  The pairs (4,3), (5,3),
 candidate lists.
 
 The default pair set is every pair of the k=2 region that finishes in
-seconds: on a 2-core machine with Python 3.11, (3,4) and (2,6) take under
-0.2 s, (2,7) about 0.35 s and (2,8) 3-4 s.  The plane curves of degree 9
-and up are left out: the search has no lookahead bound yet, so it visits every
-node whose partial window counts fit, and (2,9) takes about a minute (it comes
-out empty).  Pass explicit pairs to try one anyway.
+seconds.  On a 2-core machine with Python 3.11 (three runs, search time as
+printed, interpreter start not included), (3,4) and (2,6) take 0.01-0.02 s,
+(2,7) 0.1-0.2 s and (2,8) 2.2-2.7 s; the whole default run takes about 3 s.
+The plane curves of degree 9 and up are left out: the search has no lookahead
+bound yet, so it visits every node whose partial window counts fit, and (2,9)
+takes about a minute (it comes out empty).  Pass explicit pairs to try one
+anyway.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ def main() -> None:
     parser.add_argument("pairs", nargs="*", metavar="n,d",
                         help="pairs to search, e.g. 5,3 (default: the pairs that finish in seconds)")
     parser.add_argument("-k", type=int, default=2, help="polar degree (default 2)")
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     if args.pairs:
@@ -38,7 +39,7 @@ def main() -> None:
         pairs = DEFAULT_PAIRS
     for n, d in pairs:
         t0 = time.time()
-        report = enumerate_configurations(n, d, args.k, workers=args.workers)
+        report = enumerate_configurations(n, d, args.k)
         elapsed = time.time() - t0
         print(f"(n={n}, d={d}, k={args.k})  target mu = {report.target_mu}  "
               f"[{elapsed:.2f}s]")

@@ -42,6 +42,7 @@ from .search import (
     SearchReport,
     enumerate_configurations,
     germ_pool,
+    germ_pool_size,
     load_huh_lists,
     verify_huh_lists,
 )

@@ -51,6 +51,10 @@ DIMENSION_BOUND_NOTE = (
     "(the conservative 5 + 3*log2(k) form, not 5 + log2(k))"
 )
 
+# candidate_region logs every cell of its scanned rectangle; `region 200`
+# has 844k cells and takes about 1.3 s.
+MAX_REGION_CELLS = 2_000_000
+
 
 @dataclass(frozen=True)
 class Region:
@@ -82,10 +86,17 @@ def ell(n: int, k: int) -> int:
         raise ValueError(f"need n >= 1, got {n}")
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    value = 0
-    while comb(n + value, n) <= k:
-        value += 1
-    return value
+    # comb(n + ell, n) grows with ell: double an upper end, then bisect
+    lo, hi = 0, 1
+    while comb(n + hi, n) <= k:
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if comb(n + mid, n) > k:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def degree_bound(n: int, k: int) -> Fraction:
@@ -140,7 +151,8 @@ def candidate_region(k: int) -> Region:
     Scans the rectangle n in [2, N_max], d in [2, D_max], where N_max is the
     least dimension excluded outright and D_max the ceiling of the largest
     degree bound over the scanned dimensions; every rejected pair is logged
-    with the bound that killed it.
+    with the bound that killed it.  A rectangle of more than
+    ``MAX_REGION_CELLS`` cells is refused with a ValueError before the scan.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
@@ -149,11 +161,16 @@ def candidate_region(k: int) -> Region:
         refined = lemma1_region_k2()
         n_max = max(n for n, _ in refined) + 1
     else:
-        n_max = 2
-        while not dimension_excluded(n_max, k):
-            n_max += 1
+        # the least n >= max(k, 5) with 2^(n-5) >= k^3 (see dimension_excluded)
+        n_max = max(k, 5 + (k**3 - 1).bit_length())
+    # The plane bound is the largest: ell(n, k) <= ell(2, k) = l, and
+    # (n + l)/(n - 1) <= 2 + l for n >= 2.
+    d_max = _ceil_fraction(degree_bound(2, k))
+    cells = (n_max - 1) * (d_max - 1)
+    if cells > MAX_REGION_CELLS:
+        shown = cells if cells < 10**18 else "more than 10^18"  # int-to-str has a digit limit
+        raise ValueError(f"the region scan would cover {shown} (n, d) cells, over the budget of {MAX_REGION_CELLS}")
     d_bounds = {n: degree_bound(n, k) for n in range(2, n_max + 1)}
-    d_max = max(_ceil_fraction(b) for b in d_bounds.values())
 
     pairs: set[tuple[int, int]] = set()
     log: list[tuple[int, int, str]] = []

@@ -43,11 +43,17 @@ REACHABLE_OPERATIONS = {
     "check": (semicontinuity.check_configuration, semicontinuity.check,
               semicontinuity.candidate_spectrum, spectrum.add),
     "search": (search.enumerate_configurations, search.germ_pool,
-               polar.sectional_milnor_plane, catalog.multiplicity_curve),
+               search.germ_pool_size, polar.sectional_milnor_plane,
+               catalog.multiplicity_curve),
     "region": (bounds.candidate_region, bounds.ell, bounds.degree_bound,
                bounds.dimension_excluded, bounds.lemma1_region_k2),
     "verify-huh": (search.verify_huh_lists, search.load_huh_lists),
 }
+
+
+# Every search runs in this process; --workers is kept so that existing
+# command lines, and the tests that pin their bytes, still run.
+_WORKERS_HELP = "accepted and checked (must be >= 1), but every search runs in one process"
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -306,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="comma-separated germ families (default all)")
     p_search.add_argument("--no-filter", action="append", default=[],
                           metavar="NAME", help="disable a filter (repeatable)")
-    p_search.add_argument("--workers", type=int, default=1)
+    p_search.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_search.add_argument("--json", action="store_true")
     p_search.set_defaults(func=_cmd_search)
 
@@ -316,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_region.set_defaults(func=_cmd_region)
 
     p_verify = sub.add_parser("verify-huh", help="verify the bundled reference lists")
-    p_verify.add_argument("--workers", type=int, default=1)
+    p_verify.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=_cmd_verify_huh)
 

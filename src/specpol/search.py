@@ -34,21 +34,25 @@ Reported counts: ``examined`` is the number of complete configurations that
 reached the target Milnor sum and entered per-configuration checking;
 ``pruned_by`` records, for the pool filters, how many germ classes they
 removed and, for semicontinuity, how many subtrees and complete
-configurations it cut.  Survivors are returned canonically sorted, so runs
-with any worker count produce identical reports.  Survivors satisfy a
+configurations it cut.  Survivors are returned canonically sorted.  Every
+search runs in this process; the ``workers`` argument is checked but selects
+nothing, so any worker count gives the same report.  Survivors satisfy a
 necessary criterion only: they are candidates, not certified hypersurfaces.
+
+Budget: a search whose pool would list more than ``MAX_POOL_CLASSES`` classes
+is refused with a ValueError before anything is built; `germ_pool_size`
+counts the pool in closed form.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Optional
 
-from .catalog import GermClass, fermat_spectrum, germ_spectrum
+from .catalog import FAMILIES, GermClass, fermat_spectrum, germ_spectrum
 from .polar import (
     Configuration,
     InfeasibleConfigurationError,
@@ -65,11 +69,15 @@ __all__ = [
     "SearchReport",
     "enumerate_configurations",
     "germ_pool",
+    "germ_pool_size",
     "load_huh_lists",
     "verify_huh_lists",
 ]
 
 FILTER_NAMES = ("alpha1", "corank", "huh", "semicontinuity")
+# About six times the largest pool whose search has finished, (4,6,3) with
+# 33,171 classes; (5,5,3) has about 87k.
+MAX_POOL_CLASSES = 200_000
 # implied by the catalog (see the module docstring): no switch, no prunes
 _IMPLIED_FILTERS = ("alpha1", "corank")
 
@@ -132,12 +140,52 @@ class SearchReport:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
 
-def germ_pool(n: int, mu_max: int, whitelist: Iterable[str] = ("A", "D", "E", "J")) -> list[GermClass]:
-    """All catalog classes in ambient n with Milnor number <= mu_max."""
+def _families(whitelist: Iterable[str]) -> set[str]:
     families = set(whitelist)
-    unknown = families.difference(("A", "D", "E", "J"))
+    unknown = families.difference(FAMILIES)
     if unknown:
         raise ValueError(f"unknown families in whitelist: {sorted(unknown)}")
+    return families
+
+
+def germ_pool_size(mu_max: int, whitelist: Iterable[str] = FAMILIES) -> int:
+    """Number of catalog classes with Milnor number <= mu_max, in closed form.
+
+    A gives mu_max classes, D mu_max - 3, E the m <= mu_max with m mod 6 in
+    {0, 1, 2} (m >= 6), and J the sum over k >= 2 of mu_max - 6k + 3.
+    """
+    families = _families(whitelist)
+    t = max(mu_max, 0)
+    size = 0
+    if "A" in families:
+        size += t
+    if "D" in families:
+        size += max(t - 3, 0)
+    if "E" in families:
+        q, r = divmod(t + 1, 6)  # m in [0, t]: 3 per full period, then min(r, 3)
+        size += max(3 * q + min(r, 3) - 3, 0)
+    if "J" in families:
+        top = (t + 2) // 6  # largest k with 6k - 2 <= t
+        if top >= 2:
+            size += (top - 1) * (t + 3) - 3 * top * (top + 1) + 6
+    return size
+
+
+def _check_pool_budget(mu_max: int, whitelist: Iterable[str]) -> None:
+    size = germ_pool_size(mu_max, whitelist)
+    if size > MAX_POOL_CLASSES:
+        shown = size if size < 10**18 else "more than 10^18"  # int-to-str has a digit limit
+        raise ValueError(f"the germ pool would list {shown} classes, over the budget of {MAX_POOL_CLASSES}")
+
+
+def germ_pool(n: int, mu_max: int, whitelist: Iterable[str] = FAMILIES) -> list[GermClass]:
+    """All catalog classes in ambient n with Milnor number <= mu_max.
+
+    Raises ValueError, before listing any class, if there are more than
+    ``MAX_POOL_CLASSES``.
+    """
+    families = _families(whitelist)
+    _check_pool_budget(mu_max, families)
     pool: list[GermClass] = []
     if "A" in families:
         pool += [GermClass("A", k, 0, n) for k in range(1, mu_max + 1)]
@@ -222,8 +270,8 @@ class _SearchContext:
         ]
 
 
-def _run_roots(ctx: _SearchContext, roots: list[int]) -> tuple[list[Configuration], int, int, int]:
-    """DFS below the given top-level pool indices.
+def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int, int]:
+    """DFS over the whole pool.
 
     Returns (survivors, examined, subtree_prunes, final_rejections).  The
     packed window state ``acc`` is passed down by value, so nothing is undone.
@@ -233,7 +281,7 @@ def _run_roots(ctx: _SearchContext, roots: list[int]) -> tuple[list[Configuratio
     examined = subtree_prunes = final_rejections = 0
     stack: list[int] = []
 
-    def dfs(children: Iterable[int], remaining: int, acc: int) -> None:
+    def dfs(first: int, remaining: int, acc: int) -> None:
         nonlocal examined, subtree_prunes, final_rejections
         if remaining == 0:
             examined += 1
@@ -245,7 +293,7 @@ def _run_roots(ctx: _SearchContext, roots: list[int]) -> tuple[list[Configuratio
             else:
                 survivors.append(config)
             return
-        for idx in children:
+        for idx in range(first, len(pool)):
             if mus[idx] > remaining:
                 continue
             nxt = acc + packed[idx]
@@ -253,33 +301,28 @@ def _run_roots(ctx: _SearchContext, roots: list[int]) -> tuple[list[Configuratio
                 subtree_prunes += 1
                 continue
             stack.append(idx)
-            dfs(range(idx, len(pool)), remaining - mus[idx], nxt)
+            dfs(idx, remaining - mus[idx], nxt)
             stack.pop()
 
-    dfs(roots, ctx.target_mu, ctx.start)
+    # target_mu == 0 gives an empty pool: the DFS examines the smooth
+    # configuration once and runs it through the same final check
+    dfs(0, ctx.target_mu, ctx.start)
     return survivors, examined, subtree_prunes, final_rejections
-
-
-def _worker(args) -> tuple[list[dict], int, int, int]:
-    n, d, k, whitelist, filters, roots = args
-    ctx = _SearchContext(n, d, k, whitelist, filters)
-    survivors, examined, prunes, rejections = _run_roots(ctx, roots)
-    return [c.to_json_obj() for c in survivors], examined, prunes, rejections
 
 
 def enumerate_configurations(
     n: int,
     d: int,
     k: int,
-    whitelist: Iterable[str] = ("A", "D", "E", "J"),
+    whitelist: Iterable[str] = FAMILIES,
     filters: SearchFilters = SearchFilters(),
     workers: int = 1,
 ) -> SearchReport:
     """Enumerate and filter all germ multisets with total Milnor (d-1)^n - k.
 
-    With ``workers > 1`` the top-level branches are fanned out over a process
-    pool; the merged report is byte-identical to the single-process one.
-    ``workers`` must be at least 1.
+    The search runs in this process whatever ``workers`` says; it must be at
+    least 1 and is otherwise ignored.  A pool over ``MAX_POOL_CLASSES``
+    classes is refused with a ValueError before any spectrum is built.
 
     For k <= 2 restricting to the A/D/E/J catalog is forced by the
     gradient-degree bound; for k >= 3 the whitelist is an input assumption,
@@ -295,24 +338,9 @@ def enumerate_configurations(
             f"polar degree {k} exceeds (d-1)^n = {(d - 1) ** n}"
         )
     whitelist = frozenset(whitelist)
+    _check_pool_budget(target_mu, whitelist)
     ctx = _SearchContext(n, d, k, whitelist, filters)
-
-    # target_mu == 0 gives an empty pool: the DFS examines the smooth
-    # configuration once and runs it through the same final check
-    roots = list(range(len(ctx.pool)))
-    if workers > 1 and len(roots) > 1:
-        chunks = [roots[i::workers] for i in range(workers)]
-        args = [(n, d, k, whitelist, filters, chunk) for chunk in chunks if chunk]
-        survivors = []
-        examined = prunes = rejections = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool_exec:
-            for surv_objs, exa, pru, rej in pool_exec.map(_worker, args):
-                survivors += [Configuration.from_json_obj(o) for o in surv_objs]
-                examined += exa
-                prunes += pru
-                rejections += rej
-    else:
-        survivors, examined, prunes, rejections = _run_roots(ctx, roots)
+    survivors, examined, prunes, rejections = _run_search(ctx)
 
     pruned = dict(ctx.pool_pruned)
     pruned["semicontinuity"] = prunes + rejections
@@ -415,7 +443,10 @@ def load_huh_lists() -> list[tuple[str, Configuration, int]]:
 
 
 def verify_huh_lists(workers: int = 1) -> HuhVerification:
-    """Check every bundled entry: stated polar degree, semicontinuity, search membership."""
+    """Check every bundled entry: stated polar degree, semicontinuity, search membership.
+
+    ``workers`` is passed to `enumerate_configurations`, which ignores it.
+    """
     entries = load_huh_lists()
     search_cache: dict[tuple[int, int, int], SearchReport] = {}
     results = []

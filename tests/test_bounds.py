@@ -31,7 +31,7 @@ def test_ell_values():
 
 def test_ell_definition_is_tight():
     for n in range(1, 8):
-        for k in range(0, 40):
+        for k in [*range(0, 40), 10**12, 10**40]:
             lv = ell(n, k)
             assert comb(n + lv, n) > k
             assert lv == 0 or comb(n + lv - 1, n) <= k
@@ -128,6 +128,23 @@ def test_candidate_region_finite_for_small_k():
         assert 0 < len(region.pairs) < 10_000
         for n, d in region.pairs:
             assert n >= 2 and d >= 3
+
+
+def test_candidate_region_scans_the_whole_rectangle():
+    # the rectangle ends at the first excluded dimension and at the largest
+    # degree bound over the scanned dimensions
+    for k in range(3, 31):
+        region = candidate_region(k)
+        cells = {(n, d) for n, d, _ in region.exclusion_log} | region.pairs
+        n_max = next(n for n in range(2, 100) if dimension_excluded(n, k))
+        d_max = max(-(-degree_bound(n, k) // 1) for n in range(2, n_max + 1))
+        assert cells == {(n, d) for n in range(2, n_max + 1) for d in range(2, d_max + 1)}
+
+
+def test_out_of_budget_region_is_refused():
+    # far beyond any loop over n or ell: the rectangle is counted in closed form
+    with pytest.raises(ValueError, match="budget"):
+        candidate_region(10**30)
 
 
 def test_candidate_region_k3_respects_both_bounds():

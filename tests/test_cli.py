@@ -252,6 +252,12 @@ def test_usage_errors_exit_two(capsys):
         # a non-integer field of a spectrum source
         ["deg", "germ:A2:abc", "--from=-inf", "--to=+inf"],
         ["deg", "fermat:2:x", "--from=-inf", "--to=+inf"],
+        # over the work budget: refused before the pool or the scan is built
+        ["search", "100", "3", "2"],
+        ["search", "2", "100000", "2"],
+        ["region", "1000000"],
+        # a pool count past the int-to-str digit limit
+        ["search", "20000", "3", "2"],
     ],
 )
 def test_malformed_input_exits_two_with_one_line(argv, tmp_path, capsys):
@@ -306,7 +312,7 @@ def test_every_operation_is_reachable():
         specpol.polar_degree, specpol.sectional_milnor_plane,
         specpol.candidate_spectrum, specpol.check, specpol.check_configuration,
         specpol.enumerate_configurations, specpol.verify_huh_lists,
-        specpol.load_huh_lists, specpol.germ_pool,
+        specpol.load_huh_lists, specpol.germ_pool, specpol.germ_pool_size,
         specpol.ell, specpol.degree_bound, specpol.dimension_excluded,
         specpol.lemma1_region_k2, specpol.candidate_region,
     }

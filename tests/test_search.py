@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -20,6 +22,7 @@ from specpol import (
     enumerate_configurations,
     fermat_spectrum,
     germ_pool,
+    germ_pool_size,
     germ_spectrum,
     huh_inequality_holds,
     load_huh_lists,
@@ -27,6 +30,7 @@ from specpol import (
     polar_degree,
     verify_huh_lists,
 )
+from specpol import search
 from specpol.search import _lanes, _pack, _window_counts
 from specpol.semicontinuity import integer_test_points, window_test_points
 from specpol.spectrum import EMPTY, NEG_INF
@@ -51,6 +55,37 @@ def test_germ_pool_whitelist():
     assert families == {"A", "E"}
     with pytest.raises(ValueError):
         germ_pool(2, 5, whitelist=("A", "Q"))
+
+
+def test_pool_size_closed_form_equals_germ_pool():
+    # germ_pool(n, T) is the part of germ_pool(n, 300) with Milnor number <= T;
+    # that is checked by direct calls for small T, the count for every T <= 300
+    whitelists = [wl for r in range(1, 5) for wl in combinations("ADEJ", r)]
+    for n in (2, 3):
+        for wl in whitelists:
+            mus = sorted(g.milnor for g in germ_pool(n, 300, wl))
+            for t in range(-2, 301):
+                assert germ_pool_size(t, wl) == bisect_right(mus, t), (n, wl, t)
+            for t in range(-2, 41):
+                assert len(germ_pool(n, t, wl)) == germ_pool_size(t, wl), (n, wl, t)
+
+
+def test_out_of_budget_pool_is_refused_before_listing():
+    too_big = 2**100 - 2
+    assert germ_pool_size(too_big) > search.MAX_POOL_CLASSES
+    with pytest.raises(ValueError, match="budget"):
+        germ_pool(2, too_big)
+    with pytest.raises(ValueError, match="budget"):
+        enumerate_configurations(100, 3, 2)
+    # the largest pool searched so far, (4,6,3), is well inside the budget
+    assert germ_pool_size(5**4 - 3) == 33_171 < search.MAX_POOL_CLASSES
+
+
+def test_curve_spectrum_cache_is_bounded():
+    maxsize = curve_spectrum.cache_info().maxsize
+    assert maxsize is not None
+    # room for the largest pool of the k=2 region, (2,11,2)
+    assert maxsize >= germ_pool_size((11 - 1) ** 2 - 2)
 
 
 def test_infeasible_parameters_error():
