@@ -30,8 +30,7 @@ from specpol import (
     polar_degree,
     verify_huh_lists,
 )
-from specpol import search
-from specpol.search import _lanes, _pack, _window_counts
+from specpol.search import MAX_POOL_CLASSES, _lanes, _pack, _window_counts
 from specpol.semicontinuity import integer_test_points, window_test_points
 from specpol.spectrum import EMPTY, NEG_INF
 
@@ -72,13 +71,13 @@ def test_pool_size_closed_form_equals_germ_pool():
 
 def test_out_of_budget_pool_is_refused_before_listing():
     too_big = 2**100 - 2
-    assert germ_pool_size(too_big) > search.MAX_POOL_CLASSES
+    assert germ_pool_size(too_big) > MAX_POOL_CLASSES
     with pytest.raises(ValueError, match="budget"):
         germ_pool(2, too_big)
     with pytest.raises(ValueError, match="budget"):
         enumerate_configurations(100, 3, 2)
     # the largest pool searched so far, (4,6,3), is well inside the budget
-    assert germ_pool_size(5**4 - 3) == 33_171 < search.MAX_POOL_CLASSES
+    assert germ_pool_size(5**4 - 3) == 33_171 < MAX_POOL_CLASSES
 
 
 def test_curve_spectrum_cache_is_bounded():
