@@ -7,9 +7,11 @@ each requested (n, d) pair and prints the survivors.  The pairs (4,3), (5,3),
 candidate lists.
 
 The default pair set is every pair of the k=2 region that finishes in
-seconds.  On a 2-core machine with Python 3.11 (three runs, search time as
+seconds.  On a 2-core machine with Python 3.11 (five runs, search time as
 printed, interpreter start not included), (3,4) and (2,6) take 0.01-0.02 s,
-(2,7) 0.1-0.2 s and (2,8) 2.2-2.7 s; the whole default run takes about 3 s.
+(2,7) 0.11-0.22 s and (2,8) 2.0-3.0 s; the whole default run takes 2.5-3.5 s
+with interpreter start.  The shared host's speed drifts: on another occasion
+two runs took 0.22-0.38 s at (2,7) and 3.1-3.8 s at (2,8).
 The plane curves of degree 9 and up are left out: the search has no lookahead
 bound yet, so it visits every node whose partial window counts fit, and (2,9)
 takes about a minute (it comes out empty).  Pass explicit pairs to try one

@@ -23,7 +23,6 @@ from .catalog import (
     curve_spectrum,
     fermat_spectrum,
     germ_spectrum,
-    milnor,
     multiplicity_curve,
     parse_germ,
     spectrum_from_weights,
@@ -33,6 +32,7 @@ from .polar import (
     Configuration,
     InfeasibleConfigurationError,
     UnsupportedDimensionError,
+    diagonal_milnor,
     huh_inequality_holds,
     polar_degree,
     sectional_milnor_plane,
@@ -62,13 +62,8 @@ from .spectrum import (
     add,
     deg_window,
     from_numerators,
-    is_symmetric,
     join,
     make_spectrum,
-    min_spectral,
-    shift,
-    suspend,
-    total,
     unit_window_degree,
 )
 

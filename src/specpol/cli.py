@@ -1,7 +1,10 @@
 """Command-line front end.
 
-Subcommands expose every library operation with both a human-readable format
-and a canonical JSON format (``--json``): sorted keys, sorted arrays, no
+Subcommands reach every function that ``specpol`` exports except a few
+library-only ones: ``LIBRARY_ONLY`` in ``tests/test_cli.py`` names them with
+their reasons, and the test there measures the reach of every subcommand
+under a profiler.  Each subcommand has a human-readable format and a
+canonical JSON format (``--json``): sorted keys, sorted arrays, no
 whitespace, so identical inputs always produce identical bytes.
 
 Rationals on the command line are written ``p/q`` or as plain integers;
@@ -23,32 +26,7 @@ from .polar import Configuration
 from .search import SearchFilters
 from .spectrum import NEG_INF, POS_INF, Spectrum
 
-__all__ = ["main", "run", "REACHABLE_OPERATIONS"]
-
-# Dispatch-table record of which library operations each subcommand reaches,
-# directly or transitively; a coverage test keeps this honest.
-REACHABLE_OPERATIONS = {
-    "spectrum germ": (catalog.germ_spectrum, catalog.curve_spectrum,
-                      catalog.spectrum_from_weights, catalog.weights,
-                      catalog.parse_germ, spectrum.from_numerators,
-                      spectrum.shift, spectrum.suspend, spectrum.total,
-                      spectrum.min_spectral, spectrum.is_symmetric),
-    "spectrum fermat": (catalog.fermat_spectrum, spectrum.from_numerators,
-                        spectrum.total, spectrum.min_spectral,
-                        spectrum.is_symmetric),
-    "spectrum join": (spectrum.join, spectrum.make_spectrum, spectrum.total,
-                      spectrum.min_spectral),
-    "deg": (spectrum.deg_window, spectrum.make_spectrum),
-    "pol": (polar.polar_degree, catalog.milnor),
-    "check": (semicontinuity.check_configuration, semicontinuity.check,
-              semicontinuity.candidate_spectrum, spectrum.add),
-    "search": (search.enumerate_configurations, search.germ_pool,
-               search.germ_pool_size, polar.sectional_milnor_plane,
-               catalog.multiplicity_curve),
-    "region": (bounds.candidate_region, bounds.ell, bounds.degree_bound,
-               bounds.dimension_excluded, bounds.lemma1_region_k2),
-    "verify-huh": (search.verify_huh_lists, search.load_huh_lists),
-}
+__all__ = ["main", "run"]
 
 
 # Every search runs in this process; --workers is kept so that existing

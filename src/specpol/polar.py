@@ -23,10 +23,17 @@ __all__ = [
     "Configuration",
     "InfeasibleConfigurationError",
     "UnsupportedDimensionError",
+    "diagonal_milnor",
     "huh_inequality_holds",
     "polar_degree",
     "sectional_milnor_plane",
 ]
+
+
+# `pol` prints (d-1)^n in decimal, and turning an int into decimal digits is
+# quadratic in its length: on a 2-core machine with Python 3.11, 10^5 bits
+# print in 0.02 s and 10^6 bits in 1.7 s.
+MAX_POWER_BITS = 100_000
 
 
 class InfeasibleConfigurationError(ValueError):
@@ -64,7 +71,7 @@ class Configuration:
 
     @property
     def smooth_milnor(self) -> int:
-        return (self.d - 1) ** self.n
+        return diagonal_milnor(self.n, self.d)
 
     def germ_strings(self) -> list[str]:
         return [str(g) for g in self.germs]
@@ -89,11 +96,27 @@ class Configuration:
 
     @classmethod
     def from_json(cls, text: str) -> "Configuration":
-        return cls.from_json_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except RecursionError:  # the C decoder recurses once per nested array
+            raise ValueError("configuration JSON is nested too deeply") from None
+        return cls.from_json_obj(obj)
 
     def __str__(self) -> str:
         inner = ", ".join(self.germ_strings()) or "smooth"
         return f"(n={self.n}, d={self.d}; {inner})"
+
+
+def diagonal_milnor(n: int, d: int) -> int:
+    """(d-1)^n, the Milnor number of the diagonal germ x_1^d + ... + x_n^d.
+
+    It has more than n * (bit_length(d-1) - 1) bits; when that is already
+    MAX_POWER_BITS or more, it is refused with a ValueError before it is
+    computed.
+    """
+    if n * ((d - 1).bit_length() - 1) >= MAX_POWER_BITS:
+        raise ValueError(f"(d-1)^n for n={n}, d={d} has more than {MAX_POWER_BITS} bits")
+    return (d - 1) ** n
 
 
 def polar_degree(c: Configuration) -> int:

@@ -28,7 +28,12 @@ Filters:
   pruned if any lane's top bit is set (SWAR, SIMD within a register).  The
   counts themselves come from `Spectrum.rank` at every test point a and a+1,
   both integers over one denominator D = 2*den of the target: one integer
-  threshold and one bisect over each germ's own numerators.
+  threshold and one bisect over each germ's own numerators.  The lanes are
+  the unit windows ]a,a+1] and the rays ]-inf,a] at every test point a, plus
+  ]a,a+1[ and ]-inf,a[ with the open variant.  A configuration that passes
+  `check_configuration` fits every lane: every spectral number is > -1, so
+  ]-inf,a] is the finite disjoint union of the windows ]a-j-1, a-j] (j >= 0),
+  each bounded by the check, and ]-inf,a[ = ]a-1,a[ u ]-inf,a-1].
 
 Reported counts: ``examined`` is the number of complete configurations that
 reached the target Milnor sum and entered per-configuration checking;
@@ -41,7 +46,8 @@ necessary criterion only: they are candidates, not certified hypersurfaces.
 
 Budget: a search whose pool would list more than ``MAX_POOL_CLASSES`` classes
 is refused with a ValueError before anything is built; `germ_pool_size`
-counts the pool in closed form.
+counts the pool in closed form.  Before that, `diagonal_milnor` refuses a
+(d-1)^n of more than ``MAX_POWER_BITS`` bits without computing it.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ from .catalog import FAMILIES, GermClass, fermat_spectrum, germ_spectrum
 from .polar import (
     Configuration,
     InfeasibleConfigurationError,
+    diagonal_milnor,
     polar_degree,
     sectional_milnor_plane,
 )
@@ -171,13 +178,6 @@ def germ_pool_size(mu_max: int, whitelist: Iterable[str] = FAMILIES) -> int:
     return size
 
 
-def _check_pool_budget(mu_max: int, whitelist: Iterable[str]) -> None:
-    size = germ_pool_size(mu_max, whitelist)
-    if size > MAX_POOL_CLASSES:
-        shown = size if size < 10**18 else "more than 10^18"  # int-to-str has a digit limit
-        raise ValueError(f"the germ pool would list {shown} classes, over the budget of {MAX_POOL_CLASSES}")
-
-
 def germ_pool(n: int, mu_max: int, whitelist: Iterable[str] = FAMILIES) -> list[GermClass]:
     """All catalog classes in ambient n with Milnor number <= mu_max.
 
@@ -185,7 +185,10 @@ def germ_pool(n: int, mu_max: int, whitelist: Iterable[str] = FAMILIES) -> list[
     ``MAX_POOL_CLASSES``.
     """
     families = _families(whitelist)
-    _check_pool_budget(mu_max, families)
+    size = germ_pool_size(mu_max, families)
+    if size > MAX_POOL_CLASSES:
+        shown = size if size < 10**18 else "more than 10^18"  # int-to-str has a digit limit
+        raise ValueError(f"the germ pool would list {shown} classes, over the budget of {MAX_POOL_CLASSES}")
     pool: list[GermClass] = []
     if "A" in families:
         pool += [GermClass("A", k, 0, n) for k in range(1, mu_max + 1)]
@@ -242,11 +245,11 @@ class _SearchContext:
     def __init__(self, n: int, d: int, k: int, whitelist: frozenset[str], filters: SearchFilters):
         self.n, self.d, self.k = n, d, k
         self.filters = filters
-        self.target_mu = (d - 1) ** n - k
-        self.target = fermat_spectrum(n, d)
+        self.target_mu = diagonal_milnor(n, d) - k
         self.pool_pruned = dict.fromkeys(FILTER_NAMES, 0)
-
+        # listed first: the pool budget refuses before any spectrum is built
         pool = germ_pool(n, self.target_mu, sorted(whitelist))
+        self.target = fermat_spectrum(n, d)
         if filters.huh and n == 2 and k >= 1:
             kept = [g for g in pool if sectional_milnor_plane(g) <= k]
             self.pool_pruned["huh"] = len(pool) - len(kept)
@@ -332,13 +335,11 @@ def enumerate_configurations(
         raise ValueError(f"need n >= 2, d >= 2, k >= 0, got {(n, d, k)}")
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
-    target_mu = (d - 1) ** n - k
+    smooth = diagonal_milnor(n, d)
+    target_mu = smooth - k
     if target_mu < 0:
-        raise InfeasibleConfigurationError(
-            f"polar degree {k} exceeds (d-1)^n = {(d - 1) ** n}"
-        )
+        raise InfeasibleConfigurationError(f"polar degree {k} exceeds (d-1)^n = {smooth}")
     whitelist = frozenset(whitelist)
-    _check_pool_budget(target_mu, whitelist)
     ctx = _SearchContext(n, d, k, whitelist, filters)
     survivors, examined, prunes, rejections = _run_search(ctx)
 

@@ -41,13 +41,8 @@ __all__ = [
     "add",
     "deg_window",
     "from_numerators",
-    "is_symmetric",
     "join",
     "make_spectrum",
-    "min_spectral",
-    "shift",
-    "suspend",
-    "total",
     "unit_window_degree",
 ]
 
@@ -165,12 +160,14 @@ class Spectrum:
         return Fraction(self.nums[-1], self.den)
 
     def shift(self, q: Fraction) -> "Spectrum":
+        """Translate every spectral number by q, keeping multiplicities."""
         q = Fraction(q)
         den = math.lcm(self.den, q.denominator)
         scale, offset = den // self.den, q.numerator * (den // q.denominator)
         return Spectrum(den, tuple(x * scale + offset for x in self.nums), self.mults)
 
     def suspend(self, m: int) -> "Spectrum":
+        """Add m squares: every spectral number moves up by m/2."""
         if m < 0:
             raise ValueError(f"suspension count must be >= 0, got {m}")
         return self.shift(Fraction(m, 2))
@@ -217,7 +214,11 @@ class Spectrum:
 
     @classmethod
     def from_json(cls, text: str) -> "Spectrum":
-        return cls.from_json_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except RecursionError:  # the C decoder recurses once per nested array
+            raise ValueError("spectrum JSON is nested too deeply") from None
+        return cls.from_json_obj(obj)
 
     def __str__(self) -> str:
         if not self.nums:
@@ -272,16 +273,6 @@ def add(s1: Spectrum, s2: Spectrum) -> Spectrum:
         return s1
     den = math.lcm(s1.den, s2.den)
     return from_numerators(den, chain(_over(s1, den), _over(s2, den)))
-
-
-def shift(s: Spectrum, q: Fraction) -> Spectrum:
-    """Translate every spectral number by q, keeping multiplicities."""
-    return s.shift(q)
-
-
-def suspend(s: Spectrum, m: int) -> Spectrum:
-    """Add m squares: every spectral number moves up by m/2."""
-    return s.suspend(m)
 
 
 def join(s1: Spectrum, s2: Spectrum) -> Spectrum:
@@ -346,15 +337,3 @@ def unit_window_degree(s: Spectrum, a: Fraction, kind: WindowKind) -> int:
     """Degree of s over ]a, a+1[ or ]a, a+1] depending on kind."""
     a = Fraction(a)
     return deg_window(s, a, a + 1, True, kind is WindowKind.OPEN_OPEN)
-
-
-def total(s: Spectrum) -> int:
-    return s.total()
-
-
-def min_spectral(s: Spectrum) -> Fraction:
-    return s.min_spectral()
-
-
-def is_symmetric(s: Spectrum, center: Fraction) -> bool:
-    return s.is_symmetric(center)

@@ -19,7 +19,6 @@ from specpol import (
     germ_spectrum,
     join,
     make_spectrum,
-    milnor,
     multiplicity_curve,
     parse_germ,
     germ_pool,
@@ -60,13 +59,13 @@ def all_j_classes(mu_cap=MU_CAP):
 
 
 def test_milnor_numbers():
-    assert milnor(GermClass("A", 7)) == 7
-    assert milnor(GermClass("D", 5)) == 5
-    assert milnor(GermClass("E", 6)) == 6
-    assert milnor(GermClass("E", 13)) == 13
-    assert milnor(GermClass("J", 2, 0)) == 10
-    assert milnor(GermClass("J", 4, 0)) == 22
-    assert milnor(GermClass("J", 2, 4)) == 14
+    assert GermClass("A", 7).milnor == 7
+    assert GermClass("D", 5).milnor == 5
+    assert GermClass("E", 6).milnor == 6
+    assert GermClass("E", 13).milnor == 13
+    assert GermClass("J", 2, 0).milnor == 10
+    assert GermClass("J", 4, 0).milnor == 22
+    assert GermClass("J", 2, 4).milnor == 14
 
 
 def test_parameter_validation():
@@ -199,7 +198,7 @@ def test_e_6r_plus_1_row_is_the_documented_discrepancy():
 def test_curve_spectra_shape_up_to_mu_cap():
     for g in weighted_homogeneous_classes():
         s = curve_spectrum(g)
-        assert s.total() == milnor(g), g
+        assert s.total() == g.milnor, g
         assert s.is_symmetric(F(0)), g
         assert s.min_spectral() > -1 and s.max_spectral() < 1, g
 
@@ -248,7 +247,7 @@ def test_curve_minimum_and_quarter_bound_up_to_mu_cap():
     for g in list(weighted_homogeneous_classes()) + list(all_j_classes()):
         s = curve_spectrum(g)
         assert s.min_spectral() > F(-2, 3), g
-        assert deg_window(s, NEG_INF, third, True, False) * 4 <= milnor(g), g
+        assert deg_window(s, NEG_INF, third, True, False) * 4 <= g.milnor, g
 
 
 def test_suspended_minimum_bound():

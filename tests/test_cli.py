@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import specpol
-from specpol.cli import REACHABLE_OPERATIONS, run
+from specpol.cli import run
 
 
 def invoke(capsys, *argv):
@@ -258,12 +261,28 @@ def test_usage_errors_exit_two(capsys):
         ["region", "1000000"],
         # a pool count past the int-to-str digit limit
         ["search", "20000", "3", "2"],
+        # oversized spectra and powers: refused before they are allocated
+        ["spectrum", "germ", "A1000000000"],
+        ["spectrum", "fermat", "2", "1000000000"],
+        ["deg", "fermat:1000000:1000000", "--from=0", "--to=1"],
+        ["check", "--config", '{"n":1000000000,"d":1000000000,"germs":[]}'],
+        ["search", "1000000000", "1000000000", "2"],
+        ["pol", "--config", '{"n":1000000000,"d":1000000000,"germs":[]}'],
+        # JSON nested past the decoder's recursion limit
+        ["check", "--config", "{deep_file}"],
+        ["deg", "{deep_file}", "--from=0", "--to=1"],
+        ["check", "--config", '{"n":' + "[" * 100_000],
     ],
 )
 def test_malformed_input_exits_two_with_one_line(argv, tmp_path, capsys):
     spectrum_file = tmp_path / "spec.json"
     spectrum_file.write_text('[{"num":1,"den":0,"mult":1}]')
-    argv = [a.replace("{spectrum_file}", str(spectrum_file)) for a in argv]
+    deep_file = tmp_path / "deep.json"
+    deep_file.write_text("[" * 100_000)
+    argv = [
+        a.replace("{spectrum_file}", str(spectrum_file)).replace("{deep_file}", str(deep_file))
+        for a in argv
+    ]
     code, out, err = invoke(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -300,33 +319,87 @@ def test_python_dash_m_runs_from_a_checkout(capsys):
     assert proc.stdout == out
 
 
-def test_every_operation_is_reachable():
-    operations = {
-        specpol.make_spectrum, specpol.from_numerators, specpol.add, specpol.shift, specpol.suspend,
-        specpol.join, specpol.deg_window, specpol.total, specpol.min_spectral,
-        specpol.is_symmetric,
-        specpol.milnor, specpol.weights,
-        specpol.spectrum_from_weights, specpol.curve_spectrum,
-        specpol.germ_spectrum, specpol.fermat_spectrum,
-        specpol.multiplicity_curve, specpol.parse_germ,
-        specpol.polar_degree, specpol.sectional_milnor_plane,
-        specpol.candidate_spectrum, specpol.check, specpol.check_configuration,
-        specpol.enumerate_configurations, specpol.verify_huh_lists,
-        specpol.load_huh_lists, specpol.germ_pool, specpol.germ_pool_size,
-        specpol.ell, specpol.degree_bound, specpol.dimension_excluded,
-        specpol.lemma1_region_k2, specpol.candidate_region,
-    }
-    # the filters the catalog implies (alpha1, corank), the off-plane huh
-    # bound and the Fraction unit-window count (the check counts on integer
-    # test points): kept as library functions, called by no subcommand
-    library_only = {
-        specpol.alpha1_threshold, specpol.corank_curve, specpol.huh_inequality_holds,
-        specpol.unit_window_degree,
-    }
-    reachable = set()
-    for funcs in REACHABLE_OPERATIONS.values():
-        reachable.update(funcs)
-    missing = sorted(f.__name__ for f in operations - reachable)
+def test_readme_command_block_runs(capsys):
+    # every `specpol ...` line of the README's command block, comment stripped;
+    # a `# -> N` comment is the output the line must print
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("specpol ")]
+    assert len(lines) >= 10
+    for line in lines:
+        code, out, err = invoke(capsys, *shlex.split(line, comments=True)[1:])
+        assert code == 0 and err == "", (line, err)
+        expected = re.search(r"# -> (\d+)$", line)
+        if expected:
+            assert out.strip() == expected.group(1), line
+
+
+# One command line per path into the library: a file source is the only one
+# that reaches make_spectrum, `region 2` the only one that reaches
+# lemma1_region_k2, and `region k` with k >= 3 the one that reaches
+# dimension_excluded.
+REACH_COMMANDS = [
+    ["spectrum", "germ", "A2", "--vars", "4"],
+    ["spectrum", "germ", "J2_4"],
+    ["spectrum", "fermat", "5", "3"],
+    ["spectrum", "join", "fermat:1:3", "{spectrum_file}"],
+    ["deg", "germ:D5", "--from=-inf", "--to", "1"],
+    ["pol", "--config", '{"n":3,"d":3,"germs":["E6"]}'],
+    ["check", "--config", '{"n":2,"d":4,"germs":["A2","E6"]}'],
+    ["search", "3", "3", "2"],
+    ["region", "2"],
+    ["region", "3"],
+    ["verify-huh"],
+]
+
+# Exported functions that no subcommand calls, each kept for a reason.
+LIBRARY_ONLY = {
+    "huh_inequality_holds": "perfbench/spans.py traces it by name",
+    "alpha1_threshold": "perfbench/spans.py traces it by name",
+    "corank_curve": "test_implied_pool_filters_are_vacuous uses it",
+    "unit_window_degree": "the tests/oracles.py reference uses it",
+    "check": "the public single-kind semicontinuity check that the tests use",
+}
+
+
+def _exported_functions() -> dict[str, object]:
+    # curve_spectrum is an lru_cache wrapper: its code is the wrapped body
+    functions = {}
+    for name in dir(specpol):
+        body = inspect.unwrap(getattr(specpol, name))
+        if not name.startswith("_") and inspect.isfunction(body):
+            functions[name] = body.__code__
+    return functions
+
+
+def test_every_operation_is_reachable(tmp_path, capsys):
+    # Measured, not declared: every code object entered while the command
+    # lines run.  A cached curve_spectrum would skip its body, so the cache
+    # is cleared first.
+    spectrum_file = tmp_path / "spec.json"
+    spectrum_file.write_text(specpol.fermat_spectrum(1, 3).to_json())
+    specpol.curve_spectrum.cache_clear()
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    codes = []
+    sys.setprofile(profile)
+    try:
+        for argv in REACH_COMMANDS:
+            codes.append(run([a.replace("{spectrum_file}", str(spectrum_file)) for a in argv]))
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert codes == [0] * len(REACH_COMMANDS)
+
+    exported = _exported_functions()
+    assert set(LIBRARY_ONLY) <= set(exported), "library-only names that specpol does not export"
+    missing = sorted(
+        name for name, code in exported.items() if code not in entered and name not in LIBRARY_ONLY
+    )
     assert not missing, f"operations unreachable from any subcommand: {missing}"
-    claimed = sorted(f.__name__ for f in library_only & reachable)
-    assert not claimed, f"library-only operations claimed by a subcommand: {claimed}"
+    reached = sorted(name for name in LIBRARY_ONLY if exported[name] in entered)
+    assert not reached, f"library-only operations reached by a subcommand: {reached}"

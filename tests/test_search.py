@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
@@ -16,6 +17,7 @@ from specpol import (
     SearchFilters,
     alpha1_threshold,
     candidate_spectrum,
+    check_configuration,
     corank_curve,
     curve_spectrum,
     deg_window,
@@ -158,6 +160,30 @@ def test_window_counts_equal_deg_window(open_variant):
             assert _window_counts(spec, den, points, open_variant) == expected
 
 
+@pytest.mark.parametrize("open_variant", [True, False])
+def test_lanes_never_prune_a_configuration_the_check_passes(open_variant):
+    # The DFS also prunes on the rays ]-inf,a] and ]-inf,a[, which the check
+    # does not test directly; they follow from its unit windows (see the
+    # search module docstring), so a configuration that passes the check,
+    # partial ones included, fits every lane of the target.
+    rng = random.Random(2018)
+    passed = failed = 0
+    for _ in range(600):
+        n, d = rng.choice([(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 3), (5, 3)])
+        target = fermat_spectrum(n, d)
+        pool = germ_pool(n, target.total())
+        c = Configuration(n, d, tuple(rng.choice(pool) for _ in range(rng.randint(0, 4))))
+        if not check_configuration(c, open_variant).holds:
+            failed += 1
+            continue
+        passed += 1
+        den, points = integer_test_points(EMPTY, target)
+        lanes = _window_counts(candidate_spectrum(c), den, points, open_variant)
+        bounds = _window_counts(target, den, points, open_variant)
+        assert all(x <= y for x, y in zip(lanes, bounds)), c
+    assert passed >= 100 and failed >= 100, (passed, failed)
+
+
 # pruned_by["semicontinuity"] and examined of the k=2 searches, pinned so that
 # a change to the pruning shows up here.  The lookahead bound of ROADMAP item 1
 # cuts subtrees earlier and will change these counts on purpose.
@@ -237,8 +263,6 @@ def test_disabling_semicontinuity_enlarges_survivors():
 def test_incremental_pruning_never_drops_a_survivor():
     # the in-search window pruning must yield exactly the configurations that
     # pass the final check applied to the unpruned enumeration
-    from specpol import check_configuration
-
     for n, d, k in [(2, 4, 2), (3, 3, 2), (2, 5, 2)]:
         pruned = enumerate_configurations(n, d, k)
         unpruned = enumerate_configurations(

@@ -19,13 +19,8 @@ from specpol import (
     deg_window,
     fermat_spectrum,
     from_numerators,
-    is_symmetric,
     join,
     make_spectrum,
-    min_spectral,
-    shift,
-    suspend,
-    total,
     unit_window_degree,
 )
 from oracles import brute_deg
@@ -80,12 +75,12 @@ def test_add_identity_and_merge():
 
 def test_shift_and_suspend():
     one = make_spectrum([(F(0), 1)])
-    assert shift(one, F(1, 2)).support == (F(1, 2),)
-    assert shift(one, F(0)) == one
-    assert suspend(one, 2).support == (F(1),)
-    assert suspend(one, 0) == one
+    assert one.shift(F(1, 2)).support == (F(1, 2),)
+    assert one.shift(F(0)) == one
+    assert one.suspend(2).support == (F(1),)
+    assert one.suspend(0) == one
     a2 = make_spectrum([(F(-1, 6), 1), (F(1, 6), 1)])
-    assert shift(a2, F(1)).support == (F(5, 6), F(7, 6))
+    assert a2.shift(F(1)).support == (F(5, 6), F(7, 6))
 
 
 def test_join_annihilates_on_empty():
@@ -105,23 +100,23 @@ def test_join_of_one_variable_cube_spectra():
 @given(spectra)
 def test_join_with_morse_point_is_suspension(s):
     morse_one_var = make_spectrum([(F(-1, 2), 1)])
-    assert join(s, morse_one_var) == suspend(s, 1)
+    assert join(s, morse_one_var) == s.suspend(1)
 
 
 @given(spectra, spectra)
 def test_totals_add_and_multiply(s1, s2):
-    assert total(add(s1, s2)) == total(s1) + total(s2)
-    assert total(join(s1, s2)) == total(s1) * total(s2)
+    assert add(s1, s2).total() == s1.total() + s2.total()
+    assert join(s1, s2).total() == s1.total() * s2.total()
 
 
 @given(spectra, rationals, rationals)
 def test_shift_composes(s, p, q):
-    assert shift(shift(s, p), q) == shift(s, p + q)
+    assert s.shift(p).shift(q) == s.shift(p + q)
 
 
 @given(spectra, st.integers(0, 6))
 def test_suspend_is_half_integer_shift(s, m):
-    assert suspend(s, m) == shift(s, F(m, 2))
+    assert s.suspend(m) == s.shift(F(m, 2))
 
 
 @given(spectra, spectra)
@@ -192,22 +187,22 @@ def test_ray_decomposes_into_unit_windows(s, a):
 
 
 def test_min_spectral():
-    assert min_spectral(fermat_spectrum(5, 3)) == F(2, 3)
-    assert min_spectral(make_spectrum([(F(0), 1)])) == F(0)
+    assert fermat_spectrum(5, 3).min_spectral() == F(2, 3)
+    assert make_spectrum([(F(0), 1)]).min_spectral() == F(0)
     with pytest.raises(EmptySpectrumError):
-        min_spectral(make_spectrum([]))
+        make_spectrum([]).min_spectral()
 
 
 @given(st.integers(1, 6), st.integers(2, 6))
 def test_min_spectral_of_diagonal_germ(n, d):
-    assert min_spectral(fermat_spectrum(n, d)) == F(n, d) - 1
+    assert fermat_spectrum(n, d).min_spectral() == F(n, d) - 1
 
 
 def test_is_symmetric():
-    assert is_symmetric(fermat_spectrum(4, 3), F(1))
-    assert is_symmetric(fermat_spectrum(5, 3), F(3, 2))
-    assert not is_symmetric(make_spectrum([(F(0), 1), (F(1), 2)]), F(1, 2))
-    assert is_symmetric(make_spectrum([]), F(0))
+    assert fermat_spectrum(4, 3).is_symmetric(F(1))
+    assert fermat_spectrum(5, 3).is_symmetric(F(3, 2))
+    assert not make_spectrum([(F(0), 1), (F(1), 2)]).is_symmetric(F(1, 2))
+    assert make_spectrum([]).is_symmetric(F(0))
 
 
 def test_unit_window_degree_kinds():
@@ -301,10 +296,10 @@ def _same(x: Spectrum, y: Spectrum) -> None:
 @given(spectra, integer_spectra, rationals, st.integers(0, 5))
 def test_construction_path_does_not_matter(s1, s2, q, m):
     p1, p2 = list(s1.entries), list(s2.entries)
-    _same(shift(s1, q), make_spectrum((a + q, k) for a, k in p1))
-    _same(suspend(s2, m), make_spectrum((a + F(m, 2), k) for a, k in p2))
+    _same(s1.shift(q), make_spectrum((a + q, k) for a, k in p1))
+    _same(s2.suspend(m), make_spectrum((a + F(m, 2), k) for a, k in p2))
     _same(add(s1, s2), make_spectrum(p1 + p2))
     _same(join(s1, s2), make_spectrum((a + b + 1, k * l) for a, k in p1 for b, l in p2))
-    _same(shift(shift(s1, q), -q), s1)
+    _same(s1.shift(q).shift(-q), s1)
     _same(from_numerators(5 * s2.den, ((5 * x, k) for x, k in zip(s2.nums, s2.mults))), s2)
     _same(Spectrum.from_json(s1.to_json()), s1)
