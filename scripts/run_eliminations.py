@@ -2,20 +2,17 @@
 """Run the polar-degree-2 searches at desk scale.
 
 Enumerates all catalog germ multisets with the right total Milnor number for
-each requested (n, d) pair and prints the survivors.  The pairs (4,3), (5,3),
-(3,4), (2,6), (2,7) and (2,8) come out empty; the low ones reproduce the known
-candidate lists.
+each requested (n, d) pair and prints the survivors.  The low pairs (2,3),
+(2,4), (2,5) and (3,3) reproduce the known candidate lists; every other pair
+comes out empty.
 
-The default pair set is every pair of the k=2 region that finishes in
-seconds.  On a 2-core machine with Python 3.11 (five runs, search time as
-printed, interpreter start not included), (3,4) and (2,6) take 0.01-0.02 s,
-(2,7) 0.11-0.22 s and (2,8) 2.0-3.0 s; the whole default run takes 2.5-3.5 s
-with interpreter start.  The shared host's speed drifts: on another occasion
-two runs took 0.22-0.38 s at (2,7) and 3.1-3.8 s at (2,8).
-The plane curves of degree 9 and up are left out: the search has no lookahead
-bound yet, so it visits every node whose partial window counts fit, and (2,9)
-takes about a minute (it comes out empty).  Pass explicit pairs to try one
-anyway.
+The default pair set is the whole k=2 region, `candidate_region(2)`.  On a
+2-core machine with Python 3.11 (five runs, search time as printed,
+interpreter start not included), every pair up to (2,7) takes at most
+0.03 s, (2,8) 0.05-0.08 s, (2,9) 0.09-0.14 s, (2,10) 0.16-0.20 s and (2,11)
+0.23-0.31 s, almost all of it building the pool's window vectors; the whole
+default run takes 0.84-0.95 s with interpreter start.  `-k 3 7,3` takes
+0.45-0.52 s.  Pass explicit pairs and `-k` to search elsewhere.
 """
 
 from __future__ import annotations
@@ -25,13 +22,16 @@ import time
 
 from specpol import enumerate_configurations
 
-DEFAULT_PAIRS = [(2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (3, 3), (3, 4), (4, 3), (5, 3)]
+DEFAULT_PAIRS = [
+    (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (2, 9), (2, 10), (2, 11),
+    (3, 3), (3, 4), (4, 3), (5, 3),
+]
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("pairs", nargs="*", metavar="n,d",
-                        help="pairs to search, e.g. 5,3 (default: the pairs that finish in seconds)")
+                        help="pairs to search, e.g. 5,3 (default: every pair of the k=2 region)")
     parser.add_argument("-k", type=int, default=2, help="polar degree (default 2)")
     args = parser.parse_args()
 

@@ -275,14 +275,25 @@ def add(s1: Spectrum, s2: Spectrum) -> Spectrum:
     return from_numerators(den, chain(_over(s1, den), _over(s2, den)))
 
 
+# The most (alpha, beta) pairs a join sums.  On a 2-core machine with Python
+# 3.11, joining fermat:1:1001 with itself (10^6 pairs, 1,999 sums) takes 0.3 s
+# at 16 MB peak RSS, and 10^6 pairs with distinct sums 0.9 s at 156 MB.
+MAX_JOIN_PAIRS = 1_000_000
+
+
 def join(s1: Spectrum, s2: Spectrum) -> Spectrum:
     """Multiplicative join of two spectra.
 
     Writing each spectrum as the generating sum sum_alpha n_alpha t^(alpha+1),
     the join is the spectrum of the product: spectral numbers alpha+beta+1
     with convolved multiplicities.  Totals multiply, and joining with the
-    one-variable Morse spectrum {-1/2} equals a single suspension.
+    one-variable Morse spectrum {-1/2} equals a single suspension.  More than
+    MAX_JOIN_PAIRS pairs of spectral numbers is refused with a ValueError
+    before the first is summed.
     """
+    pairs = len(s1.nums) * len(s2.nums)
+    if pairs > MAX_JOIN_PAIRS:
+        raise ValueError(f"the join would sum {pairs} pairs of spectral numbers, over the budget of {MAX_JOIN_PAIRS}")
     if not s1.nums or not s2.nums:
         return EMPTY
     den = math.lcm(s1.den, s2.den)

@@ -184,6 +184,16 @@ def test_search_json(capsys):
     assert report["diagnostic_windows"]["]-inf,1["] == 1
 
 
+def test_search_k3_cubic_sixfold_is_eliminated(capsys):
+    # (7,3,3): 1,487 pool classes, decided by the lookahead at the root
+    code, out, _ = invoke(capsys, "search", "7", "3", "3", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["target_mu"] == 125
+    assert report["survivors"] == []
+    assert report["pruned_by"]["semicontinuity"] == 1
+
+
 def test_search_no_filter(capsys):
     code, out, _ = invoke(
         capsys, "search", "2", "3", "2", "--no-filter", "semicontinuity", "--json"
@@ -272,6 +282,8 @@ def test_usage_errors_exit_two(capsys):
         ["check", "--config", "{deep_file}"],
         ["deg", "{deep_file}", "--from=0", "--to=1"],
         ["check", "--config", '{"n":' + "[" * 100_000],
+        # a join over its pair budget: each side is within MAX_FERMAT_WORK
+        ["spectrum", "join", "fermat:1:1000001", "fermat:1:1000001"],
     ],
 )
 def test_malformed_input_exits_two_with_one_line(argv, tmp_path, capsys):

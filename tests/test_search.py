@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import functools
+import json
 import random
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -16,6 +19,7 @@ from specpol import (
     InfeasibleConfigurationError,
     SearchFilters,
     alpha1_threshold,
+    candidate_region,
     candidate_spectrum,
     check_configuration,
     corank_curve,
@@ -32,9 +36,20 @@ from specpol import (
     polar_degree,
     verify_huh_lists,
 )
-from specpol.search import MAX_POOL_CLASSES, _lanes, _pack, _window_counts
+from specpol.search import (
+    MAX_POOL_CLASSES,
+    _lanes,
+    _lanewise_min,
+    _pack,
+    _SearchContext,
+    _unpack,
+    _window_counts,
+)
 from specpol.semicontinuity import integer_test_points, window_test_points
 from specpol.spectrum import EMPTY, NEG_INF
+
+
+SURVIVORS_JSON = Path(__file__).resolve().parents[1] / "perfbench" / "survivors.json"
 
 
 def config(n, d, *names):
@@ -184,24 +199,86 @@ def test_lanes_never_prune_a_configuration_the_check_passes(open_variant):
     assert passed >= 100 and failed >= 100, (passed, failed)
 
 
+@given(st.data())
+def test_lanewise_min_and_unpack(data):
+    width = data.draw(st.integers(2, 12))
+    top = (1 << (width - 1)) - 1
+    count = data.draw(st.integers(0, 10))
+    a = data.draw(st.lists(_up_to(top), min_size=count, max_size=count))
+    b = data.draw(st.lists(_up_to(top), min_size=count, max_size=count))
+    high = _pack([1 << (width - 1)] * count, width)
+    assert _unpack(_pack(a, width), width, count) == a
+    low = _lanewise_min(_pack(a, width), _pack(b, width), width, high)
+    assert _unpack(low, width, count) == [min(x, y) for x, y in zip(a, b)]
+    assert low >> (width * count) == 0
+
+
+@functools.lru_cache(maxsize=None)
+def _context(n, d, k, open_variant):
+    return _SearchContext(n, d, k, frozenset("ADEJ"), SearchFilters(open_variant=open_variant))
+
+
+def _completions(mus, s, remaining):
+    # every multiset of pool[s:] with Milnor sum ``remaining``, as index tuples
+    if remaining == 0:
+        yield ()
+        return
+    for i in range(s, len(mus)):
+        if mus[i] <= remaining:
+            for rest in _completions(mus, i, remaining - mus[i]):
+                yield (i,) + rest
+
+
+@given(st.data())
+def test_lookahead_bounds_every_completion(data):
+    # Each packed bound lane is at most the smallest count that lane reaches
+    # over every completion from pool[s:], found by brute force.
+    n, d, k, open_variant = data.draw(
+        st.sampled_from([(2, 4, 2, True), (2, 5, 2, False), (2, 6, 2, True), (3, 3, 2, True),
+                         (4, 3, 2, False), (2, 4, 1, True), (3, 3, 3, True)])
+    )
+    ctx = _context(n, d, k, open_variant)
+    remaining = data.draw(_up_to(min(ctx.target_mu, 12)))
+    s = data.draw(st.integers(ctx.lo[remaining], len(ctx.pool)))
+    bound = _unpack(ctx.lookahead(s, remaining), ctx.width, ctx.lanes)
+    for completion in _completions(ctx.mus, s, remaining):
+        # lane sums stay below 2^(B-1), so the packed sum does not carry
+        lanes = _unpack(sum(ctx.packed[i] for i in completion), ctx.width, ctx.lanes)
+        assert all(b <= x for b, x in zip(bound, lanes)), (s, remaining, completion)
+
+
 # pruned_by["semicontinuity"] and examined of the k=2 searches, pinned so that
-# a change to the pruning shows up here.  The lookahead bound of ROADMAP item 1
-# cuts subtrees earlier and will change these counts on purpose.
+# a change to the pruning shows up here; the ids name the pair only.
 @pytest.mark.parametrize(
     "n, d, pruned, examined",
     [
-        (4, 3, 351, 0),
-        (2, 5, 404, 8),
-        (2, 6, 6530, 0),
-        (3, 4, 7356, 0),
-        (5, 3, 11629, 0),
-        (2, 7, 101829, 0),
+        pytest.param(4, 3, 1, 0, id="4-3"),
+        pytest.param(2, 5, 76, 8, id="2-5"),
+        pytest.param(2, 6, 115, 0, id="2-6"),
+        pytest.param(3, 4, 1, 0, id="3-4"),
+        pytest.param(5, 3, 1, 0, id="5-3"),
+        pytest.param(2, 7, 1, 0, id="2-7"),
     ],
 )
 def test_dfs_counts_are_pinned(n, d, pruned, examined):
     report = enumerate_configurations(n, d, 2)
     assert report.pruned_by_dict()["semicontinuity"] == pruned
     assert report.examined == examined
+
+
+def test_k2_region_survivors_equal_the_pinned_sets():
+    # Every pair of candidate_region(2), (2,8) to (2,11) included, against the
+    # survivor sets the benchmark pins; a pair it does not list has none.
+    pinned = json.loads(SURVIVORS_JSON.read_text())
+    pairs = sorted(candidate_region(2).pairs)
+    assert len(pairs) == 13 and {f"{n},{d}" for n, d in pairs} >= set(pinned)
+    for n, d in pairs:
+        report = enumerate_configurations(n, d, 2)
+        names = sorted(sorted(str(g) for g in c.germs) for c in report.survivors)
+        assert names == sorted(pinned.get(f"{n},{d}", [])), (n, d)
+        if not names and (n, d) != (2, 6):
+            # decided at the root: the lookahead over the whole pool cuts it
+            assert report.pruned_by_dict()["semicontinuity"] == 1, (n, d)
 
 
 def test_cubic_fourfold_elimination():
@@ -260,16 +337,30 @@ def test_disabling_semicontinuity_enlarges_survivors():
         assert "semicontinuity" not in unfiltered.filters_applied
 
 
+# (n, d, k) with k = 0..3 whose unpruned search finishes in well under a second
+_ORACLE_CASES = [
+    (2, 2, 0), (2, 3, 0), (3, 2, 0),
+    (2, 2, 1), (2, 3, 1), (2, 4, 1), (3, 3, 1), (4, 2, 1),
+    (2, 3, 2), (2, 4, 2), (3, 3, 2), (2, 5, 2), (4, 3, 2),
+    (2, 4, 3), (3, 3, 3), (2, 5, 3), (4, 3, 3),
+]
+
+
 def test_incremental_pruning_never_drops_a_survivor():
-    # the in-search window pruning must yield exactly the configurations that
-    # pass the final check applied to the unpruned enumeration
-    for n, d, k in [(2, 4, 2), (3, 3, 2), (2, 5, 2)]:
-        pruned = enumerate_configurations(n, d, k)
-        unpruned = enumerate_configurations(
-            n, d, k, filters=SearchFilters(semicontinuity=False)
-        )
-        recheck = {c for c in unpruned.survivors if check_configuration(c).holds}
-        assert set(pruned.survivors) == recheck
+    # The in-search pruning, lookahead included, must yield exactly the
+    # configurations of the unpruned enumeration that pass the final check,
+    # with huh and the open variant on and off.
+    for n, d, k in _ORACLE_CASES:
+        for huh in (True, False):
+            unpruned = enumerate_configurations(
+                n, d, k, filters=SearchFilters(huh=huh, semicontinuity=False)
+            )
+            for open_variant in (True, False):
+                pruned = enumerate_configurations(
+                    n, d, k, filters=SearchFilters(huh=huh, open_variant=open_variant)
+                )
+                recheck = [c for c in unpruned.survivors if check_configuration(c, open_variant).holds]
+                assert list(pruned.survivors) == recheck, (n, d, k, huh, open_variant)
 
 
 def test_open_variant_only_tightens():
