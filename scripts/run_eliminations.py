@@ -9,10 +9,12 @@ comes out empty.
 The default pair set is the whole k=2 region, `candidate_region(2)`.  On a
 2-core machine with Python 3.11 (five runs, search time as printed,
 interpreter start not included), every pair up to (2,7) takes at most
-0.03 s, (2,8) 0.05-0.08 s, (2,9) 0.09-0.14 s, (2,10) 0.16-0.20 s and (2,11)
-0.23-0.31 s, almost all of it building the pool's window vectors; the whole
-default run takes 0.84-0.95 s with interpreter start.  `-k 3 7,3` takes
-0.45-0.52 s.  Pass explicit pairs and `-k` to search elsewhere.
+0.02 s, (2,8) 0.03-0.05 s, (2,9) 0.06-0.09 s, (2,10) 0.12-0.16 s and (2,11)
+0.19-0.26 s, almost all of it building the pool's window vectors; the whole
+default run takes 0.60-0.80 s with interpreter start.  `-k 3 7,3` takes
+0.34-0.50 s, and `-k 3 2,5 2,6 4,3` (three k=3 pairs with survivors, where
+the search goes below the root) 0.17-0.22 s.  Pass explicit pairs and `-k` to
+search elsewhere.
 """
 
 from __future__ import annotations

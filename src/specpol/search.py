@@ -35,18 +35,19 @@ Filters:
   ]-inf,a] is the finite disjoint union of the windows ]a-j-1, a-j] (j >= 0),
   each bounded by the check, and ]-inf,a[ = ]a-1,a[ u ]-inf,a-1].
 * Lookahead (part of ``semicontinuity``): a node with ``remaining`` Milnor
-  number still to place can only be completed by germs of pool[s:], where s
-  is the larger of its first usable index and the first index whose germ
-  fits in ``remaining``.  A completion adds sum_g vec_g[j] = sum_g mu_g *
+  number still to place is completed by pool germs whose Milnor numbers sum
+  to ``remaining``.  Such a completion adds sum_g vec_g[j] = sum_g mu_g *
   (vec_g[j]/mu_g) >= remaining * rho_j to lane j, where rho_j is the least
-  density vec_g[j]/mu_g over pool[s:] (a fractional-knapsack relaxation),
-  and, counts being integers, at least ceil(remaining * rho_j).  The node
-  adds these bounds, packed per (s, remaining), to its own counts and is
-  cut if a lane's top bit is set.  Then every completion overflows that
-  lane, so the cut drops only configurations that the lanes would reject at
-  their last germ: survivors and ``examined`` are those of the search
-  without it; only the number of cuts changes.  At the root the bound is a
-  single-window certificate over the whole pool: 8 of the 13 pairs of
+  density vec_g[j]/mu_g over the whole pool (a fractional-knapsack
+  relaxation), and, counts being integers, at least ceil(remaining * rho_j).
+  The germs a node may still take are a subset of the pool, so the
+  whole-pool rho_j bounds them too; it is computed once per search, and the
+  packed bounds once per ``remaining``.  The node adds these bounds to its
+  own counts and is cut if a lane's top bit is set.  Then every completion
+  overflows that lane, so the cut drops only configurations that the lanes
+  would reject at their last germ: survivors and ``examined`` are those of
+  the search without it; only the number of cuts changes.  At the root the
+  bound is a single-window certificate: 8 of the 13 pairs of
   `candidate_region(2)`, (2,7) to (2,11) among them, are cut there with
   nothing else visited.
 
@@ -68,12 +69,9 @@ counts the pool in closed form.  Before that, `diagonal_milnor` refuses a
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from importlib import resources
-from itertools import groupby
 from typing import Iterable, Optional
 
 from .catalog import FAMILIES, GermClass, fermat_spectrum, germ_spectrum
@@ -244,22 +242,6 @@ def _lanes(rhs: list[int], bound: int) -> tuple[int, int, int]:
     return width, _pack([half - 1 - r for r in rhs], width), _pack([half] * len(rhs), width)
 
 
-def _unpack(packed: int, width: int, count: int) -> list[int]:
-    """The ``count`` lanes of ``packed``, the inverse of `_pack`."""
-    mask = (1 << width) - 1
-    return [(packed >> (j * width)) & mask for j in range(count)]
-
-
-def _lanewise_min(a: int, b: int, width: int, high: int) -> int:
-    """Lane by lane minimum of two packed vectors whose lanes are below 2^(width-1).
-
-    In ``(a | high) - b`` no lane borrows from the next, and a lane keeps its
-    top bit exactly when a_j >= b_j; that bit, spread over its lane, selects b_j.
-    """
-    take_b = ((((a | high) - b) & high) >> (width - 1)) * ((1 << width) - 1)
-    return a ^ ((a ^ b) & take_b)
-
-
 def _window_counts(spec: Spectrum, den: int, points: list[int], open_variant: bool) -> list[int]:
     # Counts over the pruning windows in lane order: per test point a = t/den,
     # ]a,a+1] and ]-inf,a], then ]a,a+1[ and ]-inf,a[ with the open variant.
@@ -303,52 +285,44 @@ class _SearchContext:
         # at most the r - mu_g left after it, so a lane gains at most
         # r <= target_mu < 2^(B-1) and stays below 2^B.
         assert max(self.mus, default=0) <= self.target_mu < 1 << (width - 1)
-        self.width, self.lanes = width, len(rhs)
-        self.packed = [
-            _pack(_window_counts(germ_spectrum(g), den, points, filters.open_variant), width)
-            for g in self.pool
+        self.width = width
+        vectors = [
+            _window_counts(germ_spectrum(g), den, points, filters.open_variant) for g in self.pool
         ]
-        # lo[r]: the first pool index whose germ fits in r (mus are non-increasing)
-        neg_mus = [-m for m in self.mus]
-        self.lo = [bisect_left(neg_mus, -r) for r in range(self.target_mu + 1)]
-        self._least: dict[int, tuple[int, int]] = {}
-        self._bounds: dict[tuple[int, int], int] = {}
-
-    def lookahead(self, s: int, remaining: int) -> int:
-        """Packed lower bound on the counts any completion from ``pool[s:]`` adds.
-
-        A completion takes germs of ``pool[s:]`` whose Milnor numbers sum to
-        ``remaining``, so it adds at least ceil(remaining * x/m) to lane j,
-        where x/m is the least density vec_g[j]/mu_g over that suffix.
-        Memoized per (s, remaining); the densities per s, for the s reached.
-        """
-        bound = self._bounds.get((s, remaining))
-        if bound is None:
-            if s not in self._least:
-                self._least[s] = self._least_densities(s)
-            xs, ms = (_unpack(v, self.width, self.lanes) for v in self._least[s])
-            bound = _pack([-(-remaining * x // m) for x, m in zip(xs, ms)], self.width)
-            self._bounds[s, remaining] = bound
-        return bound
-
-    def _least_densities(self, s: int) -> tuple[int, int]:
-        # Per lane, the least vec_g[j]/mu_g over pool[s:] as x/m, with the x and
-        # the m packed like the vectors.  It starts at 1/1, the largest density
-        # (a germ has mu_g spectral numbers), which also bounds an empty suffix:
-        # that has no completion unless remaining is 0.  Germs of one Milnor
-        # number are adjacent, so each group's least counts are taken in packed
-        # form and unpacked once.
-        width, high, packed = self.width, self.high, self.packed
-        xs, ms = [1] * self.lanes, [1] * self.lanes
-        for m, group in groupby(range(s, len(self.pool)), key=self.mus.__getitem__):
-            low = reduce(lambda a, b: _lanewise_min(a, b, width, high), (packed[i] for i in group))
-            for j, x in enumerate(_unpack(low, width, self.lanes)):
-                if x * ms[j] < xs[j] * m:
-                    xs[j], ms[j] = x, m
+        self.packed = [_pack(counts, width) for counts in vectors]
+        # Per lane, the least density vec_g[j]/mu_g over the whole pool as
+        # xs[j]/ms[j], from each Milnor number's lanewise least counts: one
+        # fraction comparison per Milnor number and lane, not per germ.  It
+        # starts at 1/1, the largest density (a germ has mu_g spectral
+        # numbers), which also bounds an empty pool: that has no completion
+        # unless remaining is 0.
+        by_mu: dict[int, list[list[int]]] = {}
+        for mu, counts in zip(self.mus, vectors):
+            by_mu.setdefault(mu, []).append(counts)
+        xs, ms = [1] * len(rhs), [1] * len(rhs)
+        for mu, group in by_mu.items():
+            for j, x in enumerate(map(min, zip(*group))):
+                if x * ms[j] < xs[j] * mu:
+                    xs[j], ms[j] = x, mu
         # No carry: a density is at most 1, so a bound lane is at most
         # remaining <= target_mu < 2^(B-1).
         assert all(x <= m for x, m in zip(xs, ms))
-        return _pack(xs, width), _pack(ms, width)
+        self.xs, self.ms = xs, ms
+        self._bounds: dict[int, int] = {}
+
+    def lookahead(self, remaining: int) -> int:
+        """Packed lower bound on the counts any completion of ``remaining`` adds.
+
+        A completion takes pool germs whose Milnor numbers sum to
+        ``remaining``, so it adds at least ceil(remaining * x/m) to lane j,
+        where x/m is the least density vec_g[j]/mu_g over the whole pool.
+        Memoized per ``remaining``.
+        """
+        bound = self._bounds.get(remaining)
+        if bound is None:
+            bound = _pack([-(-remaining * x // m) for x, m in zip(self.xs, self.ms)], self.width)
+            self._bounds[remaining] = bound
+        return bound
 
 
 def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int, int]:
@@ -358,15 +332,14 @@ def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int, int
     packed window state ``acc`` is passed down by value, so nothing is undone.
     """
     n, d, pool, mus, packed, high = ctx.n, ctx.d, ctx.pool, ctx.mus, ctx.packed, ctx.high
-    lo, lookahead = ctx.lo, ctx.lookahead
+    lookahead = ctx.lookahead
     survivors: list[Configuration] = []
     examined = subtree_prunes = final_rejections = 0
     stack: list[int] = []
 
     def dfs(first: int, remaining: int, acc: int) -> None:
         nonlocal examined, subtree_prunes, final_rejections
-        s = max(first, lo[remaining])
-        if (acc + lookahead(s, remaining)) & high:
+        if (acc + lookahead(remaining)) & high:
             subtree_prunes += 1
             return
         if remaining == 0:
@@ -379,7 +352,9 @@ def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int, int
             else:
                 survivors.append(config)
             return
-        for idx in range(s, len(pool)):
+        for idx in range(first, len(pool)):
+            if mus[idx] > remaining:
+                continue
             stack.append(idx)
             dfs(idx, remaining - mus[idx], acc + packed[idx])
             stack.pop()
