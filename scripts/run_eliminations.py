@@ -9,17 +9,20 @@ comes out empty.
 The default pair set is the whole k=2 region, `candidate_region(2)`.  On a
 2-core machine with Python 3.11 (five runs, search time as printed,
 interpreter start not included), every pair up to (2,7) takes at most
-0.02 s, (2,8) 0.03-0.05 s, (2,9) 0.06-0.09 s, (2,10) 0.12-0.16 s and (2,11)
-0.19-0.26 s, almost all of it building the pool's window vectors; the whole
-default run takes 0.60-0.80 s with interpreter start.  `-k 3 7,3` takes
-0.34-0.50 s, and `-k 3 2,5 2,6 4,3` (three k=3 pairs with survivors, where
-the search goes below the root) 0.17-0.22 s.  Pass explicit pairs and `-k` to
+0.02 s, (2,8) 0.02-0.03 s, (2,9) 0.05-0.06 s, (2,10) 0.08-0.12 s and (2,11)
+0.12-0.20 s, almost all of it building the pool's window vectors; the whole
+default run takes 0.47-0.68 s with interpreter start.  `-k 3 7,3` takes
+0.37-0.50 s, `-k 3 2,5 2,6 4,3` (three k=3 pairs with survivors, where
+the search goes below the root) 0.20-0.25 s, and `-k 4 2,6 2,7 3,4` (k=4
+pairs cut below the root) 0.37-0.44 s.  Pass explicit pairs and `-k` to
 search elsewhere.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 import time
 
 from specpol import enumerate_configurations
@@ -61,4 +64,11 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`): point stdout at devnull so the
+        # flush at interpreter exit does not raise again, and stop quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

@@ -64,7 +64,6 @@ from .spectrum import (
     from_numerators,
     join,
     make_spectrum,
-    unit_window_degree,
 )
 
 __version__ = "0.1.0"

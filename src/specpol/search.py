@@ -26,14 +26,10 @@ Filters:
   counts live in one int, a lane of B bits per window, with B wide enough that
   no lane carries into the next; a child adds its germ's packed counts, and
   a node is cut if any lane's top bit is set (SWAR, SIMD within a register).  The
-  counts themselves come from `Spectrum.rank` at every test point a and a+1,
-  both integers over one denominator D = 2*den of the target: one integer
-  threshold and one bisect over each germ's own numerators.  The lanes are
-  the unit windows ]a,a+1] and the rays ]-inf,a] at every test point a, plus
-  ]a,a+1[ and ]-inf,a[ with the open variant.  A configuration that passes
-  `check_configuration` fits every lane: every spectral number is > -1, so
-  ]-inf,a] is the finite disjoint union of the windows ]a-j-1, a-j] (j >= 0),
-  each bounded by the check, and ]-inf,a[ = ]a-1,a[ u ]-inf,a-1].
+  lanes are the check's own windows, ]a,a+1] and with the open variant
+  ]a,a+1[, at every test point a of the target, counted by
+  `semicontinuity.window_counts`, so a configuration that passes
+  `check_configuration` fits every lane.
 * Lookahead (part of ``semicontinuity``): a node with ``remaining`` Milnor
   number still to place is completed by pool germs whose Milnor numbers sum
   to ``remaining``.  Such a completion adds sum_g vec_g[j] = sum_g mu_g *
@@ -83,7 +79,8 @@ from .polar import (
     sectional_milnor_plane,
 )
 from .semicontinuity import candidate_spectrum, check_configuration, integer_test_points
-from .spectrum import EMPTY, NEG_INF, Spectrum, deg_window
+from .semicontinuity import window_counts, window_kinds
+from .spectrum import EMPTY, NEG_INF, deg_window
 
 __all__ = [
     "HuhEntryResult",
@@ -242,19 +239,6 @@ def _lanes(rhs: list[int], bound: int) -> tuple[int, int, int]:
     return width, _pack([half - 1 - r for r in rhs], width), _pack([half] * len(rhs), width)
 
 
-def _window_counts(spec: Spectrum, den: int, points: list[int], open_variant: bool) -> list[int]:
-    # Counts over the pruning windows in lane order: per test point a = t/den,
-    # ]a,a+1] and ]-inf,a], then ]a,a+1[ and ]-inf,a[ with the open variant.
-    rank = spec.rank
-    counts = []
-    for t in points:
-        le_a = rank(t, den, True)
-        counts += [rank(t + den, den, True) - le_a, le_a]
-        if open_variant:
-            counts += [rank(t + den, den) - le_a, rank(t, den)]
-    return counts
-
-
 class _SearchContext:
     """Prepared pool, packed window vectors and filter bookkeeping for one search."""
 
@@ -274,10 +258,11 @@ class _SearchContext:
         # non-increasing canonical order: heaviest germ first
         self.pool = sorted(pool, key=lambda g: (-g.milnor,) + g.sort_key())
         self.mus = [g.milnor for g in self.pool]
-        # pruning windows: unit windows and the rays below every target test
+        # pruning windows: the check's unit windows at every target test
         # point; with semicontinuity off there are none and high == 0
         den, points = integer_test_points(EMPTY, self.target) if filters.semicontinuity else (1, [])
-        rhs = _window_counts(self.target, den, points, filters.open_variant)
+        kinds = window_kinds(filters.open_variant)
+        rhs = window_counts(self.target, den, points, kinds)
         width, self.start, self.high = _lanes(rhs, self.target_mu)
         # No carry between lanes: a node tests acc + lookahead, where acc is its
         # parent's state (every lane at most 2^(B-1) - 1, or the parent was cut)
@@ -286,9 +271,7 @@ class _SearchContext:
         # r <= target_mu < 2^(B-1) and stays below 2^B.
         assert max(self.mus, default=0) <= self.target_mu < 1 << (width - 1)
         self.width = width
-        vectors = [
-            _window_counts(germ_spectrum(g), den, points, filters.open_variant) for g in self.pool
-        ]
+        vectors = [window_counts(germ_spectrum(g), den, points, kinds) for g in self.pool]
         self.packed = [_pack(counts, width) for counts in vectors]
         # Per lane, the least density vec_g[j]/mu_g over the whole pool as
         # xs[j]/ms[j], from each Milnor number's lanewise least counts: one

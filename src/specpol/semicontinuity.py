@@ -26,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .catalog import fermat_spectrum, germ_spectrum
 from .polar import Configuration
@@ -38,6 +39,8 @@ __all__ = [
     "check",
     "check_configuration",
     "integer_test_points",
+    "window_counts",
+    "window_kinds",
     "window_test_points",
 ]
 
@@ -109,25 +112,45 @@ def window_test_points(candidate: Spectrum, target: Spectrum) -> list[Fraction]:
     return [Fraction(t, den) for t in points]
 
 
+def window_kinds(open_variant: bool) -> tuple[WindowKind, ...]:
+    """The window kinds a check tests: ]a,a+1], then ]a,a+1[ with the open variant."""
+    kinds = (WindowKind.OPEN_CLOSED, WindowKind.OPEN_OPEN)
+    return kinds if open_variant else kinds[:1]
+
+
+def window_counts(
+    spec: Spectrum, den: int, points: list[int], kinds: tuple[WindowKind, ...]
+) -> list[int]:
+    """Counts of ``spec`` over the unit windows at the integer test points t/den.
+
+    Per t, then per kind in order: ]t/den, t/den + 1], or ]t/den, t/den + 1[ for OPEN_OPEN.
+    """
+    rank = spec.rank
+    closed = [kind is WindowKind.OPEN_CLOSED for kind in kinds]
+    counts = []
+    for t in points:
+        left, right = rank(t, den, True), t + den
+        for inclusive in closed:
+            counts.append(rank(right, den, inclusive) - left)
+    return counts
+
+
 def _check(
     candidate: Spectrum, target: Spectrum, kinds: tuple[WindowKind, ...]
 ) -> SemicontinuityReport:
-    # one scan of the integer test points for every kind; violations come out
-    # ordered by a, then by kind in the order given
+    # violations come out ordered by a, then by kind in the order given
     den, points = integer_test_points(candidate, target)
-    closed = [(kind, kind is WindowKind.OPEN_CLOSED) for kind in kinds]
-    violations = []
-    for t in points:
-        c0, r0, u = candidate.rank(t, den, True), target.rank(t, den, True), t + den
-        for kind, inclusive in closed:
-            lhs = candidate.rank(u, den, inclusive) - c0
-            rhs = target.rank(u, den, inclusive) - r0
-            if lhs > rhs:
-                violations.append(Violation(Fraction(t, den), lhs, rhs, kind))
+    lhs = window_counts(candidate, den, points, kinds)
+    rhs = window_counts(target, den, points, kinds)
+    violations = [
+        Violation(Fraction(t, den), x, y, kind)
+        for (t, kind), x, y in zip(product(points, kinds), lhs, rhs)
+        if x > y
+    ]
     return SemicontinuityReport(
         holds=not violations,
         violations=tuple(violations),
-        breakpoints_checked=len(points) * len(kinds),
+        breakpoints_checked=len(lhs),
     )
 
 
@@ -155,7 +178,5 @@ def check_configuration(c: Configuration, apply_open_variant: bool = True) -> Se
     windows are always checked; the open windows are added unless
     ``apply_open_variant`` is False.
     """
-    kinds = (WindowKind.OPEN_CLOSED,)
-    if apply_open_variant:
-        kinds += (WindowKind.OPEN_OPEN,)
+    kinds = window_kinds(apply_open_variant)
     return _check(candidate_spectrum(c), fermat_spectrum(c.n, c.d), kinds)

@@ -43,7 +43,6 @@ __all__ = [
     "from_numerators",
     "join",
     "make_spectrum",
-    "unit_window_degree",
 ]
 
 NEG_INF = -math.inf
@@ -342,9 +341,3 @@ def deg_window(
         if p * u <= r * q:
             return max(s.rank(r, u, not right_open) - s.rank(p, q, left_open), 0)
     raise ValueError(f"empty interval bounds: {a} > {b}")
-
-
-def unit_window_degree(s: Spectrum, a: Fraction, kind: WindowKind) -> int:
-    """Degree of s over ]a, a+1[ or ]a, a+1] depending on kind."""
-    a = Fraction(a)
-    return deg_window(s, a, a + 1, True, kind is WindowKind.OPEN_OPEN)

@@ -10,8 +10,8 @@ different algorithm than the library:
 * brute-force interval counts over raw (value, multiplicity) pairs, against
   the bisect-based window degree;
 * a dense-sampling semicontinuity verdict, against the breakpoint scan;
-* the breakpoint scan on `Fraction` test points, one `unit_window_degree`
-  call per point, kind and spectrum, against the integer scan.
+* the breakpoint scan on `Fraction` test points, one `deg_window` call per
+  point, kind and spectrum, against the integer scan.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from specpol import (
     Violation,
     WindowKind,
     candidate_spectrum,
+    deg_window,
     fermat_spectrum,
     make_spectrum,
-    unit_window_degree,
 )
 
 
@@ -168,9 +168,10 @@ def fraction_check(candidate: Spectrum, target: Spectrum, kind: WindowKind) -> S
     """The semicontinuity scan with Fraction test points and window bounds."""
     points = fraction_test_points(candidate, target)
     violations = []
+    right_open = kind is WindowKind.OPEN_OPEN
     for a in points:
-        lhs = unit_window_degree(candidate, a, kind)
-        rhs = unit_window_degree(target, a, kind)
+        lhs = deg_window(candidate, a, a + 1, True, right_open)
+        rhs = deg_window(target, a, a + 1, True, right_open)
         if lhs > rhs:
             violations.append(Violation(a, lhs, rhs, kind))
     return SemicontinuityReport(

@@ -369,7 +369,6 @@ LIBRARY_ONLY = {
     "huh_inequality_holds": "perfbench/spans.py traces it by name",
     "alpha1_threshold": "perfbench/spans.py traces it by name",
     "corank_curve": "test_implied_pool_filters_are_vacuous uses it",
-    "unit_window_degree": "the tests/oracles.py reference uses it",
     "check": "the public single-kind semicontinuity check that the tests use",
 }
 

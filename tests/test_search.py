@@ -36,15 +36,14 @@ from specpol import (
     polar_degree,
     verify_huh_lists,
 )
-from specpol.search import (
-    MAX_POOL_CLASSES,
-    _lanes,
-    _pack,
-    _SearchContext,
-    _window_counts,
+from specpol.search import MAX_POOL_CLASSES, _lanes, _pack, _SearchContext
+from specpol.semicontinuity import (
+    integer_test_points,
+    window_counts,
+    window_kinds,
+    window_test_points,
 )
-from specpol.semicontinuity import integer_test_points, window_test_points
-from specpol.spectrum import EMPTY, NEG_INF
+from specpol.spectrum import EMPTY
 
 
 SURVIVORS_JSON = Path(__file__).resolve().parents[1] / "perfbench" / "survivors.json"
@@ -158,27 +157,27 @@ def test_packed_lanes_flag_exactly_the_exceeded_windows(data):
 
 @pytest.mark.parametrize("open_variant", [True, False])
 def test_window_counts_equal_deg_window(open_variant):
-    # reference: one deg_window call per pruning window, on Fraction bounds
+    # reference: one deg_window call per unit window, on Fraction bounds
+    kinds = window_kinds(open_variant)
     for n, d in [(2, 5), (3, 3), (5, 3)]:
         target = fermat_spectrum(n, d)
         den, points = integer_test_points(EMPTY, target)
         assert [Fraction(t, den) for t in points] == window_test_points(EMPTY, target)
-        windows = []
-        for a in window_test_points(EMPTY, target):
-            windows += [(a, a + 1, True, False), (NEG_INF, a, True, False)]
-            if open_variant:
-                windows += [(a, a + 1, True, True), (NEG_INF, a, True, True)]
+        # ]a,a+1], then ]a,a+1[ with the open variant
+        right_open = (False, True) if open_variant else (False,)
+        windows = [
+            (a, a + 1, True, r) for a in window_test_points(EMPTY, target) for r in right_open
+        ]
         for spec in [target] + [germ_spectrum(g) for g in germ_pool(n, (d - 1) ** n)]:
             expected = [deg_window(spec, *w) for w in windows]
-            assert _window_counts(spec, den, points, open_variant) == expected
+            assert window_counts(spec, den, points, kinds) == expected
 
 
 @pytest.mark.parametrize("open_variant", [True, False])
 def test_lanes_never_prune_a_configuration_the_check_passes(open_variant):
-    # The DFS also prunes on the rays ]-inf,a] and ]-inf,a[, which the check
-    # does not test directly; they follow from its unit windows (see the
-    # search module docstring), so a configuration that passes the check,
-    # partial ones included, fits every lane of the target.
+    # The lanes are the check's own unit windows at the target's test points,
+    # so a configuration that passes the check, partial ones included, fits
+    # every lane of the target.
     rng = random.Random(2018)
     passed = failed = 0
     for _ in range(600):
@@ -191,8 +190,9 @@ def test_lanes_never_prune_a_configuration_the_check_passes(open_variant):
             continue
         passed += 1
         den, points = integer_test_points(EMPTY, target)
-        lanes = _window_counts(candidate_spectrum(c), den, points, open_variant)
-        bounds = _window_counts(target, den, points, open_variant)
+        kinds = window_kinds(open_variant)
+        lanes = window_counts(candidate_spectrum(c), den, points, kinds)
+        bounds = window_counts(target, den, points, kinds)
         assert all(x <= y for x, y in zip(lanes, bounds)), c
     assert passed >= 100 and failed >= 100, (passed, failed)
 
@@ -239,21 +239,30 @@ def test_lookahead_bounds_every_completion(data):
         assert all(b <= x for b, x in zip(bound, counts)), (s, remaining, completion)
 
 
-# pruned_by["semicontinuity"] and examined of the k=2 searches, pinned so that
-# a change to the pruning shows up here; the ids name the pair only.
+# pruned_by["semicontinuity"] and examined, pinned so that a change to the
+# pruning shows up here: the k=2 pairs (ids name the pair only), then the
+# searches that go deepest below the root at k=2 and 3, with and without the
+# open variant.
 @pytest.mark.parametrize(
-    "n, d, pruned, examined",
+    "n, d, k, open_variant, pruned, examined",
     [
-        pytest.param(4, 3, 1, 0, id="4-3"),
-        pytest.param(2, 5, 78, 8, id="2-5"),
-        pytest.param(2, 6, 118, 0, id="2-6"),
-        pytest.param(3, 4, 1, 0, id="3-4"),
-        pytest.param(5, 3, 1, 0, id="5-3"),
-        pytest.param(2, 7, 1, 0, id="2-7"),
+        pytest.param(4, 3, 2, True, 1, 0, id="4-3"),
+        pytest.param(2, 5, 2, True, 78, 8, id="2-5"),
+        pytest.param(2, 6, 2, True, 118, 0, id="2-6"),
+        pytest.param(3, 4, 2, True, 1, 0, id="3-4"),
+        pytest.param(5, 3, 2, True, 1, 0, id="5-3"),
+        pytest.param(2, 7, 2, True, 1, 0, id="2-7"),
+        pytest.param(2, 5, 3, True, 99, 79, id="2-5-3"),
+        pytest.param(2, 6, 3, True, 469, 6, id="2-6-3"),
+        pytest.param(4, 3, 3, True, 52, 3, id="4-3-3"),
+        pytest.param(3, 3, 2, True, 9, 7, id="3-3-2"),
+        pytest.param(2, 6, 2, False, 911, 11, id="2-6-2-no-open"),
+        pytest.param(4, 3, 2, False, 101, 11, id="4-3-2-no-open"),
+        pytest.param(2, 6, 3, False, 2160, 449, id="2-6-3-no-open"),
     ],
 )
-def test_dfs_counts_are_pinned(n, d, pruned, examined):
-    report = enumerate_configurations(n, d, 2)
+def test_dfs_counts_are_pinned(n, d, k, open_variant, pruned, examined):
+    report = enumerate_configurations(n, d, k, filters=SearchFilters(open_variant=open_variant))
     assert report.pruned_by_dict()["semicontinuity"] == pruned
     assert report.examined == examined
 

@@ -21,7 +21,6 @@ from specpol import (
     make_spectrum,
     parse_germ,
     search,
-    unit_window_degree,
     verify_huh_lists,
 )
 from specpol.semicontinuity import window_test_points
@@ -154,8 +153,9 @@ def test_window_count_constancy_between_test_points():
         for x, y in zip(points, points[1:]):
             probes = [x + (y - x) * F(p, 7) for p in range(1, 7)]
             for kind in WindowKind:
+                right_open = kind is WindowKind.OPEN_OPEN
                 values = {
-                    (unit_window_degree(s, a, kind), unit_window_degree(t, a, kind))
+                    tuple(deg_window(u, a, a + 1, True, right_open) for u in (s, t))
                     for a in probes
                 }
                 assert len(values) == 1

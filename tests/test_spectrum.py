@@ -14,14 +14,12 @@ from specpol import (
     POS_INF,
     EmptySpectrumError,
     Spectrum,
-    WindowKind,
     add,
     deg_window,
     fermat_spectrum,
     from_numerators,
     join,
     make_spectrum,
-    unit_window_degree,
 )
 from oracles import brute_deg
 
@@ -207,8 +205,8 @@ def test_is_symmetric():
 
 def test_unit_window_degree_kinds():
     s = make_spectrum([(F(0), 1), (F(1), 5)])
-    assert unit_window_degree(s, F(0), WindowKind.OPEN_OPEN) == 0
-    assert unit_window_degree(s, F(0), WindowKind.OPEN_CLOSED) == 5
+    assert deg_window(s, F(0), F(1), True, True) == 0
+    assert deg_window(s, F(0), F(1), True, False) == 5
 
 
 def test_json_round_trip():
