@@ -7,15 +7,15 @@ each requested (n, d) pair and prints the survivors.  The low pairs (2,3),
 comes out empty.
 
 The default pair set is the whole k=2 region, `candidate_region(2)`.  On a
-2-core machine with Python 3.11 (five runs, search time as printed,
-interpreter start not included), every pair up to (2,7) takes at most
-0.02 s, (2,8) 0.02-0.03 s, (2,9) 0.05-0.06 s, (2,10) 0.08-0.12 s and (2,11)
-0.12-0.20 s, almost all of it building the pool's window vectors; the whole
-default run takes 0.47-0.68 s with interpreter start.  `-k 3 7,3` takes
-0.37-0.50 s, `-k 3 2,5 2,6 4,3` (three k=3 pairs with survivors, where
-the search goes below the root) 0.20-0.25 s, and `-k 4 2,6 2,7 3,4` (k=4
-pairs cut below the root) 0.37-0.44 s.  Pass explicit pairs and `-k` to
-search elsewhere.
+2-core machine with Python 3.11 (three runs, search time as printed,
+interpreter start not included), every pair up to (2,9) takes at most
+0.01 s, (2,10) 0.03 s and (2,11) 0.04 s; the whole default run takes
+0.29-0.32 s with interpreter start.  `-k 3 7,3` takes 0.30-0.32 s,
+`-k 3 2,5 2,6 4,3` (three k=3 pairs with survivors, where the search goes
+below the root) 0.25-0.28 s, `-k 4 2,6 2,7 3,4` (k=4 pairs cut below the
+root) 0.44-0.52 s, and `-k 3 3,8 2,19` (pools of 10,141 and 9,066 classes,
+cut at the root) 2.9-3.4 s.  Pass explicit pairs and `-k` to search
+elsewhere.
 """
 
 from __future__ import annotations

@@ -44,10 +44,14 @@ The weight product above is authoritative for this family; E(7) comes out as
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, compress
 from math import lcm
+from operator import neg
+from typing import Iterable
 
 from .spectrum import Spectrum, from_numerators
 
@@ -217,29 +221,35 @@ def spectrum_from_weights(w1: Fraction, w2: Fraction) -> Spectrum:
     coeffs = _divide_by_one_minus_power(coeffs, p2)
     if any(c < 0 for c in coeffs):
         raise ValueError("weight expansion has a negative coefficient")
-    return from_numerators(D, ((e - D, c) for e, c in enumerate(coeffs) if c > 0))
+    # the exponents with a non-zero coefficient, already increasing
+    nums = tuple(compress(range(-D, len(coeffs) - D), coeffs))
+    return Spectrum(D, nums, tuple(filter(None, coeffs)))
 
 
-def _j_negative_part(k: int, i: int) -> tuple[int, list[int]]:
-    # Negative spectral numbers of the J(k, i>0) curve germ, in two groups over
-    # 3k and 6k+2i, returned as numerators over their common denominator.
-    if k % 2 == 0:
-        group1 = list(range(-2 * k + 1, -3 * k // 2 + 1))
-    else:
-        group1 = list(range(-2 * k + 1, (-3 * k - 1) // 2 + 1))
-    group1 += list(range(-k + 1, 0))
+def _j_negative_part(k: int, i: int) -> tuple[int, Iterable[int]]:
+    # Negative spectral numbers of the J(k, i>0) curve germ as numerators over
+    # their common denominator den: group 1, -2k+1 .. floor(-3k/2) and
+    # -k+1 .. -1 over 3k, then group 2, the numerators above -(3k+i) with the
+    # parity of i over 6k+2i.  Each is a progression, scaled to den.
     den2 = 6 * k + 2 * i
-    group2 = [num for num in range(-(3 * k + i) + 1, 0) if (num - i) % 2 == 0]
-    assert all(2 * num > -den2 for num in group2), "second-group value not above -1/2"
     den = lcm(3 * k, den2)
     f1, f2 = den // (3 * k), den // den2
-    return den, [num * f1 for num in group1] + [num * f2 for num in group2]
+    low2 = -(3 * k + i) + 1
+    low2 += (low2 - i) % 2
+    assert 2 * low2 > -den2, "second-group value not above -1/2"
+    return den, chain(
+        range((-2 * k + 1) * f1, ((-3 * k) // 2 + 1) * f1, f1),
+        range((-k + 1) * f1, 0, f1),
+        range(low2 * f2, 0, 2 * f2),
+    )
 
 
-# A search builds each pool class's spectrum once; the cache serves the final
-# checks, which reuse them.  1024 holds every pool of the k=2 region ((2,11,2)
-# has 946 classes).  Unbounded, it would keep all 33,171 spectra of (4,6,3):
-# building that context peaks at 926 MB, against 69 MB at this size.
+# A search reads each pool class's spectrum in its root walk and, unless the
+# root is cut, again for the window vectors; the cache serves that second
+# pass and the final checks.  1024 holds every pool of the k=2 region
+# ((2,11,2) has 946 classes).  Unbounded, it would keep all 33,171 spectra of
+# (4,6,3): building that context peaked at 926 MB; at this size the whole
+# (4,6,3) search peaks at 70 MB.
 CURVE_CACHE_SIZE = 1024
 
 
@@ -253,13 +263,18 @@ def curve_spectrum(g: GermClass) -> Spectrum:
     if mu > MAX_EXPANSION_LENGTH:
         raise ValueError(f"the spectrum of {g} has more than {MAX_EXPANSION_LENGTH} spectral numbers")
     den, negatives = _j_negative_part(g.k, g.i)
-    at_zero = mu - 2 * len(negatives)
+    # the two groups can share a number, so merge them; then mirror about 0
+    merged = Counter(negatives)
+    nums = sorted(merged)
+    mults = [merged[x] for x in nums]
+    at_zero = mu - 2 * sum(mults)
     assert at_zero >= 0, f"negative multiplicity at 0 for {g}"
-    pairs = [(v, 1) for v in negatives]
-    pairs += [(-v, 1) for v in negatives]
-    if at_zero:
-        pairs.append((0, at_zero))
-    return from_numerators(den, pairs)
+    middle_nums, middle_mults = ([0], [at_zero]) if at_zero else ([], [])
+    return Spectrum(
+        den,
+        tuple(nums + middle_nums + list(map(neg, reversed(nums)))),
+        tuple(mults + middle_mults + mults[::-1]),
+    )
 
 
 def germ_spectrum(g: GermClass) -> Spectrum:

@@ -10,13 +10,15 @@ whitespace, so identical inputs always produce identical bytes.
 Rationals on the command line are written ``p/q`` or as plain integers;
 ``-inf`` and ``+inf`` are accepted where a ray endpoint makes sense.  Exit
 status is 0 on success (verdicts such as a failed check are data, not exit
-codes) and 2 on a usage or argument error.
+codes) and 2 on a usage or argument error; output into a pipe whose reader
+has gone stops quietly with status 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -158,6 +160,8 @@ def _cmd_pol(args) -> int:
 
 def _cmd_check(args) -> int:
     config = _load_configuration(args.config)
+    # no hypersurface has a total Milnor number over (d-1)^n: refused as pol refuses it
+    polar.polar_degree(config)
     report = semicontinuity.check_configuration(config, not args.no_open_variant)
     if args.json:
         _emit_json(report.to_json_obj())
@@ -316,13 +320,23 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        raise  # the reader is gone, not an argument error: main stops quietly
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        status = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`): point stdout at devnull so the
+        # flush at interpreter exit does not raise again, and stop quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -42,10 +42,21 @@ Filters:
   own counts and is cut if a lane's top bit is set.  Then every completion
   overflows that lane, so the cut drops only configurations that the lanes
   would reject at their last germ: survivors and ``examined`` are those of
-  the search without it; only the number of cuts changes.  At the root the
-  bound is a single-window certificate: 8 of the 13 pairs of
-  `candidate_region(2)`, (2,7) to (2,11) among them, are cut there with
-  nothing else visited.
+  the search without it; only the number of cuts changes.
+* Root walk (part of ``semicontinuity``): at the root the bound is a
+  single-window certificate, and it is decided before any window vector is
+  built.  The walk takes the pool lightest germ first and counts each germ
+  only on the lanes that can still certify the root; a lane drops out at the
+  first germ whose density is too low (`_SearchContext._root_is_cut` has the
+  proof that this is exactly the lookahead's test at the root).  If a lane
+  is left at the end, the search reports what the DFS reports for a cut
+  root, one cut and nothing examined, and builds, packs and visits nothing
+  more: 8 of the 13 pairs of `candidate_region(2)`, (2,7) to (2,11) among
+  them, and 31 of the 37 in-budget pairs of `candidate_region(3)` end there.
+  Otherwise the vectors are built and the DFS runs as above.  Every count,
+  in the walk and in the vectors, is taken on the curve spectrum at the test
+  points moved down by (n-2)/2, which equals the count of the germ spectrum
+  (its (n-2)-fold suspension) at the test points themselves.
 
 Reported counts: ``examined`` is the number of complete configurations that
 reached the target Milnor sum and entered per-configuration checking;
@@ -68,9 +79,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import product
 from typing import Iterable, Optional
 
-from .catalog import FAMILIES, GermClass, fermat_spectrum, germ_spectrum
+from .catalog import FAMILIES, GermClass, curve_spectrum, fermat_spectrum
 from .polar import (
     Configuration,
     InfeasibleConfigurationError,
@@ -78,9 +90,9 @@ from .polar import (
     polar_degree,
     sectional_milnor_plane,
 )
-from .semicontinuity import candidate_spectrum, check_configuration, integer_test_points
+from .semicontinuity import _check, candidate_spectrum, check_configuration, integer_test_points
 from .semicontinuity import window_counts, window_kinds
-from .spectrum import EMPTY, NEG_INF, deg_window
+from .spectrum import EMPTY, NEG_INF, WindowKind, deg_window
 
 __all__ = [
     "HuhEntryResult",
@@ -240,7 +252,11 @@ def _lanes(rhs: list[int], bound: int) -> tuple[int, int, int]:
 
 
 class _SearchContext:
-    """Prepared pool, packed window vectors and filter bookkeeping for one search."""
+    """Prepared pool, packed window vectors and filter bookkeeping for one search.
+
+    The root is decided first (`_root_is_cut`); the window vectors, their
+    packing and the lookahead densities are built only if it is not cut.
+    """
 
     def __init__(self, n: int, d: int, k: int, whitelist: frozenset[str], filters: SearchFilters):
         self.n, self.d, self.k = n, d, k
@@ -261,17 +277,64 @@ class _SearchContext:
         # pruning windows: the check's unit windows at every target test
         # point; with semicontinuity off there are none and high == 0
         den, points = integer_test_points(EMPTY, self.target) if filters.semicontinuity else (1, [])
-        kinds = window_kinds(filters.open_variant)
-        rhs = window_counts(self.target, den, points, kinds)
-        width, self.start, self.high = _lanes(rhs, self.target_mu)
+        self.kinds = window_kinds(filters.open_variant)
+        self.rhs = window_counts(self.target, den, points, self.kinds)
+        self.width, self.start, self.high = _lanes(self.rhs, self.target_mu)
+        # A germ spectrum is its curve spectrum moved up by (n-2)/2, so its
+        # window at t/den is the curve spectrum's at t/den - (n-2)/2; den is
+        # even, so these points are integers too.
+        shift = (n - 2) * den // 2
+        self.den, self.points = den, [t - shift for t in points]
+        self.root_cut = self._root_is_cut()
+        if not self.root_cut:
+            self.build()
+
+    def _root_is_cut(self) -> bool:
+        """Whether the lookahead cuts the root, found before any vector is built.
+
+        The root is cut exactly when some lane j has T * x_j/m_j > rhs_j,
+        with T = target_mu and x_j/m_j the least density of lane j over the
+        whole pool (see `lookahead`; rhs_j is an integer, so the ceiling
+        changes nothing).  The walk counts each germ on the lanes still live
+        only, lightest germ first; the order decides only how soon lanes
+        drop (with A in the whitelist A1 comes first, whose one spectral
+        number is the centre, and drops every lane whose window misses it).
+        A lane is dropped at the first germ g with
+        T * count_j(g) <= rhs_j * mu_g: the least density is at most that
+        germ's, so the lane cannot certify the root.  A density is at most
+        1, so a lane with rhs_j >= T is never live.  A lane live after the
+        whole pool has every density above rhs_j/T, its least one included,
+        so it certifies the root; the lanes live at the end are exactly
+        those whose bit is set in (start + lookahead(T)) & high.
+        """
+        T, den, kinds = self.target_mu, self.den, self.kinds
+        # (t, t + den, closed on the right, rhs) per live lane, counted as
+        # `window_counts` counts lane j
+        live = [
+            (t, t + den, kind is WindowKind.OPEN_CLOSED, r)
+            for (t, kind), r in zip(product(self.points, kinds), self.rhs)
+            if r < T
+        ]
+        for g in reversed(self.pool):
+            if not live:
+                return False
+            rank, mu = curve_spectrum(g).rank, g.milnor
+            live = [
+                lane for lane in live
+                if T * (rank(lane[1], den, lane[2]) - rank(lane[0], den, True)) > lane[3] * mu
+            ]
+        return bool(live)
+
+    def build(self) -> None:
+        """Window vectors of the pool, packed, and the lookahead densities."""
+        width, den, points, kinds = self.width, self.den, self.points, self.kinds
         # No carry between lanes: a node tests acc + lookahead, where acc is its
         # parent's state (every lane at most 2^(B-1) - 1, or the parent was cut)
         # plus germ g's vector.  g adds at most mu_g to a lane and the lookahead
         # at most the r - mu_g left after it, so a lane gains at most
         # r <= target_mu < 2^(B-1) and stays below 2^B.
         assert max(self.mus, default=0) <= self.target_mu < 1 << (width - 1)
-        self.width = width
-        vectors = [window_counts(germ_spectrum(g), den, points, kinds) for g in self.pool]
+        vectors = [window_counts(curve_spectrum(g), den, points, kinds) for g in self.pool]
         self.packed = [_pack(counts, width) for counts in vectors]
         # Per lane, the least density vec_g[j]/mu_g over the whole pool as
         # xs[j]/ms[j], from each Milnor number's lanewise least counts: one
@@ -282,7 +345,7 @@ class _SearchContext:
         by_mu: dict[int, list[list[int]]] = {}
         for mu, counts in zip(self.mus, vectors):
             by_mu.setdefault(mu, []).append(counts)
-        xs, ms = [1] * len(rhs), [1] * len(rhs)
+        xs, ms = [1] * len(self.rhs), [1] * len(self.rhs)
         for mu, group in by_mu.items():
             for j, x in enumerate(map(min, zip(*group))):
                 if x * ms[j] < xs[j] * mu:
@@ -314,6 +377,9 @@ def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int, int
     Returns (survivors, examined, subtree_prunes, final_rejections).  The
     packed window state ``acc`` is passed down by value, so nothing is undone.
     """
+    if ctx.root_cut:
+        # what the DFS returns when its first lookahead test cuts the root
+        return [], 0, 1, 0
     n, d, pool, mus, packed, high = ctx.n, ctx.d, ctx.pool, ctx.mus, ctx.packed, ctx.high
     lookahead = ctx.lookahead
     survivors: list[Configuration] = []
@@ -328,8 +394,9 @@ def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int, int
         if remaining == 0:
             examined += 1
             config = Configuration(n, d, tuple(pool[i] for i in stack))
-            if ctx.filters.semicontinuity and not check_configuration(
-                config, ctx.filters.open_variant
+            # check_configuration against the target this search already built
+            if ctx.filters.semicontinuity and not _check(
+                candidate_spectrum(config), ctx.target, ctx.kinds
             ).holds:
                 final_rejections += 1
             else:

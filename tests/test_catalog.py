@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -16,6 +16,7 @@ from specpol import (
     curve_spectrum,
     deg_window,
     fermat_spectrum,
+    from_numerators,
     germ_spectrum,
     join,
     make_spectrum,
@@ -347,38 +348,56 @@ def test_fermat_is_fast_at_moderate_size():
 # --- the integer form against Fraction arithmetic ------------------------------
 
 
-def _fraction_curve_values(g):
-    """Curve spectral numbers of g computed in Fractions, one per basis element.
+def _curve_numerators(g):
+    """Curve spectral numbers of g as (den, numerators), one per basis element.
 
     Weighted-homogeneous classes: (a+1) w1 + (b+1) w2 - 1 over a monomial basis
     x^a y^b of the Milnor algebra.  J(k, i>0): the tabulated two groups of
     negative values, their negatives and 0 for the rest of the Milnor number.
     """
     fam, k, i = g.family, g.k, g.i
-    if fam == "A":
-        return [F(a + 1, k + 1) - F(1, 2) for a in range(k)]
-    if fam == "D":  # x^2 y + y^(k-1): basis y^b (b <= k-2) and x
-        w1, w2 = F(k - 2, 2 * k - 2), F(1, k - 1)
-        return [w1 + (b + 1) * w2 - 1 for b in range(k - 1)] + [2 * w1 + w2 - 1]
+    if fam == "A":  # (a+1)/(k+1) - 1/2
+        return 2 * k + 2, [2 * a - k + 1 for a in range(k)]
+    if fam == "D":  # x^2 y + y^(k-1), w1 = (k-2)/(2k-2), w2 = 2/(2k-2): basis y^b (b <= k-2) and x
+        return 2 * k - 2, [2 * b - k + 2 for b in range(k - 1)] + [0]
     if fam == "J" and i > 0:
+        den = lcm(3 * k, 6 * k + 2 * i)
+        f1, f2 = den // (3 * k), den // (6 * k + 2 * i)
         if k % 2 == 0:
             group1 = range(-2 * k + 1, -3 * k // 2 + 1)
         else:
             group1 = range(-2 * k + 1, (-3 * k - 1) // 2 + 1)
-        negatives = [F(x, 3 * k) for x in group1] + [F(x, 3 * k) for x in range(-k + 1, 0)]
-        negatives += [F(x, 6 * k + 2 * i) for x in range(-(3 * k + i) + 1, 0) if (x - i) % 2 == 0]
-        return negatives + [-v for v in negatives] + [F(0)] * (g.milnor - 2 * len(negatives))
-    # x^3 + ...: basis x^a y^b with a < 2 and b below the row length of a
+        negatives = [x * f1 for x in group1] + [x * f1 for x in range(-k + 1, 0)]
+        negatives += [x * f2 for x in range(-(3 * k + i) + 1, 0) if (x - i) % 2 == 0]
+        return den, negatives + [-x for x in negatives] + [0] * (g.milnor - 2 * len(negatives))
+    # x^3 + ...: w1 = 1/3, w2 = p/q, basis x^a y^b with a < 2 and b below the
+    # row length of a; over 3q the value is (a+1) q + 3 (b+1) p - 3q
     r, res = divmod(k, 6)
     if fam == "J":  # J(k,0), weights (1/3, 1/(3k))
-        w2, rows = F(1, 3 * k), (3 * k - 1, 3 * k - 1)
+        p, q, rows = 1, 3 * k, (3 * k - 1, 3 * k - 1)
     elif res == 0:  # E(6r) = x^3 + y^(3r+1)
-        w2, rows = F(1, 3 * r + 1), (3 * r, 3 * r)
+        p, q, rows = 1, 3 * r + 1, (3 * r, 3 * r)
     elif res == 2:  # E(6r+2) = x^3 + y^(3r+2)
-        w2, rows = F(1, 3 * r + 2), (3 * r + 1, 3 * r + 1)
+        p, q, rows = 1, 3 * r + 2, (3 * r + 1, 3 * r + 1)
     else:  # E(6r+1) = x^3 + x y^(2r+1): y^b (b <= 4r) and x y^b (b < 2r)
-        w2, rows = F(2, 6 * r + 3), (4 * r + 1, 2 * r)
-    return [F(a + 1, 3) + (b + 1) * w2 - 1 for a, length in enumerate(rows) for b in range(length)]
+        p, q, rows = 2, 6 * r + 3, (4 * r + 1, 2 * r)
+    return 3 * q, [
+        (a + 1) * q + 3 * (b + 1) * p - 3 * q for a, length in enumerate(rows) for b in range(length)
+    ]
+
+
+def _fraction_curve_values(g):
+    """The spectral numbers of `_curve_numerators` as Fractions."""
+    den, nums = _curve_numerators(g)
+    return [F(x, den) for x in nums]
+
+
+def test_curve_spectra_equal_from_numerators_up_to_mu_400():
+    # curve_spectrum builds its sorted tuples directly; from_numerators sorts
+    # and merges (numerator, 1) pairs, one per basis element, through a dict
+    for g in germ_pool(2, 400):
+        den, nums = _curve_numerators(g)
+        assert curve_spectrum(g) == from_numerators(den, ((x, 1) for x in nums)), g
 
 
 def _assert_same(x, y):

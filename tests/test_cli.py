@@ -167,12 +167,20 @@ A4_HALF_OPEN = (
     ],
 )
 def test_check_json_bytes_are_pinned(config, extra, length, digest, capsys):
-    code, out, err = invoke(capsys, "check", "--config", config, *extra, "--json")
-    assert code == 0 and err == ""
+    # the library's report bytes; `check --json` prints them for a configuration
+    # within (d-1)^n and refuses one over it (A99 at (2,3)) as `pol` does
+    c = specpol.Configuration.from_json(config)
+    out = specpol.check_configuration(c, not extra).to_json() + "\n"
     if config == '{"n":2,"d":3,"germs":["A4"]}' and extra:
         assert out == A4_HALF_OPEN
     assert len(out) == length
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    code, cli_out, err = invoke(capsys, "check", "--config", config, *extra, "--json")
+    if c.total_milnor <= c.smooth_milnor:
+        assert (code, cli_out, err) == (0, out, "")
+    else:
+        assert (code, cli_out) == (2, "")
+        assert err == f"error: total Milnor number {c.total_milnor} exceeds (d-1)^n = {c.smooth_milnor}\n"
 
 
 def test_search_json(capsys):
@@ -284,6 +292,8 @@ def test_usage_errors_exit_two(capsys):
         ["check", "--config", '{"n":' + "[" * 100_000],
         # a join over its pair budget: each side is within MAX_FERMAT_WORK
         ["spectrum", "join", "fermat:1:1000001", "fermat:1:1000001"],
+        # a total Milnor number over (d-1)^n, refused by check as by pol
+        ["check", "--config", json.dumps({"n": 2, "d": 3, "germs": [f"A{k}" for k in range(1, 121)]})],
     ],
 )
 def test_malformed_input_exits_two_with_one_line(argv, tmp_path, capsys):
@@ -329,6 +339,22 @@ def test_python_dash_m_runs_from_a_checkout(capsys):
     assert proc.returncode == 0, proc.stderr
     code, out, _ = invoke(capsys, "region", "2", "--json")
     assert proc.stdout == out
+
+
+def test_output_into_a_closed_pipe_stops_quietly():
+    # stdout is a pipe whose reader is gone, as under `| head` once head exits
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "specpol", "search", "2", "5", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode not in (0, 2)
 
 
 def test_readme_command_block_runs(capsys):

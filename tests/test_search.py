@@ -199,7 +199,11 @@ def test_lanes_never_prune_a_configuration_the_check_passes(open_variant):
 
 @functools.lru_cache(maxsize=None)
 def _context(n, d, k, open_variant):
-    return _SearchContext(n, d, k, frozenset("ADEJ"), SearchFilters(open_variant=open_variant))
+    # fully built, also where the root walk cut the root and skipped the build
+    ctx = _SearchContext(n, d, k, frozenset("ADEJ"), SearchFilters(open_variant=open_variant))
+    if ctx.root_cut:
+        ctx.build()
+    return ctx
 
 
 def _completions(mus, s, remaining):
@@ -237,6 +241,50 @@ def test_lookahead_bounds_every_completion(data):
         # lane sums stay below 2^(B-1), so the packed sum does not carry
         counts = _unpack(sum(ctx.packed[i] for i in completion), ctx.width, lanes)
         assert all(b <= x for b, x in zip(bound, counts)), (s, remaining, completion)
+
+
+def _root_cases():
+    # every pair of candidate_region(k), k = 2..4, whose pool has at most 400
+    # classes, and the k = 0 and 1 cases of the unpruned-search oracle
+    for k in (2, 3, 4):
+        for n, d in sorted(candidate_region(k).pairs):
+            if germ_pool_size((d - 1) ** n - k) <= 400:
+                yield n, d, k
+    yield from ((n, d, k) for n, d, k in _ORACLE_CASES if k < 2)
+
+
+def test_root_walk_equals_the_full_lookahead():
+    # The walk decides the root before any vector is built; the full build's
+    # lookahead over the whole pool must cut the root exactly when it does.
+    cut = kept = 0
+    for n, d, k in _root_cases():
+        for whitelist in ("ADEJ", "DEJ", "AD", "J"):
+            for open_variant in (True, False):
+                ctx = _SearchContext(
+                    n, d, k, frozenset(whitelist), SearchFilters(open_variant=open_variant)
+                )
+                root_cut = ctx.root_cut
+                if root_cut:
+                    ctx.build()
+                full = bool((ctx.start + ctx.lookahead(ctx.target_mu)) & ctx.high)
+                assert root_cut == full, (n, d, k, whitelist, open_variant)
+                cut += root_cut
+                kept += not root_cut
+    assert cut >= 100 and kept >= 100, (cut, kept)
+
+
+@pytest.mark.parametrize("n, d, k", [(3, 3, 2), (5, 3, 2), (4, 3, 3), (7, 3, 3)])
+def test_vectors_count_the_curve_spectrum_at_shifted_points(n, d, k):
+    # the context counts each curve spectrum at the target's test points moved
+    # down by (n-2)/2; that is the count of the suspended germ spectrum
+    ctx = _context(n, d, k, True)
+    den, points = integer_test_points(EMPTY, fermat_spectrum(n, d))
+    kinds = window_kinds(True)
+    assert ctx.den == den
+    for g, packed in zip(ctx.pool, ctx.packed):
+        counts = window_counts(germ_spectrum(g), den, points, kinds)
+        assert window_counts(curve_spectrum(g), ctx.den, ctx.points, kinds) == counts, g
+        assert packed == _pack(counts, ctx.width), g
 
 
 # pruned_by["semicontinuity"] and examined, pinned so that a change to the

@@ -215,15 +215,17 @@ def test_integer_check_equals_fraction_reference(candidate, target, kind):
 
 
 def test_check_configuration_equals_fraction_reference_on_the_k2_sweep(monkeypatch):
-    # every configuration the k=2 sweep and the bundled lists send to the check
+    # every configuration the k=2 sweep and the bundled lists send to the
+    # check: the search's final check sums the spectrum with candidate_spectrum
     seen = []
-    real = search.check_configuration
+    for name in ("candidate_spectrum", "check_configuration"):
+        real = getattr(search, name)
 
-    def recording(c, apply_open_variant=True):
-        seen.append(c)
-        return real(c, apply_open_variant)
+        def recording(c, *args, real=real):
+            seen.append(c)
+            return real(c, *args)
 
-    monkeypatch.setattr(search, "check_configuration", recording)
+        monkeypatch.setattr(search, name, recording)
     for n, d in [(2, 3), (3, 3), (2, 4), (4, 3), (2, 5), (2, 6), (3, 4), (5, 3), (2, 7)]:
         enumerate_configurations(n, d, 2)
     verify_huh_lists()
