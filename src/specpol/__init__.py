@@ -18,15 +18,12 @@ from .bounds import (
 from .catalog import (
     GermClass,
     InvalidGermError,
-    NotWeightedHomogeneousError,
     corank_curve,
     curve_spectrum,
     fermat_spectrum,
     germ_spectrum,
     multiplicity_curve,
     parse_germ,
-    spectrum_from_weights,
-    weights,
 )
 from .polar import (
     Configuration,

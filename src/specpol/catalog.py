@@ -19,25 +19,30 @@ plus the diagonal germ x_1^d + ... + x_n^d handled by
 :func:`fermat_spectrum`.
 
 Every class except J(k, i) with i > 0 is weighted homogeneous, and its curve
-spectrum is the exact expansion of
+spectrum is the expansion of
 
     (t^w1 - t)/(1 - t^w1) * (t^w2 - t)/(1 - t^w2)
 
-in fractional powers of t (:func:`spectrum_from_weights`).  Spectra are stored
-in the convention where a curve spectrum is symmetric about 0 and contained in
+in fractional powers of t: one spectral number (a+1) w1 + (b+1) w2 - 1 per
+monomial x^a y^b of a basis of the Milnor algebra.  :func:`curve_spectrum`
+writes these sums in closed form, as one or two arithmetic progressions of
+numerators per family; the test suite keeps the generating-function
+expansion itself as an independent oracle.  Spectra are stored in the
+convention where a curve spectrum is symmetric about 0 and contained in
 ]-1, 1[; an ambient-n germ spectrum is the (n-2)-fold suspension of its curve
 spectrum.
 
 Each function here that returns a spectrum makes the integer form of
 :class:`Spectrum` directly: numerators over one denominator, the common
-denominator D of the weights, lcm(3k, 6k+2i) for J(k, i>0) and d for the
+denominator of the weights, lcm(3k, 6k+2i) for J(k, i>0) and d for the
 diagonal germ.  No spectral number is formed or sorted as a `Fraction`.
 
 Note on the E(6r+1) family: expanding the per-family tabulated sum
 (0) + sum_{i=1,2} sum_{j=1..3r} (-i/3 + 2j/(6r+3)) breaks the symmetry of the
 spectrum about 0 already at r = 1 (it yields 1/3 and a doubled 0 instead of
 the +-2/9, +-4/9 required by symmetry and by the Weyl-exponent cross-check).
-The weight product above is authoritative for this family; E(7) comes out as
+The weight product above is authoritative for this family, over the basis
+y^b (b <= 4r), x y^b (b < 2r) of x^3 + x y^(2r+1); E(7) comes out as
 {-4/9, -2/9, -1/9, 0, 1/9, 2/9, 4/9}.
 """
 
@@ -46,9 +51,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain
 from math import lcm
 from operator import neg
 from typing import Iterable
@@ -59,15 +63,12 @@ __all__ = [
     "FAMILIES",
     "GermClass",
     "InvalidGermError",
-    "NotWeightedHomogeneousError",
     "corank_curve",
     "curve_spectrum",
     "fermat_spectrum",
     "germ_spectrum",
     "multiplicity_curve",
     "parse_germ",
-    "spectrum_from_weights",
-    "weights",
 ]
 
 FAMILIES = ("A", "D", "E", "J")
@@ -79,10 +80,6 @@ _GERM_RE = re.compile(r"^([ADE])(\d+)$|^J(\d+)_(\d+)$")
 
 class InvalidGermError(ValueError):
     """Raised for parameters outside the catalog or malformed class strings."""
-
-
-class NotWeightedHomogeneousError(ValueError):
-    """Raised when weights are requested for a J(k, i>0) germ."""
 
 
 @dataclass(frozen=True)
@@ -155,75 +152,19 @@ def multiplicity_curve(g: GermClass) -> int:
     return 2 if g.family == "A" else 3
 
 
-def weights(g: GermClass) -> tuple[Fraction, Fraction]:
-    """The weight pair (w1, w2) of a weighted-homogeneous catalog class."""
-    fam, k = g.family, g.k
-    if fam == "A":
-        return Fraction(1, k + 1), Fraction(1, 2)
-    if fam == "D":
-        return Fraction(k - 2, 2 * k - 2), Fraction(1, k - 1)
-    if fam == "E":
-        r, res = divmod(k, 6)
-        if res == 0:
-            return Fraction(1, 3), Fraction(1, 3 * r + 1)
-        if res == 1:
-            return Fraction(1, 3), Fraction(2, 6 * r + 3)
-        return Fraction(1, 3), Fraction(1, 3 * r + 2)
-    if g.i == 0:
-        return Fraction(1, 3), Fraction(1, 3 * k)
-    raise NotWeightedHomogeneousError(f"{g} is not weighted homogeneous (i > 0)")
-
-
-# The longest list a catalog curve spectrum is expanded into: the 2D+1
-# coefficients of a weight expansion, or the about mu spectral numbers of a
-# J(k, i>0) class.  Anything longer is refused before it is allocated.  On a
-# 2-core machine with Python 3.11, A124998 (2D+1 = 500,001) builds in 0.3 s
-# at 40 MB peak RSS and J2_499990 (mu = 500,000) in 0.8 s at 141 MB; a search
-# pool within MAX_POOL_CLASSES has mu at most 1,540.
+# The most spectral numbers a catalog curve spectrum is built with: a class
+# of larger Milnor number is refused before anything is allocated.  On a
+# 2-core machine with Python 3.11, the largest classes within it build in
+# 0.07-0.35 s at 46-98 MB peak RSS (A500000 0.11 s at 62 MB, D500000 0.35 s
+# at 84 MB, J2_499990 0.31 s at 98 MB); a search pool within
+# MAX_POOL_CLASSES has mu at most 1,540.
 MAX_EXPANSION_LENGTH = 500_000
 
 
-def _divide_by_one_minus_power(coeffs: list[int], p: int) -> list[int]:
-    # exact division by (1 - s^p); quotient q satisfies q[e] = coeffs[e] + q[e-p]
-    n = len(coeffs)
-    q = [0] * n
-    for e in range(n):
-        q[e] = coeffs[e] + (q[e - p] if e >= p else 0)
-    if any(q[e] != 0 for e in range(n - p, n)):
-        raise ValueError("weight expansion is not exact")
-    return q[: n - p]
-
-
-def spectrum_from_weights(w1: Fraction, w2: Fraction) -> Spectrum:
-    """Expand (t^w1 - t)(t^w2 - t) / ((1 - t^w1)(1 - t^w2)) exactly.
-
-    Both weights are written over their common denominator D and the
-    substitution s = t^(1/D) turns the expansion into two exact divisions of
-    integer polynomials by (1 - s^p).  The exponent e of s contributes the
-    spectral number e/D - 1.  The total is (1/w1 - 1)(1/w2 - 1).  An
-    expansion longer than MAX_EXPANSION_LENGTH is refused with a ValueError.
-    """
-    w1, w2 = Fraction(w1), Fraction(w2)
-    if not (0 < w1 < 1 and 0 < w2 < 1):
-        raise ValueError(f"weights must lie strictly between 0 and 1, got {w1}, {w2}")
-    D = lcm(w1.denominator, w2.denominator)
-    if 2 * D + 1 > MAX_EXPANSION_LENGTH:
-        raise ValueError(f"the weight expansion needs more than {MAX_EXPANSION_LENGTH} coefficients")
-    p1 = w1.numerator * (D // w1.denominator)
-    p2 = w2.numerator * (D // w2.denominator)
-    # numerator (s^p1 - s^D)(s^p2 - s^D)
-    coeffs = [0] * (2 * D + 1)
-    coeffs[p1 + p2] += 1
-    coeffs[2 * D] += 1
-    coeffs[p1 + D] -= 1
-    coeffs[p2 + D] -= 1
-    coeffs = _divide_by_one_minus_power(coeffs, p1)
-    coeffs = _divide_by_one_minus_power(coeffs, p2)
-    if any(c < 0 for c in coeffs):
-        raise ValueError("weight expansion has a negative coefficient")
-    # the exponents with a non-zero coefficient, already increasing
-    nums = tuple(compress(range(-D, len(coeffs) - D), coeffs))
-    return Spectrum(D, nums, tuple(filter(None, coeffs)))
+def _disjoint(den: int, *progressions: range) -> Spectrum:
+    # progressions of numerators over den that share no number, each once
+    nums = tuple(sorted(chain(*progressions)))
+    return Spectrum(den, nums, (1,) * len(nums))
 
 
 def _j_negative_part(k: int, i: int) -> tuple[int, Iterable[int]]:
@@ -255,14 +196,48 @@ CURVE_CACHE_SIZE = 1024
 
 @lru_cache(maxsize=CURVE_CACHE_SIZE)
 def curve_spectrum(g: GermClass) -> Spectrum:
-    """Spectrum of the two-variable germ of the class (symmetric about 0)."""
+    """Spectrum of the two-variable germ of the class (symmetric about 0).
+
+    A weighted-homogeneous class with weights (w1, w2) has one spectral
+    number (a+1) w1 + (b+1) w2 - 1 per monomial x^a y^b of a Milnor-algebra
+    basis; over the common denominator these are one or two arithmetic
+    progressions of numerators:
+
+    * A(k), basis x^a (a < k): 1-k, 3-k, ..., k-1 over 2(k+1);
+    * D(k), basis y^b (b <= k-2) and x: 2-k, 4-k, ..., k-2 over 2k-2, plus 0
+      (for even k, 0 is then a double number);
+    * E(6r), E(6r+2) = x^3 + y^m with m = 3r+1, 3r+2, basis x^a y^b (a < 2,
+      b < m-1): 3-2m, 6-2m, ..., m-3 and 3-m, 6-m, ..., 2m-3 over 3m;
+    * E(6r+1) = x^3 + x y^(2r+1), basis y^b (b <= 4r) and x y^b (b < 2r):
+      -4r, 2-4r, ..., 4r and 1-2r, 3-2r, ..., 2r-1 over 6r+3;
+    * J(k,0) = x^3 + y^(3k), basis x^a y^b (a < 2, b < 3k-1): 1-2k .. k-1 and
+      1-k .. 2k-1 over 3k, which overlap, so 1-k .. k-1 are double numbers.
+
+    J(k, i>0) is assembled from its negative part (`_j_negative_part`) by
+    symmetry.  A class with Milnor number over MAX_EXPANSION_LENGTH is
+    refused with a ValueError before anything is built.
+    """
     g = g.in_ambient(2)
-    if g.family != "J" or g.i == 0:
-        return spectrum_from_weights(*weights(g))
-    mu = g.milnor
+    fam, k, mu = g.family, g.k, g.milnor
     if mu > MAX_EXPANSION_LENGTH:
         raise ValueError(f"the spectrum of {g} has more than {MAX_EXPANSION_LENGTH} spectral numbers")
-    den, negatives = _j_negative_part(g.k, g.i)
+    if fam == "A":
+        return _disjoint(2 * k + 2, range(1 - k, k, 2))
+    if fam == "D":
+        if k % 2:
+            return _disjoint(2 * k - 2, range(2 - k, k - 1, 2), range(0, 1))
+        mults = [1] * (k - 1)
+        mults[k // 2 - 1] = 2
+        return Spectrum(2 * k - 2, tuple(range(2 - k, k - 1, 2)), tuple(mults))
+    if fam == "E":
+        r, res = divmod(k, 6)
+        if res == 1:
+            return _disjoint(6 * r + 3, range(-4 * r, 4 * r + 1, 2), range(1 - 2 * r, 2 * r, 2))
+        m = 3 * r + 1 + res // 2
+        return _disjoint(3 * m, range(3 - 2 * m, m, 3), range(3 - m, 2 * m, 3))
+    if g.i == 0:
+        return Spectrum(3 * k, tuple(range(1 - 2 * k, 2 * k)), (1,) * k + (2,) * (2 * k - 1) + (1,) * k)
+    den, negatives = _j_negative_part(k, g.i)
     # the two groups can share a number, so merge them; then mirror about 0
     merged = Counter(negatives)
     nums = sorted(merged)

@@ -67,14 +67,41 @@ def _load_spectrum(source: str) -> Spectrum:
         ambient = _source_int(source, "<vars>", parts[2]) if len(parts) == 3 else 2
         return catalog.germ_spectrum(catalog.parse_germ(parts[1], ambient))
     if source.startswith("fermat:"):
-        parts = source.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"bad fermat source {source!r}; use fermat:<n>:<d>")
-        return catalog.fermat_spectrum(
-            _source_int(source, "<n>", parts[1]), _source_int(source, "<d>", parts[2])
-        )
+        return catalog.fermat_spectrum(*_fermat_source(source))
     text = sys.stdin.read() if source == "-" else Path(source).read_text()
     return Spectrum.from_json(text)
+
+
+def _fermat_source(source: str) -> tuple[int, int]:
+    parts = source.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"bad fermat source {source!r}; use fermat:<n>:<d>")
+    return _source_int(source, "<n>", parts[1]), _source_int(source, "<d>", parts[2])
+
+
+def _fermat_size(source: str) -> int | None:
+    """Distinct spectral numbers of a valid fermat:<n>:<d> source, n(d-2)+1; else None."""
+    if not source.startswith("fermat:"):
+        return None
+    n, d = _fermat_source(source)
+    return n * (d - 2) + 1 if n >= 1 and d >= 2 else None
+
+
+def _join_sources(left: str, right: str) -> Spectrum:
+    """The join of two sources, refused over its pair budget before a diagonal germ is built.
+
+    A fermat source's size is known from n and d; every other source is
+    loaded first, and the fermat sources only once the budget holds.
+    """
+    sources = (left, right)
+    sizes = [_fermat_size(source) for source in sources]
+    spectra = [_load_spectrum(s) if size is None else None for s, size in zip(sources, sizes)]
+    spectrum._check_join_size(
+        *(len(s.nums) if size is None else size for s, size in zip(spectra, sizes))
+    )
+    return spectrum.join(
+        *(_load_spectrum(source) if s is None else s for source, s in zip(sources, spectra))
+    )
 
 
 def _load_configuration(value: str) -> Configuration:
@@ -111,8 +138,7 @@ def _cmd_spectrum(args) -> int:
             Fraction(args.n - 2, 2),
         )
     else:
-        joined = spectrum.join(_load_spectrum(args.left), _load_spectrum(args.right))
-        _print_spectrum(joined, args.json)
+        _print_spectrum(_join_sources(args.left, args.right), args.json)
     return 0
 
 

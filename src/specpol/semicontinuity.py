@@ -16,21 +16,22 @@ when a or a+1 crosses a support point.  We therefore test every breakpoint
 constancy interval, and one point beyond each end.  Over D = 2*lcm of the two
 denominators every breakpoint is an even integer, so every test point is an
 integer t and its window ]t/D, t/D + 1] ends at (t + D)/D: the check counts
-each window with two integer ranks per spectrum (`Spectrum.rank`) and builds
-a `Fraction` only for the a of a violation.
+each window with two integer thresholds and two bisects per spectrum
+(`window_counts`) and builds a `Fraction` only for the a of a violation.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .catalog import fermat_spectrum, germ_spectrum
+from .catalog import curve_spectrum, fermat_spectrum
 from .polar import Configuration
-from .spectrum import EMPTY, Spectrum, WindowKind
+from .spectrum import Spectrum, WindowKind, add
 
 __all__ = [
     "SemicontinuityReport",
@@ -124,14 +125,22 @@ def window_counts(
     """Counts of ``spec`` over the unit windows at the integer test points t/den.
 
     Per t, then per kind in order: ]t/den, t/den + 1], or ]t/den, t/den + 1[ for OPEN_OPEN.
+    As in `Spectrum.rank`, each endpoint p/den is one integer threshold on the
+    numerators x of ``spec`` over its own denominator s: x/s > p/den exactly
+    when x > floor(p*s/den), x/s <= p/den when x <= floor(p*s/den), and
+    x/s < p/den when x < ceil(p*s/den); a bisect on the numerators counts them.
     """
-    rank = spec.rank
+    nums, cum, s = spec.nums, spec._cum, spec.den
     closed = [kind is WindowKind.OPEN_CLOSED for kind in kinds]
     counts = []
     for t in points:
-        left, right = rank(t, den, True), t + den
+        left = cum[bisect_right(nums, t * s // den)]
+        right = (t + den) * s
         for inclusive in closed:
-            counts.append(rank(right, den, inclusive) - left)
+            if inclusive:
+                counts.append(cum[bisect_right(nums, right // den)] - left)
+            else:
+                counts.append(cum[bisect_left(nums, -(-right // den))] - left)
     return counts
 
 
@@ -164,11 +173,13 @@ def check(candidate: Spectrum, target: Spectrum, kind: WindowKind) -> Semicontin
 
 
 def candidate_spectrum(c: Configuration) -> Spectrum:
-    """Sum of the germ spectra of a configuration (ambient n convention)."""
-    out = EMPTY
-    for g in c.germs:
-        out = out + germ_spectrum(g)
-    return out
+    """Sum of the germ spectra of a configuration (ambient n convention).
+
+    Every germ of ``c`` has ambient n, and each germ spectrum is its curve
+    spectrum suspended n-2 times, so the curve spectra are merged once and
+    the sum is suspended once.
+    """
+    return add(*map(curve_spectrum, c.germs)).suspend(c.n - 2)
 
 
 def check_configuration(c: Configuration, apply_open_variant: bool = True) -> SemicontinuityReport:

@@ -161,6 +161,8 @@ class Spectrum:
     def shift(self, q: Fraction) -> "Spectrum":
         """Translate every spectral number by q, keeping multiplicities."""
         q = Fraction(q)
+        if not q:
+            return self
         den = math.lcm(self.den, q.denominator)
         scale, offset = den // self.den, q.numerator * (den // q.denominator)
         return Spectrum(den, tuple(x * scale + offset for x in self.nums), self.mults)
@@ -264,20 +266,30 @@ def make_spectrum(pairs: Iterable[tuple[Fraction, int]]) -> Spectrum:
     )
 
 
-def add(s1: Spectrum, s2: Spectrum) -> Spectrum:
-    """Pointwise sum of multiplicities; total(add) = total(s1) + total(s2)."""
-    if not s1.nums:
-        return s2
-    if not s2.nums:
-        return s1
-    den = math.lcm(s1.den, s2.den)
-    return from_numerators(den, chain(_over(s1, den), _over(s2, den)))
+def add(*spectra: Spectrum) -> Spectrum:
+    """Pointwise sum of multiplicities; the total is the sum of the totals.
+
+    All the spectra are merged at once, over the lcm of their denominators.
+    """
+    spectra = [s for s in spectra if s.nums]
+    if len(spectra) < 2:
+        return spectra[0] if spectra else EMPTY
+    den = math.lcm(*(s.den for s in spectra))
+    return from_numerators(den, chain.from_iterable(_over(s, den) for s in spectra))
 
 
 # The most (alpha, beta) pairs a join sums.  On a 2-core machine with Python
 # 3.11, joining fermat:1:1001 with itself (10^6 pairs, 1,999 sums) takes 0.3 s
 # at 16 MB peak RSS, and 10^6 pairs with distinct sums 0.9 s at 156 MB.
 MAX_JOIN_PAIRS = 1_000_000
+
+
+def _check_join_size(m: int, n: int) -> None:
+    # the pair budget of a join of spectra with m and n distinct numbers
+    pairs = m * n
+    if pairs > MAX_JOIN_PAIRS:
+        shown = pairs if pairs < 10**18 else "more than 10^18"  # int-to-str has a digit limit
+        raise ValueError(f"the join would sum {shown} pairs of spectral numbers, over the budget of {MAX_JOIN_PAIRS}")
 
 
 def join(s1: Spectrum, s2: Spectrum) -> Spectrum:
@@ -290,9 +302,7 @@ def join(s1: Spectrum, s2: Spectrum) -> Spectrum:
     MAX_JOIN_PAIRS pairs of spectral numbers is refused with a ValueError
     before the first is summed.
     """
-    pairs = len(s1.nums) * len(s2.nums)
-    if pairs > MAX_JOIN_PAIRS:
-        raise ValueError(f"the join would sum {pairs} pairs of spectral numbers, over the budget of {MAX_JOIN_PAIRS}")
+    _check_join_size(len(s1.nums), len(s2.nums))
     if not s1.nums or not s2.nums:
         return EMPTY
     den = math.lcm(s1.den, s2.den)

@@ -3,32 +3,117 @@
 Everything here is deliberately written against different formulas or a
 different algorithm than the library:
 
+* the generating-function expansion of a weighted-homogeneous curve
+  spectrum, by exact polynomial division, against the closed-form
+  progressions of the catalog;
 * the explicit per-family curve-spectrum sums (A, D, E(6r), E(6r+2), J(k,0)),
-  against the generating-function expansion;
+  against both;
 * a Newton-diagram lattice count for convenient nondegenerate curve germs,
   against the parity construction of the J(k, i>0) negative part;
 * brute-force interval counts over raw (value, multiplicity) pairs, against
   the bisect-based window degree;
 * a dense-sampling semicontinuity verdict, against the breakpoint scan;
 * the breakpoint scan on `Fraction` test points, one `deg_window` call per
-  point, kind and spectrum, against the integer scan.
+  point, kind and spectrum, against the integer scan;
+* the candidate spectrum as a running sum of suspended germ spectra, one
+  `add` per germ, against the single merge of the curve spectra.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
+from math import lcm
 
 from specpol import (
     Configuration,
+    GermClass,
     SemicontinuityReport,
     Spectrum,
     Violation,
     WindowKind,
-    candidate_spectrum,
+    add,
     deg_window,
     fermat_spectrum,
+    germ_spectrum,
     make_spectrum,
 )
+from specpol.catalog import MAX_EXPANSION_LENGTH
+from specpol.spectrum import EMPTY
+
+
+class NotWeightedHomogeneousError(ValueError):
+    """Raised when weights are requested for a J(k, i>0) germ."""
+
+
+def weights(g: GermClass) -> tuple[Fraction, Fraction]:
+    """The weight pair (w1, w2) of a weighted-homogeneous catalog class."""
+    fam, k = g.family, g.k
+    if fam == "A":
+        return Fraction(1, k + 1), Fraction(1, 2)
+    if fam == "D":
+        return Fraction(k - 2, 2 * k - 2), Fraction(1, k - 1)
+    if fam == "E":
+        r, res = divmod(k, 6)
+        if res == 0:
+            return Fraction(1, 3), Fraction(1, 3 * r + 1)
+        if res == 1:
+            return Fraction(1, 3), Fraction(2, 6 * r + 3)
+        return Fraction(1, 3), Fraction(1, 3 * r + 2)
+    if g.i == 0:
+        return Fraction(1, 3), Fraction(1, 3 * k)
+    raise NotWeightedHomogeneousError(f"{g} is not weighted homogeneous (i > 0)")
+
+
+def _divide_by_one_minus_power(coeffs: list[int], p: int) -> list[int]:
+    # exact division by (1 - s^p); quotient q satisfies q[e] = coeffs[e] + q[e-p]
+    n = len(coeffs)
+    q = [0] * n
+    for e in range(n):
+        q[e] = coeffs[e] + (q[e - p] if e >= p else 0)
+    if any(q[e] != 0 for e in range(n - p, n)):
+        raise ValueError("weight expansion is not exact")
+    return q[: n - p]
+
+
+def spectrum_from_weights(w1: Fraction, w2: Fraction) -> Spectrum:
+    """Expand (t^w1 - t)(t^w2 - t) / ((1 - t^w1)(1 - t^w2)) exactly.
+
+    Both weights are written over their common denominator D and the
+    substitution s = t^(1/D) turns the expansion into two exact divisions of
+    integer polynomials by (1 - s^p).  The exponent e of s contributes the
+    spectral number e/D - 1.  The total is (1/w1 - 1)(1/w2 - 1).  An
+    expansion longer than MAX_EXPANSION_LENGTH is refused with a ValueError.
+    """
+    w1, w2 = Fraction(w1), Fraction(w2)
+    if not (0 < w1 < 1 and 0 < w2 < 1):
+        raise ValueError(f"weights must lie strictly between 0 and 1, got {w1}, {w2}")
+    D = lcm(w1.denominator, w2.denominator)
+    if 2 * D + 1 > MAX_EXPANSION_LENGTH:
+        raise ValueError(f"the weight expansion needs more than {MAX_EXPANSION_LENGTH} coefficients")
+    p1 = w1.numerator * (D // w1.denominator)
+    p2 = w2.numerator * (D // w2.denominator)
+    # numerator (s^p1 - s^D)(s^p2 - s^D)
+    coeffs = [0] * (2 * D + 1)
+    coeffs[p1 + p2] += 1
+    coeffs[2 * D] += 1
+    coeffs[p1 + D] -= 1
+    coeffs[p2 + D] -= 1
+    coeffs = _divide_by_one_minus_power(coeffs, p1)
+    coeffs = _divide_by_one_minus_power(coeffs, p2)
+    if any(c < 0 for c in coeffs):
+        raise ValueError("weight expansion has a negative coefficient")
+    # the exponents with a non-zero coefficient, already increasing
+    nums = tuple(compress(range(-D, len(coeffs) - D), coeffs))
+    return Spectrum(D, nums, tuple(filter(None, coeffs)))
+
+
+def summed_candidate_spectrum(c: Configuration) -> Spectrum:
+    """Sum of the germ spectra of a configuration, one suspension and one add per germ."""
+    out = EMPTY
+    for g in c.germs:
+        out = add(out, germ_spectrum(g))
+    return out
 
 
 def a_row(k: int) -> Spectrum:
@@ -58,7 +143,7 @@ def e1_row(r: int) -> Spectrum:
     """E(6r+1) as tabulated: (0) + sum_{i=1,2} sum_{j=1..3r} (-i/3 + 2j/(6r+3)).
 
     Kept only to document that this sum is NOT symmetric about 0 (the library
-    replaces it by the weight expansion).
+    sums the weight product over a Milnor-algebra basis instead).
     """
     pairs = [(Fraction(0), 1)]
     for i in (1, 2):
@@ -183,7 +268,7 @@ def fraction_check(candidate: Spectrum, target: Spectrum, kind: WindowKind) -> S
 
 def fraction_check_configuration(c: Configuration, apply_open_variant: bool = True) -> SemicontinuityReport:
     """The half-open scan, merged with the open one by (a, kind) when it applies."""
-    cand = candidate_spectrum(c)
+    cand = summed_candidate_spectrum(c)
     target = fermat_spectrum(c.n, c.d)
     reports = [fraction_check(cand, target, WindowKind.OPEN_CLOSED)]
     if apply_open_variant:

@@ -29,13 +29,11 @@ from specpol import (
     make_spectrum,
     parse_germ,
     polar_degree,
-    spectrum_from_weights,
-    weights,
 )
 from specpol.cli import run
 from specpol.semicontinuity import window_test_points
 from specpol.spectrum import NEG_INF, POS_INF
-from oracles import a_row, d_row, e0_row, e2_row, j0_row, dense_check
+from oracles import a_row, d_row, e0_row, e2_row, j0_row, dense_check, spectrum_from_weights, weights
 
 F = Fraction
 

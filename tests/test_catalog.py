@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import comb, lcm
@@ -11,7 +12,6 @@ import pytest
 from specpol import (
     GermClass,
     InvalidGermError,
-    NotWeightedHomogeneousError,
     corank_curve,
     curve_spectrum,
     deg_window,
@@ -23,11 +23,21 @@ from specpol import (
     multiplicity_curve,
     parse_germ,
     germ_pool,
+)
+from specpol.catalog import MAX_EXPANSION_LENGTH
+from specpol.spectrum import NEG_INF
+from oracles import (
+    NotWeightedHomogeneousError,
+    a_row,
+    d_row,
+    e0_row,
+    e1_row,
+    e2_row,
+    j0_row,
+    newton_diagram_negatives,
     spectrum_from_weights,
     weights,
 )
-from specpol.spectrum import NEG_INF
-from oracles import a_row, d_row, e0_row, e1_row, e2_row, j0_row, newton_diagram_negatives
 
 F = Fraction
 
@@ -144,6 +154,29 @@ def test_spectrum_from_weights_rejects_bad_input():
         spectrum_from_weights(F(3, 2), F(1, 2))
     with pytest.raises(ValueError):
         spectrum_from_weights(F(2, 5), F(2, 5))  # fractional total: not exact
+
+
+def test_oversized_classes_are_refused_before_allocating():
+    # per family, the class of least Milnor number above the cap
+    cap = MAX_EXPANSION_LENGTH
+    e = next(m for m in range(cap + 1, cap + 7) if m % 6 in (0, 1, 2))
+    classes = [
+        GermClass("A", cap + 1),
+        GermClass("D", cap + 1),
+        GermClass("E", e),
+        GermClass("J", (cap + 2) // 6 + 1, 0),
+        GermClass("J", 2, cap - 9),
+    ]
+    assert [g.milnor - cap for g in classes] == [1, 1, 4, 2, 1]
+    for g in classes:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="spectral numbers"):
+                curve_spectrum(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (g, peak)
 
 
 # --- curve spectra against the explicit rows ---------------------------------
@@ -394,10 +427,18 @@ def _fraction_curve_values(g):
 
 def test_curve_spectra_equal_from_numerators_up_to_mu_400():
     # curve_spectrum builds its sorted tuples directly; from_numerators sorts
-    # and merges (numerator, 1) pairs, one per basis element, through a dict
+    # and merges (numerator, 1) pairs, one per basis element, through a dict.
+    # A weighted-homogeneous class is also equal to the generating-function
+    # expansion, which divides by (1 - s^p) instead of listing a basis.
+    expanded = 0
     for g in germ_pool(2, 400):
         den, nums = _curve_numerators(g)
-        assert curve_spectrum(g) == from_numerators(den, ((x, 1) for x in nums)), g
+        s = curve_spectrum(g)
+        assert s == from_numerators(den, ((x, 1) for x in nums)), g
+        if g.family != "J" or g.i == 0:
+            _assert_same(s, spectrum_from_weights(*weights(g)))
+            expanded += 1
+    assert expanded == 400 + 397 + 198 + 66
 
 
 def _assert_same(x, y):

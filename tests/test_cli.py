@@ -321,6 +321,23 @@ def test_bad_spectrum_source_names_the_source_and_field(source, field, bad, caps
     assert err == f"error: bad spectrum source {source!r}: {field} must be an integer, got {bad!r}\n"
 
 
+@pytest.mark.parametrize(
+    "left, right",
+    [("fermat:1:1000001", "fermat:1:1000001"), ("germ:A2", "fermat:1:1000001"), ("fermat:1:1001", "fermat:2:1002")],
+)
+def test_join_over_budget_builds_no_diagonal_germ(left, right, monkeypatch, capsys):
+    # a fermat:n:d source has n(d-2)+1 distinct numbers: the pair budget is
+    # checked on that count, so no diagonal-germ spectrum is ever built
+    def refuse(n, d):
+        raise AssertionError(f"fermat_spectrum({n}, {d}) built for an over-budget join")
+
+    monkeypatch.setattr(specpol.catalog, "fermat_spectrum", refuse)
+    code, out, err = invoke(capsys, "spectrum", "join", left, right)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the join would sum ") and err.count("\n") == 1, err
+
+
 def test_spectrum_file_and_stdin_sources(tmp_path, capsys):
     spec = specpol.fermat_spectrum(2, 4)
     path = tmp_path / "spec.json"

@@ -157,20 +157,31 @@ def test_packed_lanes_flag_exactly_the_exceeded_windows(data):
 
 @pytest.mark.parametrize("open_variant", [True, False])
 def test_window_counts_equal_deg_window(open_variant):
-    # reference: one deg_window call per unit window, on Fraction bounds
+    # reference: one deg_window call per unit window, on Fraction bounds.  The
+    # spectra include J(k, i>0) curve spectra, whose denominators do not
+    # divide the points' (at (3,4) the points are over 8, J2_1 is over 42),
+    # and the points include the search's points moved down by (n-2)/2 and
+    # every integer in [-2, 2] over den, negative ones among them.
     kinds = window_kinds(open_variant)
-    for n, d in [(2, 5), (3, 3), (5, 3)]:
+    right_open = (False, True) if open_variant else (False,)
+    off_grid = 0
+    for n, d in [(2, 5), (3, 3), (5, 3), (3, 4)]:
         target = fermat_spectrum(n, d)
         den, points = integer_test_points(EMPTY, target)
         assert [Fraction(t, den) for t in points] == window_test_points(EMPTY, target)
+        shift = (n - 2) * den // 2
+        points = sorted({*points, *(t - shift for t in points), *range(-2 * den, 2 * den + 1)})
+        assert points[0] < 0
         # ]a,a+1], then ]a,a+1[ with the open variant
-        right_open = (False, True) if open_variant else (False,)
-        windows = [
-            (a, a + 1, True, r) for a in window_test_points(EMPTY, target) for r in right_open
-        ]
-        for spec in [target] + [germ_spectrum(g) for g in germ_pool(n, (d - 1) ** n)]:
+        windows = [(Fraction(t, den), Fraction(t, den) + 1, True, r) for t in points for r in right_open]
+        pool = germ_pool(n, (d - 1) ** n)
+        spectra = [target] + [germ_spectrum(g) for g in pool]
+        spectra += [curve_spectrum(g) for g in pool if g.family == "J" and g.i > 0]
+        for spec in spectra:
+            off_grid += den % spec.den != 0
             expected = [deg_window(spec, *w) for w in windows]
             assert window_counts(spec, den, points, kinds) == expected
+    assert off_grid >= 10
 
 
 @pytest.mark.parametrize("open_variant", [True, False])

@@ -18,14 +18,22 @@ from specpol import (
     enumerate_configurations,
     fermat_spectrum,
     from_numerators,
+    germ_pool,
     make_spectrum,
     parse_germ,
     search,
     verify_huh_lists,
 )
+from specpol.search import SearchFilters
 from specpol.semicontinuity import window_test_points
 from specpol.spectrum import EMPTY, POS_INF
-from oracles import dense_check, fraction_check, fraction_check_configuration, fraction_test_points
+from oracles import (
+    dense_check,
+    fraction_check,
+    fraction_check_configuration,
+    fraction_test_points,
+    summed_candidate_spectrum,
+)
 
 F = Fraction
 
@@ -236,3 +244,40 @@ def test_check_configuration_equals_fraction_reference_on_the_k2_sweep(monkeypat
             slow = fraction_check_configuration(c, open_variant)
             assert fast == slow
             assert fast.to_json() == slow.to_json()
+
+
+def _record_candidates(monkeypatch, seen):
+    # every configuration the search sums: its final checks and survivor asserts
+    real = search.candidate_spectrum
+
+    def recording(c):
+        seen.append(c)
+        return real(c)
+
+    monkeypatch.setattr(search, "candidate_spectrum", recording)
+
+
+def test_candidate_spectrum_equals_the_per_germ_sum(monkeypatch):
+    # the single merge of the curve spectra, suspended once, against one
+    # suspension and one add per germ: on every configuration the k=2 sweep
+    # and (2,6,3) without the open variant (449) examine, the bundled lists,
+    # and random mixed-family configurations for n = 2..5
+    seen = []
+    _record_candidates(monkeypatch, seen)
+    for n, d in [(2, 3), (3, 3), (2, 4), (4, 3), (2, 5), (2, 6), (3, 4), (5, 3), (2, 7)]:
+        enumerate_configurations(n, d, 2)
+    enumerate_configurations(2, 6, 3, filters=SearchFilters(open_variant=False))
+    verify_huh_lists()
+    configs = set(seen) | {c for _key, c, _pol in search.load_huh_lists()}
+    assert len(configs) > 480
+    rng = random.Random(13)
+    pool = germ_pool(2, 40)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        configs.add(Configuration(n, 3, tuple(g.in_ambient(n) for g in rng.sample(pool, rng.randint(1, 5)))))
+    assert {c.n for c in configs} == {2, 3, 4, 5}
+    for c in configs:
+        single, summed = candidate_spectrum(c), summed_candidate_spectrum(c)
+        assert single == summed, c
+        assert hash(single) == hash(summed)
+        assert single.to_json() == summed.to_json()

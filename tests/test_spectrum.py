@@ -71,6 +71,18 @@ def test_add_identity_and_merge():
     assert add(make_spectrum([(F(0), 1)]), make_spectrum([(F(0), 1)])).entries == ((F(0), 2),)
 
 
+@given(st.lists(spectra | integer_spectra, max_size=5))
+def test_add_merges_any_number_at_once(ss):
+    # one merge over the lcm of the denominators equals the running pairwise sum
+    pairwise = make_spectrum([])
+    for s in ss:
+        pairwise = add(pairwise, s)
+    merged = add(*ss)
+    assert merged == pairwise and hash(merged) == hash(pairwise)
+    assert merged.to_json() == pairwise.to_json()
+    assert merged.total() == sum(s.total() for s in ss)
+
+
 def test_shift_and_suspend():
     one = make_spectrum([(F(0), 1)])
     assert one.shift(F(1, 2)).support == (F(1, 2),)
