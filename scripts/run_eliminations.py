@@ -7,14 +7,16 @@ each requested (n, d) pair and prints the survivors.  The low pairs (2,3),
 comes out empty.
 
 The default pair set is the whole k=2 region, `candidate_region(2)`.  On a
-2-core machine with Python 3.11 (three runs, search time as printed,
+2-core machine with Python 3.11 (six runs, search time as printed,
 interpreter start not included), every pair up to (2,9) takes at most
-0.01 s, (2,10) 0.03 s and (2,11) 0.04 s; the whole default run takes
-0.29-0.32 s with interpreter start.  `-k 3 7,3` takes 0.30-0.32 s,
-`-k 3 2,5 2,6 4,3` (three k=3 pairs with survivors, where the search goes
-below the root) 0.25-0.28 s, `-k 4 2,6 2,7 3,4` (k=4 pairs cut below the
-root) 0.44-0.52 s, and `-k 3 3,8 2,19` (pools of 10,141 and 9,066 classes,
-cut at the root) 2.9-3.4 s.  Pass explicit pairs and `-k` to search
+0.01 s, (2,10) 0.02-0.03 s and (2,11) 0.03-0.04 s; the whole default run
+takes 0.22-0.28 s with interpreter start (0.44 s once, from a cold start).
+`-k 3 7,3` takes 0.20-0.33 s, `-k 3 2,5 2,6 4,3` (three k=3 pairs with
+survivors, where the search goes below the root) 0.14-0.18 s,
+`-k 4 2,6 2,7 3,4` (k=4 pairs cut below the root) 0.21-0.35 s,
+`-k 5 2,9` (376 classes: of the pairs of k = 2..5 with pools of at most
+12,000 classes, the largest pool whose root is not cut) 0.17-0.18 s, and `-k 3 3,8 2,19` (pools of 10,141 and 9,066 classes,
+cut at the root) 2.5-3.3 s.  Pass explicit pairs and `-k` to search
 elsewhere.
 """
 
@@ -25,12 +27,7 @@ import os
 import sys
 import time
 
-from specpol import enumerate_configurations
-
-DEFAULT_PAIRS = [
-    (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (2, 9), (2, 10), (2, 11),
-    (3, 3), (3, 4), (4, 3), (5, 3),
-]
+from specpol import candidate_region, enumerate_configurations
 
 
 def main() -> None:
@@ -43,7 +40,7 @@ def main() -> None:
     if args.pairs:
         pairs = [tuple(int(x) for x in p.split(",")) for p in args.pairs]
     else:
-        pairs = DEFAULT_PAIRS
+        pairs = sorted(candidate_region(2).pairs)
     for n, d in pairs:
         t0 = time.time()
         report = enumerate_configurations(n, d, args.k)

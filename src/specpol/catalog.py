@@ -186,11 +186,11 @@ def _j_negative_part(k: int, i: int) -> tuple[int, Iterable[int]]:
 
 
 # A search reads each pool class's spectrum in its root walk and, unless the
-# root is cut, again for the window vectors; the cache serves that second
-# pass and the final checks.  1024 holds every pool of the k=2 region
-# ((2,11,2) has 946 classes).  Unbounded, it would keep all 33,171 spectra of
-# (4,6,3): building that context peaked at 926 MB; at this size the whole
-# (4,6,3) search peaks at 70 MB.
+# root is cut, again for the window vectors and at the leaves: of the pairs of
+# k = 2..5 with at most 12,000 pool classes, (2,9,5) reads the most twice, 376;
+# (2,11,2) reads its 946 once.  Unbounded, the cache would keep all 33,171
+# spectra of (4,6,3): building that context peaked at 926 MB; at this size the
+# whole (4,6,3) search peaks at 70 MB.
 CURVE_CACHE_SIZE = 1024
 
 

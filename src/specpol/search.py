@@ -9,12 +9,13 @@ with its parameters, the pool of admissible classes is finite.
 
 Filters:
 
-* ``alpha1`` (germ minimum > -1 + (n-1)/(k+2)) and ``corank``
-  (2^max(corank_curve - 1, 0) <= k) are implied by the catalog for k >= 2:
-  every curve spectral number exceeds -2/3 (w1 + w2 - 1 > -2/3 from the
-  weights, (-2k+1)/(3k) for J), so a germ minimum exceeds
-  -2/3 + (n-2)/2 >= -1 + (n-1)/4, and corank_curve <= 2.  They are listed as
-  applied and prune nothing; ``test_implied_pool_filters_are_vacuous`` checks it.
+* ``alpha1`` (germ minimum > -1 + (n-1)/(k+2)) is implied by the catalog for
+  k >= 1: every curve spectral number exceeds -2/3 (w1 + w2 - 1 > -2/3 from
+  the weights, (-2k+1)/(3k) for J), so a germ minimum exceeds
+  -2/3 + (n-2)/2 >= -1 + (n-1)/3.  ``corank`` (2^max(corank_curve - 1, 0)
+  <= k) is implied for k >= 2, as corank_curve <= 2.  Each is listed as
+  applied from that k on and prunes nothing (checked by
+  ``test_implied_pool_filters_are_vacuous``); below it, it is not listed.
 * ``huh`` (k >= 1, plane only): multiplicity - 1 <= k for every pool germ.
   For n >= 3 the gradient-degree bound is catalog membership, which the pool
   has by construction.
@@ -29,7 +30,9 @@ Filters:
   lanes are the check's own windows, ]a,a+1] and with the open variant
   ]a,a+1[, at every test point a of the target, counted by
   `semicontinuity.window_counts`, so a configuration that passes
-  `check_configuration` fits every lane.
+  `check_configuration` fits every lane.  The converse fails, as the lanes
+  test the target's test points only (A13 + E7 + E12 at (2,7) fits every
+  half-open lane, not ]a,a+1] at a = -5/9), so each leaf runs the check.
 * Lookahead (part of ``semicontinuity``): a node with ``remaining`` Milnor
   number still to place is completed by pool germs whose Milnor numbers sum
   to ``remaining``.  Such a completion adds sum_g vec_g[j] = sum_g mu_g *
@@ -53,10 +56,11 @@ Filters:
   root, one cut and nothing examined, and builds, packs and visits nothing
   more: 8 of the 13 pairs of `candidate_region(2)`, (2,7) to (2,11) among
   them, and 31 of the 37 in-budget pairs of `candidate_region(3)` end there.
-  Otherwise the vectors are built and the DFS runs as above.  Every count,
-  in the walk and in the vectors, is taken on the curve spectrum at the test
-  points moved down by (n-2)/2, which equals the count of the germ spectrum
-  (its (n-2)-fold suspension) at the test points themselves.
+  Otherwise the vectors are built and the DFS runs as above.  The walk, the
+  vectors and the leaves all count curve spectra against the target moved
+  down once by (n-2)/2, the amount a germ spectrum (the (n-2)-fold
+  suspension) lies above its curve spectrum: moving both spectra moves every
+  test point along and changes no count.
 
 Reported counts: ``examined`` is the number of complete configurations that
 reached the target Milnor sum and entered per-configuration checking;
@@ -90,9 +94,9 @@ from .polar import (
     polar_degree,
     sectional_milnor_plane,
 )
-from .semicontinuity import _check, candidate_spectrum, check_configuration, integer_test_points
+from .semicontinuity import _check, check_configuration, integer_test_points
 from .semicontinuity import window_counts, window_kinds
-from .spectrum import EMPTY, NEG_INF, WindowKind, deg_window
+from .spectrum import EMPTY, NEG_INF, WindowKind, add, deg_window
 
 __all__ = [
     "HuhEntryResult",
@@ -110,8 +114,8 @@ FILTER_NAMES = ("alpha1", "corank", "huh", "semicontinuity")
 # About six times the largest pool whose search has finished, (4,6,3) with
 # 33,171 classes; (5,5,3) has about 87k.
 MAX_POOL_CLASSES = 200_000
-# implied by the catalog (see the module docstring): no switch, no prunes
-_IMPLIED_FILTERS = ("alpha1", "corank")
+# implied by the catalog from the k given on (see the module docstring)
+_IMPLIED_FILTERS = (("alpha1", 1), ("corank", 2))
 
 # Window labels whose target degrees are embedded in reports for the two
 # elimination cases, for cross-reading against the hand argument.
@@ -132,8 +136,8 @@ class SearchFilters:
     semicontinuity: bool = True
     open_variant: bool = True
 
-    def applied_names(self) -> tuple[str, ...]:
-        names = list(_IMPLIED_FILTERS)
+    def applied_names(self, k: int) -> tuple[str, ...]:
+        names = [name for name, least_k in _IMPLIED_FILTERS if k >= least_k]
         names += [name for name in ("huh", "semicontinuity") if getattr(self, name)]
         if self.semicontinuity and self.open_variant:
             names.append("semicontinuity_open_variant")
@@ -265,7 +269,8 @@ class _SearchContext:
         self.pool_pruned = dict.fromkeys(FILTER_NAMES, 0)
         # listed first: the pool budget refuses before any spectrum is built
         pool = germ_pool(n, self.target_mu, sorted(whitelist))
-        self.target = fermat_spectrum(n, d)
+        # in the frame of the curve spectra (see the module docstring)
+        self.target = fermat_spectrum(n, d).shift(Fraction(2 - n, 2))
         if filters.huh and n == 2 and k >= 1:
             kept = [g for g in pool if sectional_milnor_plane(g) <= k]
             self.pool_pruned["huh"] = len(pool) - len(kept)
@@ -277,14 +282,10 @@ class _SearchContext:
         # pruning windows: the check's unit windows at every target test
         # point; with semicontinuity off there are none and high == 0
         den, points = integer_test_points(EMPTY, self.target) if filters.semicontinuity else (1, [])
+        self.den, self.points = den, points
         self.kinds = window_kinds(filters.open_variant)
         self.rhs = window_counts(self.target, den, points, self.kinds)
         self.width, self.start, self.high = _lanes(self.rhs, self.target_mu)
-        # A germ spectrum is its curve spectrum moved up by (n-2)/2, so its
-        # window at t/den is the curve spectrum's at t/den - (n-2)/2; den is
-        # even, so these points are integers too.
-        shift = (n - 2) * den // 2
-        self.den, self.points = den, [t - shift for t in points]
         self.root_cut = self._root_is_cut()
         if not self.root_cut:
             self.build()
@@ -334,20 +335,16 @@ class _SearchContext:
         # at most the r - mu_g left after it, so a lane gains at most
         # r <= target_mu < 2^(B-1) and stays below 2^B.
         assert max(self.mus, default=0) <= self.target_mu < 1 << (width - 1)
-        vectors = [window_counts(curve_spectrum(g), den, points, kinds) for g in self.pool]
-        self.packed = [_pack(counts, width) for counts in vectors]
         # Per lane, the least density vec_g[j]/mu_g over the whole pool as
-        # xs[j]/ms[j], from each Milnor number's lanewise least counts: one
-        # fraction comparison per Milnor number and lane, not per germ.  It
-        # starts at 1/1, the largest density (a germ has mu_g spectral
-        # numbers), which also bounds an empty pool: that has no completion
-        # unless remaining is 0.
-        by_mu: dict[int, list[list[int]]] = {}
-        for mu, counts in zip(self.mus, vectors):
-            by_mu.setdefault(mu, []).append(counts)
+        # xs[j]/ms[j].  It starts at 1/1, the largest density (a germ has mu_g
+        # spectral numbers), which also bounds an empty pool: that has no
+        # completion unless remaining is 0.
         xs, ms = [1] * len(self.rhs), [1] * len(self.rhs)
-        for mu, group in by_mu.items():
-            for j, x in enumerate(map(min, zip(*group))):
+        self.packed = []
+        for g, mu in zip(self.pool, self.mus):
+            counts = window_counts(curve_spectrum(g), den, points, kinds)
+            self.packed.append(_pack(counts, width))
+            for j, x in enumerate(counts):
                 if x * ms[j] < xs[j] * mu:
                     xs[j], ms[j] = x, mu
         # No carry: a density is at most 1, so a bound lane is at most
@@ -393,14 +390,15 @@ def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int, int
             return
         if remaining == 0:
             examined += 1
-            config = Configuration(n, d, tuple(pool[i] for i in stack))
-            # check_configuration against the target this search already built
-            if ctx.filters.semicontinuity and not _check(
-                candidate_spectrum(config), ctx.target, ctx.kinds
-            ).holds:
+            germs = tuple(pool[i] for i in stack)
+            spectrum = add(*map(curve_spectrum, germs))  # in the frame of ctx.target
+            if ctx.filters.semicontinuity and not _check(spectrum, ctx.target, ctx.kinds).holds:
                 final_rejections += 1
-            else:
-                survivors.append(config)
+                return
+            config = Configuration(n, d, germs)
+            assert spectrum.total() == ctx.target_mu
+            assert polar_degree(config) == ctx.k
+            survivors.append(config)
             return
         for idx in range(first, len(pool)):
             if mus[idx] > remaining:
@@ -448,14 +446,12 @@ def enumerate_configurations(
     pruned = dict(ctx.pool_pruned)
     pruned["semicontinuity"] = prunes + rejections
     survivors = sorted(survivors, key=lambda c: tuple(g.sort_key() for g in c.germs))
-    for c in survivors:
-        assert candidate_spectrum(c).total() == target_mu
-        assert polar_degree(c) == k
 
     diagnostics = ()
     if (n, d) in _DIAGNOSTIC_CASES:
+        target = fermat_spectrum(n, d)
         diagnostics = tuple(
-            (label, deg_window(ctx.target, *bounds))
+            (label, deg_window(target, *bounds))
             for label, bounds in _DIAGNOSTIC_WINDOWS
         )
     return SearchReport(
@@ -464,7 +460,7 @@ def enumerate_configurations(
         k=k,
         target_mu=target_mu,
         whitelist=tuple(sorted(whitelist)),
-        filters_applied=filters.applied_names(),
+        filters_applied=filters.applied_names(k),
         survivors=tuple(survivors),
         examined=examined,
         pruned_by=tuple(sorted(pruned.items())),

@@ -210,6 +210,31 @@ def test_search_no_filter(capsys):
     assert "semicontinuity" not in report["filters_applied"]
 
 
+@pytest.mark.parametrize(
+    "k, out",
+    [
+        # D4 survives: the corank bound 2^1 <= 0 would exclude it, so neither
+        # implied filter is listed at k = 0
+        (0, '{"diagnostic_windows":{},"examined":1,'
+            '"filters_applied":["huh","semicontinuity","semicontinuity_open_variant"],'
+            '"params":{"d":3,"k":0,"n":2},'
+            '"pruned_by":{"alpha1":0,"corank":0,"huh":0,"semicontinuity":4},'
+            '"survivors":[{"d":3,"germs":["D4"],"n":2}],'
+            '"target_mu":4,"whitelist":["A","D","E","J"]}\n'),
+        # alpha1 is implied from k = 1 on, corank from k = 2
+        (1, '{"diagnostic_windows":{},"examined":3,'
+            '"filters_applied":["alpha1","huh","semicontinuity","semicontinuity_open_variant"],'
+            '"params":{"d":3,"k":1,"n":2},'
+            '"pruned_by":{"alpha1":0,"corank":0,"huh":0,"semicontinuity":0},'
+            '"survivors":[{"d":3,"germs":["A1","A1","A1"],"n":2},'
+            '{"d":3,"germs":["A1","A2"],"n":2},{"d":3,"germs":["A3"],"n":2}],'
+            '"target_mu":3,"whitelist":["A","D","E","J"]}\n'),
+    ],
+)
+def test_search_json_below_k2_lists_only_the_implied_filters(k, out, capsys):
+    assert invoke(capsys, "search", "2", "3", str(k), "--json") == (0, out, "")
+
+
 def test_search_json_is_byte_stable_across_runs_and_workers(capsys):
     outputs = []
     for argv in (

@@ -124,6 +124,10 @@ def test_implied_pool_filters_are_vacuous():
             assert Fraction(-2, 3) + Fraction(n - 2, 2) >= alpha1_threshold(n, k)
     # corank: the generic slice has corank at most 1, and 2 <= k
     assert all(2 ** max(corank_curve(g) - 1, 0) <= 2 for g in curves)
+    # alpha1 is implied at k = 1 as well: there -1 + (n-1)/(k+2) is
+    # -1 + (n-1)/3, which is -2/3 at n = 2 (`alpha1_threshold` takes k >= 2)
+    for n in range(2, 41):
+        assert Fraction(-2, 3) + Fraction(n - 2, 2) >= Fraction(n - 1, 3) - 1
     # huh for n >= 3 only asks for catalog membership
     for n in (3, 4, 5):
         for k in (1, 2, 3):
@@ -286,15 +290,16 @@ def test_root_walk_equals_the_full_lookahead():
 
 @pytest.mark.parametrize("n, d, k", [(3, 3, 2), (5, 3, 2), (4, 3, 3), (7, 3, 3)])
 def test_vectors_count_the_curve_spectrum_at_shifted_points(n, d, k):
-    # the context counts each curve spectrum at the target's test points moved
-    # down by (n-2)/2; that is the count of the suspended germ spectrum
+    # the context counts each curve spectrum at the test points of the target
+    # moved down by (n-2)/2; that is the count of the suspended germ spectrum
+    # at the unmoved target's test points (the two denominators may differ:
+    # for odd n the moved target is over 2d)
     ctx = _context(n, d, k, True)
     den, points = integer_test_points(EMPTY, fermat_spectrum(n, d))
     kinds = window_kinds(True)
-    assert ctx.den == den
+    assert ctx.rhs == window_counts(fermat_spectrum(n, d), den, points, kinds)
     for g, packed in zip(ctx.pool, ctx.packed):
         counts = window_counts(germ_spectrum(g), den, points, kinds)
-        assert window_counts(curve_spectrum(g), ctx.den, ctx.points, kinds) == counts, g
         assert packed == _pack(counts, ctx.width), g
 
 
@@ -318,12 +323,31 @@ def test_vectors_count_the_curve_spectrum_at_shifted_points(n, d, k):
         pytest.param(2, 6, 2, False, 911, 11, id="2-6-2-no-open"),
         pytest.param(4, 3, 2, False, 101, 11, id="4-3-2-no-open"),
         pytest.param(2, 6, 3, False, 2160, 449, id="2-6-3-no-open"),
+        pytest.param(2, 7, 4, False, 10624, 141, id="2-7-4-no-open"),
     ],
 )
 def test_dfs_counts_are_pinned(n, d, k, open_variant, pruned, examined):
     report = enumerate_configurations(n, d, k, filters=SearchFilters(open_variant=open_variant))
     assert report.pruned_by_dict()["semicontinuity"] == pruned
     assert report.examined == examined
+
+
+def test_final_check_rejects_a_configuration_that_fits_every_lane():
+    # The lanes test the target's test points only.  A13 + E7 + E12 at (2,7)
+    # fits every half-open lane, yet the check, which also tests the
+    # candidate's breakpoints, fails it at a = -5/9: the leaf's own check
+    # rejects it.  With the open variant a lane cuts it already.
+    c = config(2, 7, "A13", "E7", "E12")
+    assert polar_degree(c) == 4
+    target = fermat_spectrum(2, 7)
+    den, points = integer_test_points(EMPTY, target)
+    kinds = window_kinds(False)
+    lanes = window_counts(candidate_spectrum(c), den, points, kinds)
+    assert all(x <= r for x, r in zip(lanes, window_counts(target, den, points, kinds)))
+    first = check_configuration(c, apply_open_variant=False).violations[0]
+    assert (first.a, first.lhs, first.rhs) == (Fraction(-5, 9), 31, 30)
+    report = enumerate_configurations(2, 7, 4, filters=SearchFilters(open_variant=False))
+    assert c not in report.survivors
 
 
 def test_k2_region_survivors_equal_the_pinned_sets():

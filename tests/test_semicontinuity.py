@@ -22,7 +22,6 @@ from specpol import (
     make_spectrum,
     parse_germ,
     search,
-    verify_huh_lists,
 )
 from specpol.search import SearchFilters
 from specpol.semicontinuity import window_test_points
@@ -222,23 +221,47 @@ def test_integer_check_equals_fraction_reference(candidate, target, kind):
     assert fast.to_json() == slow.to_json()
 
 
+def _search_leaves(monkeypatch, searches):
+    # (configuration, curve-frame sum) at every leaf of the given searches: a
+    # leaf fetches the curve spectra of its germs, in order, just before the
+    # one add that sums them
+    seen, fetched = [], []
+    real_curve, real_add = search.curve_spectrum, search.add
+
+    def curve(g):
+        fetched.append(g)
+        return real_curve(g)
+
+    def leaf_add(*spectra):
+        total = real_add(*spectra)
+        seen.append((tuple(fetched[len(fetched) - len(spectra):]), total))
+        fetched.clear()
+        return total
+
+    monkeypatch.setattr(search, "curve_spectrum", curve)
+    monkeypatch.setattr(search, "add", leaf_add)
+    leaves = []
+    for n, d, k, open_variant in searches:
+        del seen[:]
+        enumerate_configurations(n, d, k, filters=SearchFilters(open_variant=open_variant))
+        leaves += [(Configuration(n, d, germs), total) for germs, total in seen]
+    return leaves
+
+
+# the k=2 sweep, and the searches the bundled lists are checked against
+_K2_SWEEP = sorted(
+    {(n, d, 2, True) for n, d in [(2, 3), (3, 3), (2, 4), (4, 3), (2, 5), (2, 6), (3, 4), (5, 3), (2, 7)]}
+    | {(c.n, c.d, pol, True) for _key, c, pol in search.load_huh_lists()}
+)
+
+
 def test_check_configuration_equals_fraction_reference_on_the_k2_sweep(monkeypatch):
     # every configuration the k=2 sweep and the bundled lists send to the
-    # check: the search's final check sums the spectrum with candidate_spectrum
-    seen = []
-    for name in ("candidate_spectrum", "check_configuration"):
-        real = getattr(search, name)
-
-        def recording(c, *args, real=real):
-            seen.append(c)
-            return real(c, *args)
-
-        monkeypatch.setattr(search, name, recording)
-    for n, d in [(2, 3), (3, 3), (2, 4), (4, 3), (2, 5), (2, 6), (3, 4), (5, 3), (2, 7)]:
-        enumerate_configurations(n, d, 2)
-    verify_huh_lists()
-    assert len(seen) > 15
-    for c in set(seen):
+    # check: the leaves of their searches, and the bundled entries
+    leaves = _search_leaves(monkeypatch, _K2_SWEEP)
+    configs = {c for c, _total in leaves} | {c for _key, c, _pol in search.load_huh_lists()}
+    assert len(configs) > 15
+    for c in configs:
         for open_variant in (True, False):
             fast = check_configuration(c, open_variant)
             slow = fraction_check_configuration(c, open_variant)
@@ -246,29 +269,16 @@ def test_check_configuration_equals_fraction_reference_on_the_k2_sweep(monkeypat
             assert fast.to_json() == slow.to_json()
 
 
-def _record_candidates(monkeypatch, seen):
-    # every configuration the search sums: its final checks and survivor asserts
-    real = search.candidate_spectrum
-
-    def recording(c):
-        seen.append(c)
-        return real(c)
-
-    monkeypatch.setattr(search, "candidate_spectrum", recording)
-
-
 def test_candidate_spectrum_equals_the_per_germ_sum(monkeypatch):
     # the single merge of the curve spectra, suspended once, against one
     # suspension and one add per germ: on every configuration the k=2 sweep
     # and (2,6,3) without the open variant (449) examine, the bundled lists,
-    # and random mixed-family configurations for n = 2..5
-    seen = []
-    _record_candidates(monkeypatch, seen)
-    for n, d in [(2, 3), (3, 3), (2, 4), (4, 3), (2, 5), (2, 6), (3, 4), (5, 3), (2, 7)]:
-        enumerate_configurations(n, d, 2)
-    enumerate_configurations(2, 6, 3, filters=SearchFilters(open_variant=False))
-    verify_huh_lists()
-    configs = set(seen) | {c for _key, c, _pol in search.load_huh_lists()}
+    # and random mixed-family configurations for n = 2..5; each leaf's own
+    # curve-frame sum, suspended, against the same reference
+    leaves = _search_leaves(monkeypatch, _K2_SWEEP + [(2, 6, 3, False)])
+    for c, total in leaves:
+        assert total.suspend(c.n - 2) == summed_candidate_spectrum(c), c
+    configs = {c for c, _total in leaves} | {c for _key, c, _pol in search.load_huh_lists()}
     assert len(configs) > 480
     rng = random.Random(13)
     pool = germ_pool(2, 40)
