@@ -136,8 +136,8 @@ def lemma1_region_k2() -> frozenset[tuple[int, int]]:
 
 def alpha1_threshold(n: int, k: int) -> Fraction:
     """Strict lower bound -1 + (n-1)/(k+2) for every germ's smallest spectral number."""
-    if n < 2 or k < 2:
-        raise ValueError(f"need n >= 2 and k >= 2, got n={n}, k={k}")
+    if n < 2 or k < 1:
+        raise ValueError(f"need n >= 2 and k >= 1, got n={n}, k={k}")
     return Fraction(n - 1, k + 2) - 1
 
 

@@ -122,6 +122,8 @@ class GermClass:
         return (_FAMILY_RANK[self.family], self.k, self.i)
 
     def in_ambient(self, n: int) -> "GermClass":
+        if n == self.ambient_vars:
+            return self  # frozen, so the same class serves
         return GermClass(self.family, self.k, self.i, n)
 
     def __str__(self) -> str:
@@ -217,7 +219,6 @@ def curve_spectrum(g: GermClass) -> Spectrum:
     symmetry.  A class with Milnor number over MAX_EXPANSION_LENGTH is
     refused with a ValueError before anything is built.
     """
-    g = g.in_ambient(2)
     fam, k, mu = g.family, g.k, g.milnor
     if mu > MAX_EXPANSION_LENGTH:
         raise ValueError(f"the spectrum of {g} has more than {MAX_EXPANSION_LENGTH} spectral numbers")

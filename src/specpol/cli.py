@@ -37,6 +37,9 @@ _WORKERS_HELP = "accepted and checked (must be >= 1), but every search runs in o
 
 
 def _parse_rational(text: str) -> Fraction:
+    # Fraction reads "1e999999999" as 10^999999999 and builds that power first
+    if "e" in text.lower():
+        raise ValueError(f"malformed rational {text!r}; write p/q or an integer")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

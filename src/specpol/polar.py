@@ -147,13 +147,10 @@ def huh_inequality_holds(c: Configuration, k: int) -> bool:
     In the plane the sectional Milnor number is multiplicity - 1 and must not
     exceed k at any singular point.  For n >= 3 and k <= 2 the bound forces
     every germ into the A/D/E/J catalog, which is a membership condition on
-    our germ type; for k >= 3 no exact criterion is available and the check
-    passes vacuously.
+    our germ type that every `GermClass` meets (it rejects any other family);
+    for k >= 3 no exact criterion is available and the check passes
+    vacuously.  So only the plane can fail.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if c.n == 2:
-        return all(sectional_milnor_plane(g) <= k for g in c.germs)
-    if k <= 2:
-        return all(g.family in ("A", "D", "E", "J") for g in c.germs)
-    return True
+    return c.n != 2 or all(sectional_milnor_plane(g) <= k for g in c.germs)

@@ -27,12 +27,13 @@ Filters:
   counts live in one int, a lane of B bits per window, with B wide enough that
   no lane carries into the next; a child adds its germ's packed counts, and
   a node is cut if any lane's top bit is set (SWAR, SIMD within a register).  The
-  lanes are the check's own windows, ]a,a+1] and with the open variant
-  ]a,a+1[, at every test point a of the target, counted by
-  `semicontinuity.window_counts`, so a configuration that passes
-  `check_configuration` fits every lane.  The converse fails, as the lanes
-  test the target's test points only (A13 + E7 + E12 at (2,7) fits every
-  half-open lane, not ]a,a+1] at a = -5/9), so each leaf runs the check.
+  lanes are the windows of `check(candidate, target, kinds)`, ]a,a+1] and
+  with the open variant ]a,a+1[, at every test point a of the target,
+  counted by `semicontinuity.window_counts`, so a configuration that passes
+  the check fits every lane.  The converse fails, as the lanes test the
+  target's test points only (A13 + E7 + E12 at (2,7) fits every half-open
+  lane, not ]a,a+1] at a = -5/9), so each leaf runs
+  `check(candidate, target, kinds)`, and builds its spectrum for that only.
 * Lookahead (part of ``semicontinuity``): a node with ``remaining`` Milnor
   number still to place is completed by pool germs whose Milnor numbers sum
   to ``remaining``.  Such a completion adds sum_g vec_g[j] = sum_g mu_g *
@@ -94,7 +95,7 @@ from .polar import (
     polar_degree,
     sectional_milnor_plane,
 )
-from .semicontinuity import _check, check_configuration, integer_test_points
+from .semicontinuity import check, check_configuration, integer_test_points
 from .semicontinuity import window_counts, window_kinds
 from .spectrum import EMPTY, NEG_INF, WindowKind, add, deg_window
 
@@ -138,7 +139,10 @@ class SearchFilters:
 
     def applied_names(self, k: int) -> tuple[str, ...]:
         names = [name for name, least_k in _IMPLIED_FILTERS if k >= least_k]
-        names += [name for name in ("huh", "semicontinuity") if getattr(self, name)]
+        if self.huh and k >= 1:
+            names.append("huh")
+        if self.semicontinuity:
+            names.append("semicontinuity")
         if self.semicontinuity and self.open_variant:
             names.append("semicontinuity_open_variant")
         return tuple(names)
@@ -279,7 +283,7 @@ class _SearchContext:
         # non-increasing canonical order: heaviest germ first
         self.pool = sorted(pool, key=lambda g: (-g.milnor,) + g.sort_key())
         self.mus = [g.milnor for g in self.pool]
-        # pruning windows: the check's unit windows at every target test
+        # pruning windows: the unit windows of `check` at every target test
         # point; with semicontinuity off there are none and high == 0
         den, points = integer_test_points(EMPTY, self.target) if filters.semicontinuity else (1, [])
         self.den, self.points = den, points
@@ -368,35 +372,37 @@ class _SearchContext:
         return bound
 
 
-def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int, int]:
+def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int]:
     """DFS over the whole pool.
 
-    Returns (survivors, examined, subtree_prunes, final_rejections).  The
+    Returns (survivors, examined, cuts), where cuts counts the subtrees the
+    lanes cut and the complete configurations the final check rejects.  The
     packed window state ``acc`` is passed down by value, so nothing is undone.
     """
     if ctx.root_cut:
         # what the DFS returns when its first lookahead test cuts the root
-        return [], 0, 1, 0
+        return [], 0, 1
     n, d, pool, mus, packed, high = ctx.n, ctx.d, ctx.pool, ctx.mus, ctx.packed, ctx.high
     lookahead = ctx.lookahead
     survivors: list[Configuration] = []
-    examined = subtree_prunes = final_rejections = 0
+    examined = cuts = 0
     stack: list[int] = []
 
     def dfs(first: int, remaining: int, acc: int) -> None:
-        nonlocal examined, subtree_prunes, final_rejections
+        nonlocal examined, cuts
         if (acc + lookahead(remaining)) & high:
-            subtree_prunes += 1
+            cuts += 1
             return
         if remaining == 0:
             examined += 1
             germs = tuple(pool[i] for i in stack)
-            spectrum = add(*map(curve_spectrum, germs))  # in the frame of ctx.target
-            if ctx.filters.semicontinuity and not _check(spectrum, ctx.target, ctx.kinds).holds:
-                final_rejections += 1
-                return
+            if ctx.filters.semicontinuity:
+                spectrum = add(*map(curve_spectrum, germs))  # in the frame of ctx.target
+                assert spectrum.total() == ctx.target_mu
+                if not check(spectrum, ctx.target, ctx.kinds).holds:
+                    cuts += 1
+                    return
             config = Configuration(n, d, germs)
-            assert spectrum.total() == ctx.target_mu
             assert polar_degree(config) == ctx.k
             survivors.append(config)
             return
@@ -410,7 +416,7 @@ def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int, int
     # target_mu == 0 gives an empty pool: the DFS examines the smooth
     # configuration once and runs it through the same final check
     dfs(0, ctx.target_mu, ctx.start)
-    return survivors, examined, subtree_prunes, final_rejections
+    return survivors, examined, cuts
 
 
 def enumerate_configurations(
@@ -436,15 +442,14 @@ def enumerate_configurations(
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
     smooth = diagonal_milnor(n, d)
-    target_mu = smooth - k
-    if target_mu < 0:
+    if smooth < k:
         raise InfeasibleConfigurationError(f"polar degree {k} exceeds (d-1)^n = {smooth}")
     whitelist = frozenset(whitelist)
     ctx = _SearchContext(n, d, k, whitelist, filters)
-    survivors, examined, prunes, rejections = _run_search(ctx)
+    survivors, examined, cuts = _run_search(ctx)
 
     pruned = dict(ctx.pool_pruned)
-    pruned["semicontinuity"] = prunes + rejections
+    pruned["semicontinuity"] = cuts
     survivors = sorted(survivors, key=lambda c: tuple(g.sort_key() for g in c.germs))
 
     diagnostics = ()
@@ -458,7 +463,7 @@ def enumerate_configurations(
         n=n,
         d=d,
         k=k,
-        target_mu=target_mu,
+        target_mu=ctx.target_mu,
         whitelist=tuple(sorted(whitelist)),
         filters_applied=filters.applied_names(k),
         survivors=tuple(survivors),

@@ -66,12 +66,12 @@ class Violation:
 
 @dataclass(frozen=True)
 class SemicontinuityReport:
-    holds: bool
     violations: tuple[Violation, ...]
     breakpoints_checked: int
 
-    def __post_init__(self) -> None:
-        assert self.holds == (not self.violations)
+    @property
+    def holds(self) -> bool:
+        return not self.violations
 
     def to_json_obj(self) -> dict:
         return {
@@ -144,10 +144,15 @@ def window_counts(
     return counts
 
 
-def _check(
+def check(
     candidate: Spectrum, target: Spectrum, kinds: tuple[WindowKind, ...]
 ) -> SemicontinuityReport:
-    # violations come out ordered by a, then by kind in the order given
+    """Verify candidate unit-window counts never exceed the target's.
+
+    Scans every test point for each of the given window kinds and reports
+    each failed window with both side values, ordered by a, then by kind in
+    the order given.
+    """
     den, points = integer_test_points(candidate, target)
     lhs = window_counts(candidate, den, points, kinds)
     rhs = window_counts(target, den, points, kinds)
@@ -156,20 +161,7 @@ def _check(
         for (t, kind), x, y in zip(product(points, kinds), lhs, rhs)
         if x > y
     ]
-    return SemicontinuityReport(
-        holds=not violations,
-        violations=tuple(violations),
-        breakpoints_checked=len(lhs),
-    )
-
-
-def check(candidate: Spectrum, target: Spectrum, kind: WindowKind) -> SemicontinuityReport:
-    """Verify candidate unit-window counts never exceed the target's.
-
-    Scans every test point for the given window kind and reports each failed
-    window with both side values.
-    """
-    return _check(candidate, target, (kind,))
+    return SemicontinuityReport(violations=tuple(violations), breakpoints_checked=len(lhs))
 
 
 def candidate_spectrum(c: Configuration) -> Spectrum:
@@ -190,4 +182,4 @@ def check_configuration(c: Configuration, apply_open_variant: bool = True) -> Se
     ``apply_open_variant`` is False.
     """
     kinds = window_kinds(apply_open_variant)
-    return _check(candidate_spectrum(c), fermat_spectrum(c.n, c.d), kinds)
+    return check(candidate_spectrum(c), fermat_spectrum(c.n, c.d), kinds)

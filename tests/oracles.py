@@ -260,7 +260,6 @@ def fraction_check(candidate: Spectrum, target: Spectrum, kind: WindowKind) -> S
         if lhs > rhs:
             violations.append(Violation(a, lhs, rhs, kind))
     return SemicontinuityReport(
-        holds=not violations,
         violations=tuple(violations),
         breakpoints_checked=len(points),
     )
@@ -277,7 +276,6 @@ def fraction_check_configuration(c: Configuration, apply_open_variant: bool = Tr
         (v for r in reports for v in r.violations), key=lambda v: (v.a, v.kind.value)
     )
     return SemicontinuityReport(
-        holds=not violations,
         violations=tuple(violations),
         breakpoints_checked=sum(r.breakpoints_checked for r in reports),
     )

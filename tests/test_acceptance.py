@@ -181,7 +181,7 @@ def test_criterion_7_property_suites(capsys):
             (germ_spectrum(g) for g in config.germs), make_spectrum([])
         )
         target = fermat_spectrum(n, d)
-        if not check(candidate, target, WindowKind.OPEN_CLOSED).holds:
+        if not check(candidate, target, (WindowKind.OPEN_CLOSED,)).holds:
             continue
         for a in window_test_points(candidate, target):
             assert deg_window(candidate, a, POS_INF) <= deg_window(target, a, POS_INF)
@@ -200,7 +200,7 @@ def test_criterion_7_property_suites(capsys):
             for _ in range(rng.randint(0, 5))
         )
         for kind in WindowKind:
-            assert check(s1, s2, kind).holds == dense_check(s1, s2, kind)
+            assert check(s1, s2, (kind,)).holds == dense_check(s1, s2, kind)
 
     # low diagonal-germ multiplicities are binomial coefficients
     for n in range(1, 9):

@@ -79,8 +79,9 @@ def test_alpha1_threshold():
     assert alpha1_threshold(2, 2) == F(-3, 4)
     assert alpha1_threshold(4, 2) == F(-1, 4)
     assert alpha1_threshold(5, 2) == F(0)
+    assert alpha1_threshold(2, 1) == F(-2, 3)
     with pytest.raises(ValueError):
-        alpha1_threshold(2, 1)
+        alpha1_threshold(2, 0)
 
 
 def test_binomial_column_sum_identity():

@@ -10,9 +10,13 @@ import re
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specpol
 from specpol.cli import run
@@ -214,9 +218,10 @@ def test_search_no_filter(capsys):
     "k, out",
     [
         # D4 survives: the corank bound 2^1 <= 0 would exclude it, so neither
-        # implied filter is listed at k = 0
+        # implied filter is listed at k = 0, and neither is huh, which applies
+        # from k = 1 on (multiplicity - 1 <= 0 would exclude D4 too)
         (0, '{"diagnostic_windows":{},"examined":1,'
-            '"filters_applied":["huh","semicontinuity","semicontinuity_open_variant"],'
+            '"filters_applied":["semicontinuity","semicontinuity_open_variant"],'
             '"params":{"d":3,"k":0,"n":2},'
             '"pruned_by":{"alpha1":0,"corank":0,"huh":0,"semicontinuity":4},'
             '"survivors":[{"d":3,"germs":["D4"],"n":2}],'
@@ -287,6 +292,8 @@ def test_usage_errors_exit_two(capsys):
         ["deg", "fermat:2:3", "--from=+inf", "--to=0"],
         ["deg", "fermat:2:3", "--from=0", "--to=-inf"],
         ["deg", "fermat:2:3", "--from=+inf", "--to=-inf"],
+        # an exponent, which Fraction would expand to 10^999999999 first
+        ["deg", "fermat:2:3", "--from=1e999999999", "--to=1"],
         ["search", "2", "3", "2", "--workers", "0"],
         ["search", "2", "3", "2", "--workers", "-3"],
         ["verify-huh", "--workers", "0"],
@@ -334,6 +341,83 @@ def test_malformed_input_exits_two_with_one_line(argv, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# Fuzzed command lines: inline configurations (JSON objects, or text that
+# starts like one, so that it is never read as a path) and spectrum sources
+# with rational or malformed bounds.  Small values run the real computation;
+# large ones reach the budget refusals.
+_numbers = st.integers(-3, 40) | st.integers(-(10**30), 10**30)
+_words = st.text(max_size=12)
+_germs = st.from_regex(r"[ADEJ][0-9]{1,3}(_[0-9]{1,2})?", fullmatch=True) | _words
+_json = st.recursive(
+    st.none() | st.booleans() | _numbers | st.floats() | _germs,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_words, inner, max_size=3),
+    max_leaves=8,
+)
+_configs = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "n": st.integers(1, 5),
+            "d": st.integers(1, 8),
+            "germs": st.lists(st.sampled_from(["A1", "A2", "A5", "D4", "E6", "J2_1"]), max_size=4),
+        }
+    ).map(json.dumps),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "n": _numbers | _json,
+            "d": _numbers | _json,
+            "germs": st.lists(_germs, max_size=5) | _json,
+        },
+    ).map(json.dumps),
+    st.dictionaries(_words, _json, max_size=4).map(json.dumps),
+    _words.map(lambda text: "{" + text),
+)
+_sources = st.one_of(
+    st.builds("germ:{}".format, _germs),
+    st.builds("germ:{}:{}".format, _germs, _numbers | _words),
+    st.builds("fermat:{}:{}".format, _numbers | _words, _numbers | _words),
+)
+_bounds = st.one_of(
+    st.sampled_from(["-inf", "+inf", "inf", "-oo", "+oo"]),
+    _numbers.map(str),
+    st.builds("{}/{}".format, _numbers, _numbers),
+    st.builds("{}e{}".format, _numbers, _numbers),
+    _words,
+)
+_sides = st.sampled_from(["open", "closed"])
+_command_lines = st.one_of(
+    st.tuples(st.just("pol"), _configs.map("--config={}".format), st.just("--json")),
+    st.tuples(
+        st.just("check"),
+        _configs.map("--config={}".format),
+        st.sampled_from(["--json", "--no-open-variant"]),
+    ),
+    st.tuples(st.just("spectrum"), st.just("join"), _sources, _sources, st.just("--json")),
+    st.tuples(
+        st.just("deg"),
+        _sources,
+        _bounds.map("--from={}".format),
+        _bounds.map("--to={}".format),
+        _sides.map("--left={}".format),
+        _sides.map("--right={}".format),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_command_lines)
+def test_fuzzed_input_exits_zero_or_two_with_one_line(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(list(argv))
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == "", argv
+    else:
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 @pytest.mark.parametrize(
@@ -437,7 +521,6 @@ LIBRARY_ONLY = {
     "huh_inequality_holds": "perfbench/spans.py traces it by name",
     "alpha1_threshold": "perfbench/spans.py traces it by name",
     "corank_curve": "test_implied_pool_filters_are_vacuous uses it",
-    "check": "the public single-kind semicontinuity check that the tests use",
 }
 
 

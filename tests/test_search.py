@@ -120,14 +120,10 @@ def test_implied_pool_filters_are_vacuous():
     # ambient n exceeds -2/3 + (n-2)/2, which is at least the threshold
     assert all(curve_spectrum(g).min_spectral() > Fraction(-2, 3) for g in curves)
     for n in range(2, 41):
-        for k in range(2, 41):
+        for k in range(1, 41):
             assert Fraction(-2, 3) + Fraction(n - 2, 2) >= alpha1_threshold(n, k)
     # corank: the generic slice has corank at most 1, and 2 <= k
     assert all(2 ** max(corank_curve(g) - 1, 0) <= 2 for g in curves)
-    # alpha1 is implied at k = 1 as well: there -1 + (n-1)/(k+2) is
-    # -1 + (n-1)/3, which is -2/3 at n = 2 (`alpha1_threshold` takes k >= 2)
-    for n in range(2, 41):
-        assert Fraction(-2, 3) + Fraction(n - 2, 2) >= Fraction(n - 1, 3) - 1
     # huh for n >= 3 only asks for catalog membership
     for n in (3, 4, 5):
         for k in (1, 2, 3):
@@ -445,6 +441,17 @@ def test_incremental_pruning_never_drops_a_survivor():
                 )
                 recheck = [c for c in unpruned.survivors if check_configuration(c, open_variant).holds]
                 assert list(pruned.survivors) == recheck, (n, d, k, huh, open_variant)
+
+
+def test_unpruned_search_builds_no_spectrum_at_a_leaf(monkeypatch):
+    # With semicontinuity off nothing reads a leaf's spectrum, so none is
+    # summed: every complete configuration survives, and `add` is never called.
+    def refuse(*spectra):
+        raise AssertionError("a leaf built a spectrum with semicontinuity off")
+
+    monkeypatch.setattr("specpol.search.add", refuse)
+    report = enumerate_configurations(2, 6, 3, filters=SearchFilters(semicontinuity=False))
+    assert report.examined == len(report.survivors) == 6520
 
 
 def test_open_variant_only_tightens():

@@ -76,7 +76,7 @@ def test_candidate_spectrum_examples():
 def test_check_holds_on_equal_spectra():
     target = fermat_spectrum(3, 4)
     for kind in WindowKind:
-        report = check(target, target, kind)
+        report = check(target, target, (kind,))
         assert report.holds and not report.violations
         assert report.breakpoints_checked > 0
 
@@ -84,7 +84,7 @@ def test_check_holds_on_equal_spectra():
 def test_check_reports_violation_values():
     candidate = make_spectrum([(F(0), 3)])
     target = make_spectrum([(F(0), 1)])
-    report = check(candidate, target, WindowKind.OPEN_CLOSED)
+    report = check(candidate, target, (WindowKind.OPEN_CLOSED,))
     assert not report.holds
     worst = max(v.lhs - v.rhs for v in report.violations)
     assert worst == 2
@@ -95,7 +95,7 @@ def test_cuspidal_cubic_candidate_holds():
     report = check(
         candidate_spectrum(config(2, 3, "A2")),
         fermat_spectrum(2, 3),
-        WindowKind.OPEN_CLOSED,
+        (WindowKind.OPEN_CLOSED,),
     )
     assert report.holds
 
@@ -141,7 +141,7 @@ def test_breakpoint_scan_matches_dense_sampling():
         candidate = random_spectrum(rng)
         target = random_spectrum(rng)
         for kind in WindowKind:
-            fast = check(candidate, target, kind).holds
+            fast = check(candidate, target, (kind,)).holds
             slow = dense_check(candidate, target, kind)
             if fast != slow:
                 disagreements += 1
@@ -185,7 +185,7 @@ def test_unit_windows_imply_ray_inequalities():
             continue
         candidate = candidate_spectrum(cfg)
         target = fermat_spectrum(n, d)
-        if not check(candidate, target, WindowKind.OPEN_CLOSED).holds:
+        if not check(candidate, target, (WindowKind.OPEN_CLOSED,)).holds:
             continue
         checked_holds += 1
         for a in window_test_points(candidate, target):
@@ -216,7 +216,7 @@ def test_integer_check_equals_fraction_reference(candidate, target, kind):
     # same test points, and the same report: violations in the same order
     # with the same a, lhs, rhs and kind, the same breakpoints_checked
     assert window_test_points(candidate, target) == fraction_test_points(candidate, target)
-    fast, slow = check(candidate, target, kind), fraction_check(candidate, target, kind)
+    fast, slow = check(candidate, target, (kind,)), fraction_check(candidate, target, kind)
     assert fast == slow
     assert fast.to_json() == slow.to_json()
 
