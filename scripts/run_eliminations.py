@@ -7,16 +7,15 @@ each requested (n, d) pair and prints the survivors.  The low pairs (2,3),
 comes out empty.
 
 The default pair set is the whole k=2 region, `candidate_region(2)`.  On a
-2-core machine with Python 3.11 (six runs, search time as printed,
-interpreter start not included), every pair up to (2,9) takes at most
-0.01 s, (2,10) 0.02-0.03 s and (2,11) 0.03-0.04 s; the whole default run
-takes 0.22-0.28 s with interpreter start (0.44 s once, from a cold start).
-`-k 3 7,3` takes 0.20-0.33 s, `-k 3 2,5 2,6 4,3` (three k=3 pairs with
-survivors, where the search goes below the root) 0.14-0.18 s,
-`-k 4 2,6 2,7 3,4` (k=4 pairs cut below the root) 0.21-0.35 s,
-`-k 5 2,9` (376 classes: of the pairs of k = 2..5 with pools of at most
-12,000 classes, the largest pool whose root is not cut) 0.17-0.18 s, and `-k 3 3,8 2,19` (pools of 10,141 and 9,066 classes,
-cut at the root) 2.5-3.3 s.  Pass explicit pairs and `-k` to search
+2-core machine with Python 3.11 (six runs each, interpreter start
+included), the whole default run takes 0.20-0.26 s, `-k 3 7,3` 0.13-0.17 s
+and `-k 3 3,8 2,19` 0.11-0.15 s: the centred-window lemma decides (7,3,3),
+(3,8,3) and (2,19,3) before their pools (1,487, 10,141 and 9,066 classes)
+are listed.  `-k 3 2,5 2,6 4,3` (three k=3 pairs with survivors, where the
+search goes below the root) takes 0.16-0.19 s, `-k 4 2,6 2,7 3,4` (k=4
+pairs cut below the root) 0.23-0.29 s, and `-k 5 2,9` (376 classes: of the
+pairs of k = 2..5 with pools of at most 12,000 classes, the largest pool
+whose root is not cut) 0.14-0.20 s.  Pass explicit pairs and `-k` to search
 elsewhere.
 """
 

@@ -267,8 +267,18 @@ def _cmd_verify_huh(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one ``error:`` line and exit 2.
+
+    Subparsers are made with the class of their parent, so they inherit it.
+    """
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="specpol",
         description="Exact singularity spectra, polar degrees and semicontinuity searches.",
     )

@@ -47,21 +47,31 @@ Filters:
   overflows that lane, so the cut drops only configurations that the lanes
   would reject at their last germ: survivors and ``examined`` are those of
   the search without it; only the number of cuts changes.
+* Centred window (part of ``semicontinuity``, with the open variant): before
+  any pool is counted or listed, `centred_window_certificate` tries the lemma
+  that every catalog germ puts at least 4/5 of its spectral numbers in the
+  open unit window centred on its spectrum, ]c-1/2, c+1/2[ with
+  c = (n-2)/2 (the proof is in its docstring).  If ceil(4T/5), T the target
+  Milnor number, exceeds the target spectrum's count there, no configuration
+  passes, and the search reports what the DFS reports for a cut root: one
+  cut, nothing examined, and for ``huh`` the classes it would have removed,
+  counted in closed form.  This decides 4 of the 13 pairs of
+  `candidate_region(2)` and 39 of the 51 of `candidate_region(3)`, among
+  them all 14 whose pools are over the budget.
 * Root walk (part of ``semicontinuity``): at the root the bound is a
   single-window certificate, and it is decided before any window vector is
   built.  The walk takes the pool lightest germ first and counts each germ
   only on the lanes that can still certify the root; a lane drops out at the
   first germ whose density is too low (`_SearchContext._root_is_cut` has the
   proof that this is exactly the lookahead's test at the root).  If a lane
-  is left at the end, the search reports what the DFS reports for a cut
-  root, one cut and nothing examined, and builds, packs and visits nothing
-  more: 8 of the 13 pairs of `candidate_region(2)`, (2,7) to (2,11) among
-  them, and 31 of the 37 in-budget pairs of `candidate_region(3)` end there.
-  Otherwise the vectors are built and the DFS runs as above.  The walk, the
-  vectors and the leaves all count curve spectra against the target moved
-  down once by (n-2)/2, the amount a germ spectrum (the (n-2)-fold
-  suspension) lies above its curve spectrum: moving both spectra moves every
-  test point along and changes no count.
+  is left at the end, the search reports a cut root and builds, packs and
+  visits nothing more: of the pairs the lemma leaves, (2,7), (2,9), (2,11)
+  and (4,3) at k = 2 and 6 of the 12 at k = 3 end there.  Otherwise the
+  vectors are built from one cell table (`_SearchContext.build`) and the DFS
+  runs as above.  The walk, the vectors and the leaves all count curve
+  spectra against the target moved down once by (n-2)/2, the amount a germ
+  spectrum (the (n-2)-fold suspension) lies above its curve spectrum: moving
+  both spectra moves every test point along and changes no count.
 
 Reported counts: ``examined`` is the number of complete configurations that
 reached the target Milnor sum and entered per-configuration checking;
@@ -72,19 +82,21 @@ search runs in this process; the ``workers`` argument is checked but selects
 nothing, so any worker count gives the same report.  Survivors satisfy a
 necessary criterion only: they are candidates, not certified hypersurfaces.
 
-Budget: a search whose pool would list more than ``MAX_POOL_CLASSES`` classes
-is refused with a ValueError before anything is built; `germ_pool_size`
-counts the pool in closed form.  Before that, `diagonal_milnor` refuses a
-(d-1)^n of more than ``MAX_POWER_BITS`` bits without computing it.
+Budget: a search that the centred window does not decide and whose pool
+would list more than ``MAX_POOL_CLASSES`` classes is refused with a ValueError
+before the pool is listed; `germ_pool_size` counts the pool in closed form.
+Before anything else, `diagonal_milnor` refuses a (d-1)^n of more than
+``MAX_POWER_BITS`` bits without computing it.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterable, Optional
 
 from .catalog import FAMILIES, GermClass, curve_spectrum, fermat_spectrum
@@ -100,10 +112,12 @@ from .semicontinuity import window_counts, window_kinds
 from .spectrum import EMPTY, NEG_INF, WindowKind, add, deg_window
 
 __all__ = [
+    "CentredWindowCertificate",
     "HuhEntryResult",
     "HuhVerification",
     "SearchFilters",
     "SearchReport",
+    "centred_window_certificate",
     "enumerate_configurations",
     "germ_pool",
     "germ_pool_size",
@@ -243,6 +257,76 @@ def germ_pool(n: int, mu_max: int, whitelist: Iterable[str] = FAMILIES) -> list[
     return sorted(pool, key=GermClass.sort_key)
 
 
+# The least share of a catalog curve spectrum inside ]-1/2, 1/2[, and a class
+# that attains it (see `centred_window_certificate`).
+CENTRED_DENSITY = Fraction(4, 5)
+CENTRED_DENSITY_ATTAINED_BY = "J2_0"
+
+
+@dataclass(frozen=True)
+class CentredWindowCertificate:
+    """An elimination by the centred-window lemma, checkable from the spectra alone.
+
+    Every configuration of the pair puts at least ``forced`` spectral numbers
+    in the open ``window`` (each germ at least ``density`` of its Milnor
+    number, attained by ``attained_by``), and the diagonal germ has only
+    ``target`` there.
+    """
+
+    window: tuple[Fraction, Fraction]
+    density: Fraction
+    attained_by: str
+    forced: int
+    target: int
+
+
+def centred_window_certificate(n: int, d: int, k: int) -> Optional[CentredWindowCertificate]:
+    """Eliminate (n, d, k) by the open window centred on the spectra, or return None.
+
+    The lemma: every A/D/E/J curve germ has at least 4/5 of its spectral
+    numbers, with multiplicity, in W = ]-1/2, 1/2[.  Per family, from the
+    numerators of `curve_spectrum` (the spectrum is symmetric about 0, so the
+    numbers outside W are twice those at or below -1/2):
+
+    * A(k): |x| <= k-1 < k+1 over 2(k+1), and D(k): |x| <= k-2 < k-1 over
+      2k-2.  Every number lies in W.
+    * E(6r), E(6r+2), with m = 3r+1 or 3r+2 and mu = 2(m-1): the progression
+      3-2m, 6-2m, ... over 3m has floor(m/6) terms at or below -3m/2, so
+      2 floor(m/6) numbers lie outside, and 2 floor(m/6) <= m/3 <= 2(m-1)/5
+      once m >= 6 (none lie outside below that).  The least share is 10/12,
+      at E12.
+    * E(6r+1), mu = 6r+1: of -4r, 2-4r, ... over 6r+3, the terms at or below
+      -(3r+2) are floor(r/2) in number, and 1-2r, ..., 2r-1 stays inside, so
+      at most r < mu/5 numbers lie outside.
+    * J(k,0), mu = 6k-2: 1-2k, ..., -ceil(3k/2) over 3k are the numbers at or
+      below -1/2, floor(k/2) of them.
+    * J(k,i>0), mu = 6k-2+i: `_j_negative_part` asserts that group 2 lies
+      above -1/2, and of group 1 only -2k+1, ..., floor(-3k/2) over 3k lie at
+      or below it, again floor(k/2) numbers.
+
+    So a J germ has at most 2 floor(k/2) <= k <= mu/5 numbers outside W, as
+    6k-2 >= 5k for k >= 2, with equality exactly at J2_0 (mu = 10, 2 numbers
+    outside).  An ambient-n germ spectrum is its curve spectrum moved up by
+    c = (n-2)/2, so every germ puts at least ceil(4 mu_g / 5) numbers in the
+    open window ]c-1/2, c+1/2[, and a configuration of total Milnor number
+    T = (d-1)^n - k at least sum_g ceil(4 mu_g / 5) >= ceil(4T/5).  The open
+    variant of semicontinuity bounds that count by the diagonal germ's count
+    in the same window; when ceil(4T/5) exceeds it, no configuration passes,
+    and the certificate is returned.  Nothing depends on the whitelist: any
+    subset of the catalog has the density.  The window is open, so a search
+    applies the certificate only with the open variant.
+    """
+    total = diagonal_milnor(n, d) - k
+    centre = Fraction(n - 2, 2)
+    low, high = centre - Fraction(1, 2), centre + Fraction(1, 2)
+    # ceil(total * 4/5), in integers
+    forced = -(-total * CENTRED_DENSITY.numerator // CENTRED_DENSITY.denominator)
+    target = deg_window(fermat_spectrum(n, d), low, high)
+    if forced <= target:
+        return None
+    return CentredWindowCertificate((low, high), CENTRED_DENSITY, CENTRED_DENSITY_ATTAINED_BY, forced, target)
+
+
 def _pack(values: list[int], width: int) -> int:
     """Non-negative ints below 2^width, one per lane, the first in the lowest bits."""
     return sum(v << (j * width) for j, v in enumerate(values))
@@ -331,24 +415,61 @@ class _SearchContext:
         return bool(live)
 
     def build(self) -> None:
-        """Window vectors of the pool, packed, and the lookahead densities."""
-        width, den, points, kinds = self.width, self.den, self.points, self.kinds
+        """Window vectors of the pool, packed, and the lookahead densities.
+
+        The vectors come from one cell table.  The lane endpoints t and
+        t + den, sorted as e_0 < ... < e_(m-1), cut the line into cells:
+        cell 2i+1 is the point e_i, cell 2i the open gap below it and cell 2m
+        the gap above e_(m-1).  Every lane's window is a run of cells, so
+        each cell gets the packed int with a 1 in every lane that holds it
+        (a difference array, summed once).  A spectral number y/s lies in
+        cell bisect_right(bounds, 2q + (r > 0)), with q, r = divmod(y*den, s)
+        and bounds = 2e_i, 2e_i + 1 per endpoint: its place over den is q
+        exactly when r is 0, and strictly between q and q + 1 otherwise.  So
+        a germ's packed vector is the sum of its multiplicities times their
+        cells' ints, the same counts as `window_counts` per lane.
+        """
+        width, den, points, kinds, high = self.width, self.den, self.points, self.kinds, self.high
         # No carry between lanes: a node tests acc + lookahead, where acc is its
         # parent's state (every lane at most 2^(B-1) - 1, or the parent was cut)
         # plus germ g's vector.  g adds at most mu_g to a lane and the lookahead
         # at most the r - mu_g left after it, so a lane gains at most
         # r <= target_mu < 2^(B-1) and stays below 2^B.
         assert max(self.mus, default=0) <= self.target_mu < 1 << (width - 1)
-        # Per lane, the least density vec_g[j]/mu_g over the whole pool as
-        # xs[j]/ms[j].  It starts at 1/1, the largest density (a germ has mu_g
-        # spectral numbers), which also bounds an empty pool: that has no
-        # completion unless remaining is 0.
-        xs, ms = [1] * len(self.rhs), [1] * len(self.rhs)
+        ends = sorted({*points, *(t + den for t in points)})
+        cell_of = {e: 2 * i + 1 for i, e in enumerate(ends)}
+        diff = [0] * (2 * len(ends) + 1)
+        for j, (t, kind) in enumerate(product(points, kinds)):
+            # ]t, t + den] takes the point cell t + den, ]t, t + den[ stops below it
+            diff[cell_of[t] + 1] += 1 << (j * width)
+            diff[cell_of[t + den] + (kind is WindowKind.OPEN_CLOSED)] -= 1 << (j * width)
+        cells = list(accumulate(diff))
+        bounds = [b for e in ends for b in (2 * e, 2 * e + 1)]
         self.packed = []
-        for g, mu in zip(self.pool, self.mus):
-            counts = window_counts(curve_spectrum(g), den, points, kinds)
-            self.packed.append(_pack(counts, width))
-            for j, x in enumerate(counts):
+        for g in self.pool:
+            s = curve_spectrum(g)
+            places = (divmod(y * den, s.den) for y in s.nums)
+            self.packed.append(
+                sum(m * cells[bisect_right(bounds, 2 * q + (r > 0))] for (q, r), m in zip(places, s.mults))
+            )
+        # Per lane, the least density vec_g[j]/mu_g over the whole pool as
+        # xs[j]/ms[j]; it starts at 1/1, the largest density (a germ has mu_g
+        # spectral numbers), which also bounds an empty pool: that has no
+        # completion unless remaining is 0.  Within one mu the least density
+        # is the least count, taken lane-wise on the packed vectors: every
+        # lane is below 2^(B-1), so in (vec | high) - low lane j keeps its top
+        # bit exactly when vec_j >= low_j, and no lane borrows from the next.
+        least: dict[int, int] = {}
+        for mu, vec in zip(self.mus, self.packed):
+            low = least.setdefault(mu, vec)
+            keep = ((vec | high) - low) & high
+            take_low = (keep << 1) - (keep >> (width - 1))  # all ones in those lanes
+            least[mu] = vec ^ ((vec ^ low) & take_low)
+        lanes, mask = len(self.rhs), (1 << width) - 1
+        xs, ms = [1] * lanes, [1] * lanes
+        for mu, low in least.items():
+            for j in range(lanes):
+                x = (low >> (j * width)) & mask
                 if x * ms[j] < xs[j] * mu:
                     xs[j], ms[j] = x, mu
         # No carry: a density is at most 1, so a bound lane is at most
@@ -430,8 +551,10 @@ def enumerate_configurations(
     """Enumerate and filter all germ multisets with total Milnor (d-1)^n - k.
 
     The search runs in this process whatever ``workers`` says; it must be at
-    least 1 and is otherwise ignored.  A pool over ``MAX_POOL_CLASSES``
-    classes is refused with a ValueError before any spectrum is built.
+    least 1 and is otherwise ignored.  A pair that `centred_window_certificate`
+    eliminates is answered without a pool when the open variant is on;
+    otherwise a pool over ``MAX_POOL_CLASSES`` classes is refused with a
+    ValueError before any spectrum is built.
 
     For k <= 2 restricting to the A/D/E/J catalog is forced by the
     gradient-degree bound; for k >= 3 the whitelist is an input assumption,
@@ -444,11 +567,19 @@ def enumerate_configurations(
     smooth = diagonal_milnor(n, d)
     if smooth < k:
         raise InfeasibleConfigurationError(f"polar degree {k} exceeds (d-1)^n = {smooth}")
-    whitelist = frozenset(whitelist)
-    ctx = _SearchContext(n, d, k, whitelist, filters)
-    survivors, examined, cuts = _run_search(ctx)
-
-    pruned = dict(ctx.pool_pruned)
+    whitelist = frozenset(_families(whitelist))
+    if filters.semicontinuity and filters.open_variant and centred_window_certificate(n, d, k):
+        # what a cut root reports, without listing the pool
+        survivors, examined, cuts = [], 0, 1
+        pruned = dict.fromkeys(FILTER_NAMES, 0)
+        if filters.huh and n == 2 and k == 1:
+            # sectional_milnor_plane is 1 for A and 2 for D/E/J, so huh
+            # removes every D/E/J class at k = 1 and none from k = 2 on
+            pruned["huh"] = germ_pool_size(smooth - k, whitelist - {"A"})
+    else:
+        ctx = _SearchContext(n, d, k, whitelist, filters)
+        survivors, examined, cuts = _run_search(ctx)
+        pruned = dict(ctx.pool_pruned)
     pruned["semicontinuity"] = cuts
     survivors = sorted(survivors, key=lambda c: tuple(g.sort_key() for g in c.germs))
 
@@ -463,7 +594,7 @@ def enumerate_configurations(
         n=n,
         d=d,
         k=k,
-        target_mu=ctx.target_mu,
+        target_mu=smooth - k,
         whitelist=tuple(sorted(whitelist)),
         filters_applied=filters.applied_names(k),
         survivors=tuple(survivors),

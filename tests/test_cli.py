@@ -197,13 +197,36 @@ def test_search_json(capsys):
 
 
 def test_search_k3_cubic_sixfold_is_eliminated(capsys):
-    # (7,3,3): 1,487 pool classes, decided by the lookahead at the root
+    # (7,3,3): 1,487 pool classes, decided by the centred-window lemma
     code, out, _ = invoke(capsys, "search", "7", "3", "3", "--json")
     assert code == 0
     report = json.loads(out)
     assert report["target_mu"] == 125
     assert report["survivors"] == []
     assert report["pruned_by"]["semicontinuity"] == 1
+
+
+@pytest.mark.parametrize("n, d, k", [(9, 6, 3), (100, 3, 2)])
+def test_search_decided_by_the_centred_window_lists_no_pool(n, d, k, monkeypatch, capsys):
+    # Both pools are over the budget ((9,6,3) would list 317,893,391,922
+    # classes); the centred-window lemma decides each pair before any pool is
+    # counted or listed, and it reports what a cut root reports.
+    def refuse(*args):
+        raise AssertionError("a pool was listed")
+
+    monkeypatch.setattr("specpol.search.germ_pool", refuse)
+    code, out, err = invoke(capsys, "search", str(n), str(d), str(k), "--json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["examined"] == 0 and report["survivors"] == []
+    assert report["pruned_by"] == {"alpha1": 0, "corank": 0, "huh": 0, "semicontinuity": 1}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["search", "--help"], ["spectrum", "germ", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: specpol")
 
 
 def test_search_no_filter(capsys):
@@ -306,11 +329,12 @@ def test_usage_errors_exit_two(capsys):
         ["deg", "germ:A2:abc", "--from=-inf", "--to=+inf"],
         ["deg", "fermat:2:x", "--from=-inf", "--to=+inf"],
         # over the work budget: refused before the pool or the scan is built
-        ["search", "100", "3", "2"],
-        ["search", "2", "100000", "2"],
+        # (with the open variant the centred-window lemma decides both pairs)
+        ["search", "100", "3", "2", "--no-filter", "open-variant"],
+        ["search", "2", "100000", "2", "--no-filter", "open-variant"],
         ["region", "1000000"],
         # a pool count past the int-to-str digit limit
-        ["search", "20000", "3", "2"],
+        ["search", "20000", "3", "2", "--no-filter", "open-variant"],
         # oversized spectra and powers: refused before they are allocated
         ["spectrum", "germ", "A1000000000"],
         ["spectrum", "fermat", "2", "1000000000"],
@@ -326,6 +350,10 @@ def test_usage_errors_exit_two(capsys):
         ["spectrum", "join", "fermat:1:1000001", "fermat:1:1000001"],
         # a total Milnor number over (d-1)^n, refused by check as by pol
         ["check", "--config", json.dumps({"n": 2, "d": 3, "germs": [f"A{k}" for k in range(1, 121)]})],
+        # usage errors that argparse finds: a non-integer argument, and a
+        # negative value after a space, read as an option
+        ["search", "2", "x", "2"],
+        ["deg", "germ:A2", "--from", "-1/3", "--to", "1"],
     ],
 )
 def test_malformed_input_exits_two_with_one_line(argv, tmp_path, capsys):

@@ -36,7 +36,15 @@ from specpol import (
     polar_degree,
     verify_huh_lists,
 )
-from specpol.search import MAX_POOL_CLASSES, _lanes, _pack, _SearchContext
+from specpol.search import (
+    CENTRED_DENSITY,
+    CENTRED_DENSITY_ATTAINED_BY,
+    MAX_POOL_CLASSES,
+    _lanes,
+    _pack,
+    _SearchContext,
+    centred_window_certificate,
+)
 from specpol.semicontinuity import (
     integer_test_points,
     window_counts,
@@ -44,6 +52,7 @@ from specpol.semicontinuity import (
     window_test_points,
 )
 from specpol.spectrum import EMPTY
+from oracles import brute_deg, newton_diagram_negatives, spectrum_from_weights, weights
 
 
 SURVIVORS_JSON = Path(__file__).resolve().parents[1] / "perfbench" / "survivors.json"
@@ -88,10 +97,86 @@ def test_out_of_budget_pool_is_refused_before_listing():
     assert germ_pool_size(too_big) > MAX_POOL_CLASSES
     with pytest.raises(ValueError, match="budget"):
         germ_pool(2, too_big)
+    # the centred-window lemma decides (100,3,2) without a pool; without the
+    # open variant it does not apply, and the pool budget refuses the search
     with pytest.raises(ValueError, match="budget"):
-        enumerate_configurations(100, 3, 2)
+        enumerate_configurations(100, 3, 2, filters=SearchFilters(open_variant=False))
     # the largest pool searched so far, (4,6,3), is well inside the budget
     assert germ_pool_size(5**4 - 3) == 33_171 < MAX_POOL_CLASSES
+
+
+def _oracle_curve_entries(g):
+    # (spectral number, multiplicity) pairs from the oracles: the weight
+    # expansion, or for J(k, i>0) the Newton-diagram count of x^3 + x^2 y^k +
+    # y^(3k+i), mirrored about 0 (no lattice point beyond y = 3k+i counts)
+    if g.family != "J" or g.i == 0:
+        return list(spectrum_from_weights(*weights(g)).entries)
+    negatives, zero = newton_diagram_negatives([(3, 0), (2, g.k), (0, 3 * g.k + g.i)], 3 * g.k + g.i)
+    return [(v, 1) for v in negatives] + [(-v, 1) for v in negatives] + [(Fraction(0), zero)]
+
+
+def test_centred_window_density_holds_for_every_catalog_class():
+    # Every class with mu <= 40 has at least CENTRED_DENSITY of its curve
+    # spectral numbers in ]-1/2, 1/2[, and only J2_0 has exactly that share.
+    least, attained = Fraction(1), set()
+    for g in germ_pool(2, 40):
+        entries = _oracle_curve_entries(g)
+        assert sum(m for _, m in entries) == g.milnor, g
+        share = Fraction(brute_deg(entries, Fraction(-1, 2), Fraction(1, 2)), g.milnor)
+        assert share >= CENTRED_DENSITY, g
+        if share < least:
+            least, attained = share, set()
+        if share == least:
+            attained.add(str(g))
+    assert least == CENTRED_DENSITY
+    assert attained == {CENTRED_DENSITY_ATTAINED_BY}
+
+
+def _certified_cases(pool_cap):
+    # the pairs of k = 1..5 that the lemma decides, with a pool of at most
+    # pool_cap classes: (2, d, 1) for every d of the k = 2 region's range,
+    # then candidate_region(k) for k = 2..5
+    for k in range(1, 6):
+        pairs = [(2, d) for d in range(2, 20)] if k == 1 else sorted(candidate_region(k).pairs)
+        for n, d in pairs:
+            if germ_pool_size((d - 1) ** n - k) <= pool_cap and centred_window_certificate(n, d, k):
+                yield n, d, k
+
+
+def test_centred_window_certificate_of_the_cubic_fourfold():
+    cert = centred_window_certificate(5, 3, 2)
+    assert cert.window == (Fraction(1), Fraction(2))
+    assert (cert.density, cert.attained_by) == (Fraction(4, 5), "J2_0")
+    # T = 30 forces ceil(4 * 30 / 5) = 24 numbers into ]1,2[, where the target has 20
+    assert (cert.forced, cert.target) == (24, 20)
+    assert cert.target == deg_window(fermat_spectrum(5, 3), Fraction(1), Fraction(2))
+    assert centred_window_certificate(3, 3, 2) is None
+
+
+def test_centred_window_certificates_agree_with_the_explicit_search(monkeypatch):
+    # On every certified pair with a pool of at most 1,500 classes, the
+    # explicit search (the lemma switched off) cuts the root, before any
+    # vector is built, and reports the same bytes, the huh count of (2, d, 1)
+    # with and without huh included.  Larger pools were compared once outside
+    # the suite.
+    cases = list(_certified_cases(1_500))
+    assert len(cases) >= 25 and any(k == 1 for _, _, k in cases)
+    lemma = {
+        (n, d, k, wl, huh): enumerate_configurations(n, d, k, wl, SearchFilters(huh=huh)).to_json()
+        for n, d, k in cases
+        for wl in ("ADEJ", "DEJ", "J")
+        for huh in ((True, False) if k == 1 else (True,))
+    }
+
+    def refuse(self):
+        raise AssertionError("the explicit search did not cut the root")
+
+    monkeypatch.setattr("specpol.search.centred_window_certificate", lambda n, d, k: None)
+    monkeypatch.setattr(_SearchContext, "build", refuse)
+    for (n, d, k, wl, huh), expected in lemma.items():
+        explicit = enumerate_configurations(n, d, k, wl, SearchFilters(huh=huh))
+        assert explicit.to_json() == expected, (n, d, k, wl, huh)
+        assert explicit.survivors == () and explicit.examined == 0
 
 
 def test_curve_spectrum_cache_is_bounded():
@@ -297,6 +382,44 @@ def test_vectors_count_the_curve_spectrum_at_shifted_points(n, d, k):
     for g, packed in zip(ctx.pool, ctx.packed):
         counts = window_counts(germ_spectrum(g), den, points, kinds)
         assert packed == _pack(counts, ctx.width), g
+
+
+def test_cell_table_vectors_and_least_densities_equal_the_lane_counts():
+    # The cell table's packed vectors against one `window_counts` call per
+    # class, and the least densities against a Fraction minimum per lane, on
+    # every pair of k = 2..5 with a pool of at most 400 classes whose root is
+    # not cut (and that is feasible: (2,3) has k > (d-1)^n from k = 5 on).
+    # Some mu must have two classes whose lane counts cross, so the lane-wise
+    # minimum differs from both vectors.
+    built = crossed = 0
+    for k in range(2, 6):
+        for n, d in sorted(candidate_region(k).pairs):
+            if (d - 1) ** n < k or germ_pool_size((d - 1) ** n - k) > 400:
+                continue
+            for whitelist in ("ADEJ", "DEJ", "J"):
+                for open_variant in (True, False):
+                    ctx = _SearchContext(
+                        n, d, k, frozenset(whitelist), SearchFilters(open_variant=open_variant)
+                    )
+                    if ctx.root_cut:
+                        continue
+                    built += 1
+                    counts = [window_counts(curve_spectrum(g), ctx.den, ctx.points, ctx.kinds) for g in ctx.pool]
+                    assert ctx.packed == [_pack(c, ctx.width) for c in counts], (n, d, k, whitelist)
+                    least = [
+                        min([Fraction(1)] + [Fraction(c[j], mu) for c, mu in zip(counts, ctx.mus)])
+                        for j in range(len(ctx.rhs))
+                    ]
+                    assert [Fraction(x, m) for x, m in zip(ctx.xs, ctx.ms)] == least, (n, d, k, whitelist)
+                    by_mu = {}
+                    for c, mu in zip(counts, ctx.mus):
+                        by_mu.setdefault(mu, []).append(c)
+                    crossed += any(
+                        any(x < y for x, y in zip(a, b)) and any(x > y for x, y in zip(a, b))
+                        for group in by_mu.values()
+                        for a, b in combinations(group, 2)
+                    )
+    assert built >= 20 and crossed >= 5, (built, crossed)
 
 
 # pruned_by["semicontinuity"] and examined, pinned so that a change to the
