@@ -29,10 +29,12 @@ Filters:
   a node is cut if any lane's top bit is set (SWAR, SIMD within a register).  The
   lanes are the windows of `check(candidate, target, kinds)`, ]a,a+1] and
   with the open variant ]a,a+1[, at every test point a of the target,
-  counted by `semicontinuity.window_counts`, so a configuration that passes
-  the check fits every lane.  The converse fails, as the lanes test the
-  target's test points only (A13 + E7 + E12 at (2,7) fits every half-open
-  lane, not ]a,a+1] at a = -5/9), so each leaf runs
+  counted by `semicontinuity.window_counts`, less those that can never cut:
+  a bound of at least the target Milnor number, and an open window whose
+  half-open twin has the same bound (`_SearchContext` has both proofs).  A
+  configuration that passes the check fits every lane.  The converse fails,
+  as the lanes test the target's test points only (A13 + E7 + E12 at (2,7)
+  fits every half-open lane, not ]a,a+1] at a = -5/9), so each leaf runs
   `check(candidate, target, kinds)`, and builds its spectrum for that only.
 * Lookahead (part of ``semicontinuity``): a node with ``remaining`` Milnor
   number still to place is completed by pool germs whose Milnor numbers sum
@@ -47,17 +49,19 @@ Filters:
   overflows that lane, so the cut drops only configurations that the lanes
   would reject at their last germ: survivors and ``examined`` are those of
   the search without it; only the number of cuts changes.
-* Centred window (part of ``semicontinuity``, with the open variant): before
-  any pool is counted or listed, `centred_window_certificate` tries the lemma
-  that every catalog germ puts at least 4/5 of its spectral numbers in the
-  open unit window centred on its spectrum, ]c-1/2, c+1/2[ with
-  c = (n-2)/2 (the proof is in its docstring).  If ceil(4T/5), T the target
-  Milnor number, exceeds the target spectrum's count there, no configuration
-  passes, and the search reports what the DFS reports for a cut root: one
-  cut, nothing examined, and for ``huh`` the classes it would have removed,
-  counted in closed form.  This decides 4 of the 13 pairs of
+* Centred window (part of ``semicontinuity``): before any pool is counted
+  or listed, `centred_window_certificate` tries the lemma that every
+  catalog germ puts at least 4/5 of its spectral numbers in the open unit
+  window centred on its spectrum, ]c-1/2, c+1/2[ with c = (n-2)/2 (the
+  proof is in its docstring), and so at least as many in the half-open
+  ]c-1/2, c+1/2].  If ceil(4T/5), T the target Milnor number, exceeds the
+  target spectrum's count in the open window (with the open variant) or
+  the half-open one (without it), no configuration passes, and the search
+  reports what the DFS reports for a cut root: one cut, nothing examined,
+  and for ``huh`` the classes it would have removed, counted in closed
+  form.  With the open variant this decides 4 of the 13 pairs of
   `candidate_region(2)` and 39 of the 51 of `candidate_region(3)`, among
-  them all 14 whose pools are over the budget.
+  them all 14 whose pools are over the budget; without it, 33 of the 51.
 * Root walk (part of ``semicontinuity``): at the root the bound is a
   single-window certificate, and it is decided before any window vector is
   built.  The walk takes the pool lightest germ first and counts each germ
@@ -96,7 +100,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from itertools import accumulate, product
+from itertools import accumulate
 from typing import Iterable, Optional
 
 from .catalog import FAMILIES, GermClass, curve_spectrum, fermat_spectrum
@@ -268,20 +272,23 @@ class CentredWindowCertificate:
     """An elimination by the centred-window lemma, checkable from the spectra alone.
 
     Every configuration of the pair puts at least ``forced`` spectral numbers
-    in the open ``window`` (each germ at least ``density`` of its Milnor
-    number, attained by ``attained_by``), and the diagonal germ has only
-    ``target`` there.
+    in ``window``, open or half-open as ``kind`` says (each germ at least
+    ``density`` of its Milnor number, attained by ``attained_by``), and the
+    diagonal germ has only ``target`` there.
     """
 
     window: tuple[Fraction, Fraction]
+    kind: WindowKind
     density: Fraction
     attained_by: str
     forced: int
     target: int
 
 
-def centred_window_certificate(n: int, d: int, k: int) -> Optional[CentredWindowCertificate]:
-    """Eliminate (n, d, k) by the open window centred on the spectra, or return None.
+def centred_window_certificate(
+    n: int, d: int, k: int, kind: WindowKind = WindowKind.OPEN_OPEN
+) -> Optional[CentredWindowCertificate]:
+    """Eliminate (n, d, k) by the unit window centred on the spectra, or return None.
 
     The lemma: every A/D/E/J curve germ has at least 4/5 of its spectral
     numbers, with multiplicity, in W = ]-1/2, 1/2[.  Per family, from the
@@ -312,19 +319,23 @@ def centred_window_certificate(n: int, d: int, k: int) -> Optional[CentredWindow
     T = (d-1)^n - k at least sum_g ceil(4 mu_g / 5) >= ceil(4T/5).  The open
     variant of semicontinuity bounds that count by the diagonal germ's count
     in the same window; when ceil(4T/5) exceeds it, no configuration passes,
-    and the certificate is returned.  Nothing depends on the whitelist: any
-    subset of the catalog has the density.  The window is open, so a search
-    applies the certificate only with the open variant.
+    and the certificate is returned.  A germ's count in the half-open
+    ]c-1/2, c+1/2] is at least its open count, so with ``kind`` OPEN_CLOSED
+    the same ceil(4T/5) is set against the diagonal germ's half-open count,
+    which the check without the open variant bounds.  Nothing depends on the
+    whitelist: any subset of the catalog has the density.
     """
     total = diagonal_milnor(n, d) - k
     centre = Fraction(n - 2, 2)
     low, high = centre - Fraction(1, 2), centre + Fraction(1, 2)
     # ceil(total * 4/5), in integers
     forced = -(-total * CENTRED_DENSITY.numerator // CENTRED_DENSITY.denominator)
-    target = deg_window(fermat_spectrum(n, d), low, high)
+    target = deg_window(fermat_spectrum(n, d), low, high, right_open=kind is WindowKind.OPEN_OPEN)
     if forced <= target:
         return None
-    return CentredWindowCertificate((low, high), CENTRED_DENSITY, CENTRED_DENSITY_ATTAINED_BY, forced, target)
+    return CentredWindowCertificate(
+        (low, high), kind, CENTRED_DENSITY, CENTRED_DENSITY_ATTAINED_BY, forced, target
+    )
 
 
 def _pack(values: list[int], width: int) -> int:
@@ -346,8 +357,25 @@ def _lanes(rhs: list[int], bound: int) -> tuple[int, int, int]:
 class _SearchContext:
     """Prepared pool, packed window vectors and filter bookkeeping for one search.
 
-    The root is decided first (`_root_is_cut`); the window vectors, their
-    packing and the lookahead densities are built only if it is not cut.
+    ``lanes`` lists the pruning windows once, as (t, closed on the right,
+    bound): the windows ]t/den, t/den + 1] and, with the open variant,
+    ]t/den, t/den + 1[ of `check` at the target's test points, bounded by
+    the target's counts there, less the two kinds that can never cut a node:
+
+    * a bound of at least T = target_mu: a node's count in a window is at
+      most the Milnor number it has placed, and the lookahead adds at most
+      the Milnor number left, as a density is at most 1, so the lane never
+      exceeds T;
+    * an open window whose half-open twin at the same t has the same bound
+      (the target has no spectral number at t/den + 1): in the twin every
+      germ counts at least as many numbers, so the twin's vector, least
+      density and lookahead are at least the open lane's, and the open lane
+      overflows only where the twin, itself a lane, does, at the root too.
+
+    So the lanes cut exactly the nodes that all the windows cut, and the
+    leaf's `check` still tests every window.  The root is decided first
+    (`_root_is_cut`); the window vectors, their packing and the lookahead
+    densities are built only if it is not cut.
     """
 
     def __init__(self, n: int, d: int, k: int, whitelist: frozenset[str], filters: SearchFilters):
@@ -367,13 +395,17 @@ class _SearchContext:
         # non-increasing canonical order: heaviest germ first
         self.pool = sorted(pool, key=lambda g: (-g.milnor,) + g.sort_key())
         self.mus = [g.milnor for g in self.pool]
-        # pruning windows: the unit windows of `check` at every target test
-        # point; with semicontinuity off there are none and high == 0
+        # the lanes (see the class docstring); with semicontinuity off there
+        # are none and high == 0, and without the open variant ``opened`` is []
+        T = self.target_mu
         den, points = integer_test_points(EMPTY, self.target) if filters.semicontinuity else (1, [])
-        self.den, self.points = den, points
-        self.kinds = window_kinds(filters.open_variant)
-        self.rhs = window_counts(self.target, den, points, self.kinds)
-        self.width, self.start, self.high = _lanes(self.rhs, self.target_mu)
+        self.den, self.kinds = den, window_kinds(filters.open_variant)
+        half = window_counts(self.target, den, points, self.kinds[:1])
+        opened = window_counts(self.target, den, points, self.kinds[1:])
+        self.lanes = [(t, True, r) for t, r in zip(points, half) if r < T]
+        self.lanes += [(t, False, r) for t, r, h in zip(points, opened, half) if r < min(h, T)]
+        self.rhs = [r for _, _, r in self.lanes]
+        self.width, self.start, self.high = _lanes(self.rhs, T)
         self.root_cut = self._root_is_cut()
         if not self.root_cut:
             self.build()
@@ -390,27 +422,21 @@ class _SearchContext:
         number is the centre, and drops every lane whose window misses it).
         A lane is dropped at the first germ g with
         T * count_j(g) <= rhs_j * mu_g: the least density is at most that
-        germ's, so the lane cannot certify the root.  A density is at most
-        1, so a lane with rhs_j >= T is never live.  A lane live after the
-        whole pool has every density above rhs_j/T, its least one included,
-        so it certifies the root; the lanes live at the end are exactly
-        those whose bit is set in (start + lookahead(T)) & high.
+        germ's, so the lane cannot certify the root.  (No window with
+        rhs_j >= T is a lane: a density is at most 1, so none would be
+        live.)  A lane live after the whole pool has every density above
+        rhs_j/T, its least one included, so it certifies the root; the lanes
+        live at the end are exactly those whose bit is set in
+        (start + lookahead(T)) & high.
         """
-        T, den, kinds = self.target_mu, self.den, self.kinds
-        # (t, t + den, closed on the right, rhs) per live lane, counted as
-        # `window_counts` counts lane j
-        live = [
-            (t, t + den, kind is WindowKind.OPEN_CLOSED, r)
-            for (t, kind), r in zip(product(self.points, kinds), self.rhs)
-            if r < T
-        ]
+        T, den, live = self.target_mu, self.den, self.lanes
         for g in reversed(self.pool):
             if not live:
                 return False
             rank, mu = curve_spectrum(g).rank, g.milnor
             live = [
-                lane for lane in live
-                if T * (rank(lane[1], den, lane[2]) - rank(lane[0], den, True)) > lane[3] * mu
+                (t, closed, r) for t, closed, r in live
+                if T * (rank(t + den, den, closed) - rank(t, den, True)) > r * mu
             ]
         return bool(live)
 
@@ -429,20 +455,20 @@ class _SearchContext:
         a germ's packed vector is the sum of its multiplicities times their
         cells' ints, the same counts as `window_counts` per lane.
         """
-        width, den, points, kinds, high = self.width, self.den, self.points, self.kinds, self.high
+        width, den, high = self.width, self.den, self.high
         # No carry between lanes: a node tests acc + lookahead, where acc is its
         # parent's state (every lane at most 2^(B-1) - 1, or the parent was cut)
         # plus germ g's vector.  g adds at most mu_g to a lane and the lookahead
         # at most the r - mu_g left after it, so a lane gains at most
         # r <= target_mu < 2^(B-1) and stays below 2^B.
         assert max(self.mus, default=0) <= self.target_mu < 1 << (width - 1)
-        ends = sorted({*points, *(t + den for t in points)})
+        ends = sorted({e for t, _, _ in self.lanes for e in (t, t + den)})
         cell_of = {e: 2 * i + 1 for i, e in enumerate(ends)}
         diff = [0] * (2 * len(ends) + 1)
-        for j, (t, kind) in enumerate(product(points, kinds)):
+        for j, (t, closed, _) in enumerate(self.lanes):
             # ]t, t + den] takes the point cell t + den, ]t, t + den[ stops below it
             diff[cell_of[t] + 1] += 1 << (j * width)
-            diff[cell_of[t + den] + (kind is WindowKind.OPEN_CLOSED)] -= 1 << (j * width)
+            diff[cell_of[t + den] + closed] -= 1 << (j * width)
         cells = list(accumulate(diff))
         bounds = [b for e in ends for b in (2 * e, 2 * e + 1)]
         self.packed = []
@@ -551,10 +577,11 @@ def enumerate_configurations(
     """Enumerate and filter all germ multisets with total Milnor (d-1)^n - k.
 
     The search runs in this process whatever ``workers`` says; it must be at
-    least 1 and is otherwise ignored.  A pair that `centred_window_certificate`
-    eliminates is answered without a pool when the open variant is on;
-    otherwise a pool over ``MAX_POOL_CLASSES`` classes is refused with a
-    ValueError before any spectrum is built.
+    least 1 and is otherwise ignored.  With semicontinuity on, a pair that
+    `centred_window_certificate` eliminates, in the open window with the
+    open variant and in the half-open one without it, is answered without a
+    pool; otherwise a pool over ``MAX_POOL_CLASSES`` classes is refused with
+    a ValueError before any spectrum is built.
 
     For k <= 2 restricting to the A/D/E/J catalog is forced by the
     gradient-degree bound; for k >= 3 the whitelist is an input assumption,
@@ -568,7 +595,9 @@ def enumerate_configurations(
     if smooth < k:
         raise InfeasibleConfigurationError(f"polar degree {k} exceeds (d-1)^n = {smooth}")
     whitelist = frozenset(_families(whitelist))
-    if filters.semicontinuity and filters.open_variant and centred_window_certificate(n, d, k):
+    # the narrowest window the check tests: open with the open variant
+    kind = window_kinds(filters.open_variant)[-1]
+    if filters.semicontinuity and centred_window_certificate(n, d, k, kind):
         # what a cut root reports, without listing the pool
         survivors, examined, cuts = [], 0, 1
         pruned = dict.fromkeys(FILTER_NAMES, 0)

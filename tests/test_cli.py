@@ -329,12 +329,12 @@ def test_usage_errors_exit_two(capsys):
         ["deg", "germ:A2:abc", "--from=-inf", "--to=+inf"],
         ["deg", "fermat:2:x", "--from=-inf", "--to=+inf"],
         # over the work budget: refused before the pool or the scan is built
-        # (with the open variant the centred-window lemma decides both pairs)
-        ["search", "100", "3", "2", "--no-filter", "open-variant"],
-        ["search", "2", "100000", "2", "--no-filter", "open-variant"],
+        # (with semicontinuity the centred-window lemma decides both pairs)
+        ["search", "100", "3", "2", "--no-filter", "semicontinuity"],
+        ["search", "2", "100000", "2", "--no-filter", "semicontinuity"],
         ["region", "1000000"],
         # a pool count past the int-to-str digit limit
-        ["search", "20000", "3", "2", "--no-filter", "open-variant"],
+        ["search", "20000", "3", "2", "--no-filter", "semicontinuity"],
         # oversized spectra and powers: refused before they are allocated
         ["spectrum", "germ", "A1000000000"],
         ["spectrum", "fermat", "2", "1000000000"],
@@ -434,9 +434,7 @@ _command_lines = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(_command_lines)
-def test_fuzzed_input_exits_zero_or_two_with_one_line(argv):
+def _exits_zero_or_two_with_one_line(argv):
     out, err = StringIO(), StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = run(list(argv))
@@ -446,6 +444,40 @@ def test_fuzzed_input_exits_zero_or_two_with_one_line(argv):
     else:
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_command_lines)
+def test_fuzzed_input_exits_zero_or_two_with_one_line(argv):
+    _exits_zero_or_two_with_one_line(argv)
+
+
+# Fuzzed search and region arguments: small or invalid n, d, k, random
+# whitelist text, and filters to switch off drawn from the real names and
+# random text.  Semicontinuity stays on, as an unpruned search grows
+# exponentially with (d-1)^n.
+_small = st.integers(-1, 4).map(str)
+_json_flag = st.sampled_from([(), ("--json",)])
+_whitelists = st.lists(st.sampled_from("ADEJ") | _words, max_size=5).map(",".join)
+_filter_names = st.sampled_from(["huh", "open-variant"]) | _words.filter(lambda w: w != "semicontinuity")
+_search_lines = st.builds(
+    lambda n, d, k, whitelist, names, json_flag: (
+        "search", n, d, k, *whitelist, *(f"--no-filter={name}" for name in names), *json_flag
+    ),
+    _small,
+    _small,
+    st.integers(-1, 3).map(str),
+    st.just(()) | _whitelists.map(lambda text: (f"--whitelist={text}",)),
+    st.lists(_filter_names, max_size=3),
+    _json_flag,
+)
+_region_lines = st.builds(lambda k, json_flag: ("region", k, *json_flag), st.integers(-3, 60).map(str), _json_flag)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_search_lines | _region_lines)
+def test_fuzzed_search_and_region_exit_zero_or_two_with_one_line(argv):
+    _exits_zero_or_two_with_one_line(argv)
 
 
 @pytest.mark.parametrize(

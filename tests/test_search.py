@@ -7,7 +7,7 @@ import json
 import random
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -51,7 +51,7 @@ from specpol.semicontinuity import (
     window_kinds,
     window_test_points,
 )
-from specpol.spectrum import EMPTY
+from specpol.spectrum import EMPTY, WindowKind
 from oracles import brute_deg, newton_diagram_negatives, spectrum_from_weights, weights
 
 
@@ -97,10 +97,11 @@ def test_out_of_budget_pool_is_refused_before_listing():
     assert germ_pool_size(too_big) > MAX_POOL_CLASSES
     with pytest.raises(ValueError, match="budget"):
         germ_pool(2, too_big)
-    # the centred-window lemma decides (100,3,2) without a pool; without the
-    # open variant it does not apply, and the pool budget refuses the search
+    # the centred-window lemma decides (100,3,2) without a pool, with the open
+    # variant or without; with semicontinuity off it does not apply, and the
+    # pool budget refuses the search
     with pytest.raises(ValueError, match="budget"):
-        enumerate_configurations(100, 3, 2, filters=SearchFilters(open_variant=False))
+        enumerate_configurations(100, 3, 2, filters=SearchFilters(semicontinuity=False))
     # the largest pool searched so far, (4,6,3), is well inside the budget
     assert germ_pool_size(5**4 - 3) == 33_171 < MAX_POOL_CLASSES
 
@@ -132,14 +133,14 @@ def test_centred_window_density_holds_for_every_catalog_class():
     assert attained == {CENTRED_DENSITY_ATTAINED_BY}
 
 
-def _certified_cases(pool_cap):
-    # the pairs of k = 1..5 that the lemma decides, with a pool of at most
-    # pool_cap classes: (2, d, 1) for every d of the k = 2 region's range,
-    # then candidate_region(k) for k = 2..5
+def _certified_cases(pool_cap, kind=WindowKind.OPEN_OPEN):
+    # the pairs of k = 1..5 that the lemma decides in the window of ``kind``,
+    # with a pool of at most pool_cap classes: (2, d, 1) for every d of the
+    # k = 2 region's range, then candidate_region(k) for k = 2..5
     for k in range(1, 6):
         pairs = [(2, d) for d in range(2, 20)] if k == 1 else sorted(candidate_region(k).pairs)
         for n, d in pairs:
-            if germ_pool_size((d - 1) ** n - k) <= pool_cap and centred_window_certificate(n, d, k):
+            if germ_pool_size((d - 1) ** n - k) <= pool_cap and centred_window_certificate(n, d, k, kind):
                 yield n, d, k
 
 
@@ -153,29 +154,49 @@ def test_centred_window_certificate_of_the_cubic_fourfold():
     assert centred_window_certificate(3, 3, 2) is None
 
 
+def test_half_open_centred_window_certificate():
+    # Without the open variant the lemma counts ]c-1/2, c+1/2]: a germ has
+    # there at least its open count, the target its half-open count.  That
+    # leaves (5,3,2) (its target has 20 + 10 numbers in ]1,2]) and decides
+    # (4,6,3), which it answers without listing its 33,171 classes.
+    half_open = WindowKind.OPEN_CLOSED
+    assert centred_window_certificate(5, 3, 2, half_open) is None
+    cert = centred_window_certificate(4, 6, 3, half_open)
+    assert (cert.window, cert.kind) == ((Fraction(1, 2), Fraction(3, 2)), half_open)
+    assert (cert.forced, cert.target) == (498, 433)
+    assert cert.target == deg_window(fermat_spectrum(4, 6), Fraction(1, 2), Fraction(3, 2), right_open=False)
+    assert centred_window_certificate(4, 6, 3).kind is WindowKind.OPEN_OPEN
+    report = enumerate_configurations(4, 6, 3, filters=SearchFilters(open_variant=False))
+    assert (report.examined, report.pruned_by_dict()["semicontinuity"]) == (0, 1)
+
+
 def test_centred_window_certificates_agree_with_the_explicit_search(monkeypatch):
     # On every certified pair with a pool of at most 1,500 classes, the
     # explicit search (the lemma switched off) cuts the root, before any
     # vector is built, and reports the same bytes, the huh count of (2, d, 1)
-    # with and without huh included.  Larger pools were compared once outside
-    # the suite.
-    cases = list(_certified_cases(1_500))
-    assert len(cases) >= 25 and any(k == 1 for _, _, k in cases)
-    lemma = {
-        (n, d, k, wl, huh): enumerate_configurations(n, d, k, wl, SearchFilters(huh=huh)).to_json()
-        for n, d, k in cases
-        for wl in ("ADEJ", "DEJ", "J")
-        for huh in ((True, False) if k == 1 else (True,))
-    }
+    # with and without huh included: the open certificates with the open
+    # variant, the half-open ones without it.  Larger pools were compared
+    # once outside the suite.
+    open_cases = list(_certified_cases(1_500))
+    half_open_cases = list(_certified_cases(1_500, WindowKind.OPEN_CLOSED))
+    assert len(open_cases) >= 25 and any(k == 1 for _, _, k in open_cases)
+    assert len(half_open_cases) >= 8
+    lemma = {}
+    for open_variant, cases in ((True, open_cases), (False, half_open_cases)):
+        for n, d, k in cases:
+            for wl in ("ADEJ", "DEJ", "J"):
+                for huh in (True, False) if k == 1 else (True,):
+                    filters = SearchFilters(huh=huh, open_variant=open_variant)
+                    lemma[n, d, k, wl, filters] = enumerate_configurations(n, d, k, wl, filters).to_json()
 
     def refuse(self):
         raise AssertionError("the explicit search did not cut the root")
 
-    monkeypatch.setattr("specpol.search.centred_window_certificate", lambda n, d, k: None)
+    monkeypatch.setattr("specpol.search.centred_window_certificate", lambda n, d, k, kind: None)
     monkeypatch.setattr(_SearchContext, "build", refuse)
-    for (n, d, k, wl, huh), expected in lemma.items():
-        explicit = enumerate_configurations(n, d, k, wl, SearchFilters(huh=huh))
-        assert explicit.to_json() == expected, (n, d, k, wl, huh)
+    for (n, d, k, wl, filters), expected in lemma.items():
+        explicit = enumerate_configurations(n, d, k, wl, filters)
+        assert explicit.to_json() == expected, (n, d, k, wl, filters)
         assert explicit.survivors == () and explicit.examined == 0
 
 
@@ -369,6 +390,12 @@ def test_root_walk_equals_the_full_lookahead():
     assert cut >= 100 and kept >= 100, (cut, kept)
 
 
+def _lane_counts(spec, den, lanes):
+    # `window_counts` of spec at each lane's own point t/den and window kind
+    kinds = {True: WindowKind.OPEN_CLOSED, False: WindowKind.OPEN_OPEN}
+    return [window_counts(spec, den, [t], (kinds[closed],))[0] for t, closed, _ in lanes]
+
+
 @pytest.mark.parametrize("n, d, k", [(3, 3, 2), (5, 3, 2), (4, 3, 3), (7, 3, 3)])
 def test_vectors_count_the_curve_spectrum_at_shifted_points(n, d, k):
     # the context counts each curve spectrum at the test points of the target
@@ -376,56 +403,91 @@ def test_vectors_count_the_curve_spectrum_at_shifted_points(n, d, k):
     # at the unmoved target's test points (the two denominators may differ:
     # for odd n the moved target is over 2d)
     ctx = _context(n, d, k, True)
-    den, points = integer_test_points(EMPTY, fermat_spectrum(n, d))
-    kinds = window_kinds(True)
-    assert ctx.rhs == window_counts(fermat_spectrum(n, d), den, points, kinds)
+    target = fermat_spectrum(n, d)
+    den, points = integer_test_points(EMPTY, target)
+    unmoved = []
+    for t, closed, r in ctx.lanes:
+        a = (Fraction(t, ctx.den) + Fraction(n - 2, 2)) * den
+        assert a.denominator == 1 and a in points
+        unmoved.append((int(a), closed, r))
+    assert ctx.rhs == _lane_counts(target, den, unmoved)
     for g, packed in zip(ctx.pool, ctx.packed):
-        counts = window_counts(germ_spectrum(g), den, points, kinds)
-        assert packed == _pack(counts, ctx.width), g
+        assert packed == _pack(_lane_counts(germ_spectrum(g), den, unmoved), ctx.width), g
 
 
-def test_cell_table_vectors_and_least_densities_equal_the_lane_counts():
-    # The cell table's packed vectors against one `window_counts` call per
-    # class, and the least densities against a Fraction minimum per lane, on
-    # every pair of k = 2..5 with a pool of at most 400 classes whose root is
-    # not cut (and that is feasible: (2,3) has k > (d-1)^n from k = 5 on).
-    # Some mu must have two classes whose lane counts cross, so the lane-wise
-    # minimum differs from both vectors.
-    built = crossed = 0
+def _small_pairs():
+    # every pair of k = 2..5 with a pool of at most 400 classes (and that is
+    # feasible: (2,3) has k > (d-1)^n from k = 5 on), with each whitelist
+    # and variant
     for k in range(2, 6):
         for n, d in sorted(candidate_region(k).pairs):
             if (d - 1) ** n < k or germ_pool_size((d - 1) ** n - k) > 400:
                 continue
             for whitelist in ("ADEJ", "DEJ", "J"):
                 for open_variant in (True, False):
-                    ctx = _SearchContext(
-                        n, d, k, frozenset(whitelist), SearchFilters(open_variant=open_variant)
-                    )
-                    if ctx.root_cut:
-                        continue
-                    built += 1
-                    counts = [window_counts(curve_spectrum(g), ctx.den, ctx.points, ctx.kinds) for g in ctx.pool]
-                    assert ctx.packed == [_pack(c, ctx.width) for c in counts], (n, d, k, whitelist)
-                    least = [
-                        min([Fraction(1)] + [Fraction(c[j], mu) for c, mu in zip(counts, ctx.mus)])
-                        for j in range(len(ctx.rhs))
-                    ]
-                    assert [Fraction(x, m) for x, m in zip(ctx.xs, ctx.ms)] == least, (n, d, k, whitelist)
-                    by_mu = {}
-                    for c, mu in zip(counts, ctx.mus):
-                        by_mu.setdefault(mu, []).append(c)
-                    crossed += any(
-                        any(x < y for x, y in zip(a, b)) and any(x > y for x, y in zip(a, b))
-                        for group in by_mu.values()
-                        for a, b in combinations(group, 2)
-                    )
+                    yield n, d, k, whitelist, open_variant
+
+
+def test_lanes_are_the_windows_that_can_cut():
+    # The lanes are the windows of `check` at the target's test points, less
+    # those that cannot cut: a bound of at least T, and an open window whose
+    # half-open twin at the same point has the same bound.  Both rules drop
+    # windows somewhere.
+    by_bound = as_twin = 0
+    for n, d, k, whitelist, open_variant in _small_pairs():
+        ctx = _SearchContext(n, d, k, frozenset(whitelist), SearchFilters(open_variant=open_variant))
+        T, (den, points) = ctx.target_mu, integer_test_points(EMPTY, ctx.target)
+        assert den == ctx.den
+        windows = [(t, kind is WindowKind.OPEN_CLOSED) for t, kind in product(points, ctx.kinds)]
+        bounds = dict(zip(windows, window_counts(ctx.target, den, points, ctx.kinds)))
+        lanes = {(t, closed): r for t, closed, r in ctx.lanes}
+        assert len(lanes) == len(ctx.lanes) and ctx.rhs == list(lanes.values())
+        for window, r in lanes.items():
+            assert bounds[window] == r < T, (n, d, k, window)
+        for (t, closed), r in bounds.items():
+            if (t, closed) in lanes:
+                continue
+            assert r >= T or (not closed and lanes.get((t, True)) == r), (n, d, k, t, closed)
+            by_bound += r >= T
+            as_twin += r < T
+    assert by_bound >= 100 and as_twin >= 100, (by_bound, as_twin)
+
+
+def test_cell_table_vectors_and_least_densities_equal_the_lane_counts():
+    # The cell table's packed vectors against `window_counts` at each lane's
+    # own window, and the least densities against a Fraction minimum per
+    # lane, on every pair of `_small_pairs` whose root is not cut.  Some mu
+    # must have two classes whose lane counts cross, so the lane-wise minimum
+    # differs from both vectors.
+    built = crossed = 0
+    for n, d, k, whitelist, open_variant in _small_pairs():
+        ctx = _SearchContext(n, d, k, frozenset(whitelist), SearchFilters(open_variant=open_variant))
+        if ctx.root_cut:
+            continue
+        built += 1
+        counts = [_lane_counts(curve_spectrum(g), ctx.den, ctx.lanes) for g in ctx.pool]
+        assert ctx.packed == [_pack(c, ctx.width) for c in counts], (n, d, k, whitelist)
+        least = [
+            min([Fraction(1)] + [Fraction(c[j], mu) for c, mu in zip(counts, ctx.mus)])
+            for j in range(len(ctx.rhs))
+        ]
+        assert [Fraction(x, m) for x, m in zip(ctx.xs, ctx.ms)] == least, (n, d, k, whitelist)
+        by_mu = {}
+        for c, mu in zip(counts, ctx.mus):
+            by_mu.setdefault(mu, []).append(c)
+        crossed += any(
+            any(x < y for x, y in zip(a, b)) and any(x > y for x, y in zip(a, b))
+            for group in by_mu.values()
+            for a, b in combinations(group, 2)
+        )
     assert built >= 20 and crossed >= 5, (built, crossed)
 
 
 # pruned_by["semicontinuity"] and examined, pinned so that a change to the
 # pruning shows up here: the k=2 pairs (ids name the pair only), then the
-# searches that go deepest below the root at k=2 and 3, with and without the
-# open variant.
+# searches that go deepest below the root at k=2 and 3, then deeper ones at
+# k = 5..8, with and without the open variant.  (2,9,8) catches a lane rule
+# that leaves out a window which can cut where the other cases may not.
 @pytest.mark.parametrize(
     "n, d, k, open_variant, pruned, examined",
     [
@@ -439,10 +501,15 @@ def test_cell_table_vectors_and_least_densities_equal_the_lane_counts():
         pytest.param(2, 6, 3, True, 469, 6, id="2-6-3"),
         pytest.param(4, 3, 3, True, 52, 3, id="4-3-3"),
         pytest.param(3, 3, 2, True, 9, 7, id="3-3-2"),
+        pytest.param(2, 9, 7, True, 11353, 4, id="2-9-7"),
+        pytest.param(2, 8, 7, True, 40392, 490, id="2-8-7"),
+        pytest.param(2, 9, 8, True, 61019, 677, id="2-9-8"),
+        pytest.param(2, 7, 6, True, 7403, 1029, id="2-7-6"),
         pytest.param(2, 6, 2, False, 911, 11, id="2-6-2-no-open"),
         pytest.param(4, 3, 2, False, 101, 11, id="4-3-2-no-open"),
         pytest.param(2, 6, 3, False, 2160, 449, id="2-6-3-no-open"),
         pytest.param(2, 7, 4, False, 10624, 141, id="2-7-4-no-open"),
+        pytest.param(2, 6, 5, False, 459, 2921, id="2-6-5-no-open"),
     ],
 )
 def test_dfs_counts_are_pinned(n, d, k, open_variant, pruned, examined):
