@@ -8,15 +8,20 @@ comes out empty.
 
 The default pair set is the whole k=2 region, `candidate_region(2)`.  On a
 2-core machine with Python 3.11 (six runs each, interpreter start
-included), the whole default run takes 0.20-0.26 s, `-k 3 7,3` 0.13-0.17 s
-and `-k 3 3,8 2,19` 0.11-0.15 s: the centred-window lemma decides (7,3,3),
+included), the whole default run takes 0.16-0.20 s, `-k 3 7,3` 0.10-0.15 s
+and `-k 3 3,8 2,19` 0.12-0.14 s: the centred-window lemma decides (7,3,3),
 (3,8,3) and (2,19,3) before their pools (1,487, 10,141 and 9,066 classes)
 are listed.  `-k 3 2,5 2,6 4,3` (three k=3 pairs with survivors, where the
-search goes below the root) takes 0.16-0.19 s, `-k 4 2,6 2,7 3,4` (k=4
-pairs cut below the root) 0.23-0.29 s, and `-k 5 2,9` (376 classes: of the
+search goes below the root) takes 0.12-0.17 s, `-k 4 2,6 2,7 3,4` (k=4
+pairs cut below the root) 0.14-0.17 s, `-k 5 2,9` (376 classes: of the
 pairs of k = 2..5 with pools of at most 12,000 classes, the largest pool
-whose root is not cut) 0.14-0.20 s.  Pass explicit pairs and `-k` to search
-elsewhere.
+whose root is not cut) 0.18-0.20 s, and `-k 5` over the default pairs
+0.25-0.32 s.  Pass explicit pairs and `-k` to search elsewhere.
+
+A pair with polar degree k > (d-1)^n, such as (2,3) from k = 5 on, is
+reported as infeasible on one line and the run goes on.  A malformed pair,
+or one the search refuses (n < 2, a pool over the budget), exits 2 with one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -26,23 +31,38 @@ import os
 import sys
 import time
 
-from specpol import candidate_region, enumerate_configurations
+from specpol import InfeasibleConfigurationError, candidate_region, enumerate_configurations
+
+
+def pair(text: str) -> tuple[int, int]:
+    """An ``n,d`` argument as two ints."""
+    try:
+        n, d = map(int, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a pair n,d of integers, got {text!r}") from None
+    return n, d
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("pairs", nargs="*", metavar="n,d",
+    # a usage error is one line, without the usage block
+    parser.error = lambda message: parser.exit(2, f"error: {message}\n")
+    parser.add_argument("pairs", nargs="*", type=pair, metavar="n,d",
                         help="pairs to search, e.g. 5,3 (default: every pair of the k=2 region)")
     parser.add_argument("-k", type=int, default=2, help="polar degree (default 2)")
     args = parser.parse_args()
 
-    if args.pairs:
-        pairs = [tuple(int(x) for x in p.split(",")) for p in args.pairs]
-    else:
-        pairs = sorted(candidate_region(2).pairs)
+    pairs = args.pairs or sorted(candidate_region(2).pairs)
     for n, d in pairs:
         t0 = time.time()
-        report = enumerate_configurations(n, d, args.k)
+        try:
+            report = enumerate_configurations(n, d, args.k)
+        except InfeasibleConfigurationError as exc:
+            # (2,3) is in the default list and has (d-1)^n = 4 < k from k = 5 on
+            print(f"(n={n}, d={d}, k={args.k})  infeasible: {exc}\n")
+            continue
+        except ValueError as exc:
+            parser.error(f"(n={n}, d={d}, k={args.k}): {exc}")
         elapsed = time.time() - t0
         print(f"(n={n}, d={d}, k={args.k})  target mu = {report.target_mu}  "
               f"[{elapsed:.2f}s]")

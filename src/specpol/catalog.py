@@ -187,12 +187,14 @@ def _j_negative_part(k: int, i: int) -> tuple[int, Iterable[int]]:
     )
 
 
-# A search reads each pool class's spectrum in its root walk and, unless the
-# root is cut, again for the window vectors and at the leaves: of the pairs of
-# k = 2..5 with at most 12,000 pool classes, (2,9,5) reads the most twice, 376;
-# (2,11,2) reads its 946 once.  Unbounded, the cache would keep all 33,171
-# spectra of (4,6,3): building that context peaked at 926 MB; at this size the
-# whole (4,6,3) search peaks at 70 MB.
+# A search reads each pool class's spectrum in its root walk (which stops
+# early where the root is not cut), then for the window vectors, and a leaf
+# reads its own germs again.  Of the pairs of k = 2..12 the search still lists
+# a pool for, (2,19,9) has the largest, 8,739 classes, read once by a walk that
+# cuts the root: unbounded, the cache keeps them all and the search peaks at
+# 113 MB, against 36 MB at this size (1.3-1.5 s either way).  The largest pool
+# searched below the root, the 1,172 classes of (2,12,11), peaks at 19 MB
+# either way.
 CURVE_CACHE_SIZE = 1024
 
 

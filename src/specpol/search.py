@@ -34,8 +34,10 @@ Filters:
   half-open twin has the same bound (`_SearchContext` has both proofs).  A
   configuration that passes the check fits every lane.  The converse fails,
   as the lanes test the target's test points only (A13 + E7 + E12 at (2,7)
-  fits every half-open lane, not ]a,a+1] at a = -5/9), so each leaf runs
-  `check(candidate, target, kinds)`, and builds its spectrum for that only.
+  fits every half-open lane, not ]a,a+1] at a = -5/9), so each leaf also
+  tests ]x-1, x] at each of its own spectral numbers x, the only windows
+  that can still fail (`_SearchContext` has the proof), and builds its
+  spectrum for that only.
 * Lookahead (part of ``semicontinuity``): a node with ``remaining`` Milnor
   number still to place is completed by pool germs whose Milnor numbers sum
   to ``remaining``.  Such a completion adds sum_g vec_g[j] = sum_g mu_g *
@@ -101,6 +103,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from itertools import accumulate
+from operator import gt
 from typing import Iterable, Optional
 
 from .catalog import FAMILIES, GermClass, curve_spectrum, fermat_spectrum
@@ -111,7 +114,7 @@ from .polar import (
     polar_degree,
     sectional_milnor_plane,
 )
-from .semicontinuity import check, check_configuration, integer_test_points
+from .semicontinuity import check_configuration, integer_test_points
 from .semicontinuity import window_counts, window_kinds
 from .spectrum import EMPTY, NEG_INF, WindowKind, add, deg_window
 
@@ -130,8 +133,9 @@ __all__ = [
 ]
 
 FILTER_NAMES = ("alpha1", "corank", "huh", "semicontinuity")
-# About six times the largest pool whose search has finished, (4,6,3) with
-# 33,171 classes; (5,5,3) has about 87k.
+# About 20 times the largest pool a search with semicontinuity still lists
+# for k = 2..12: 10,732 classes at (2,20,11) without the open variant, 8,739
+# at (2,19,9) with it, each a root cut in about 1.5 s at a 36-39 MB peak.
 MAX_POOL_CLASSES = 200_000
 # implied by the catalog from the k given on (see the module docstring)
 _IMPLIED_FILTERS = (("alpha1", 1), ("corank", 2))
@@ -372,8 +376,27 @@ class _SearchContext:
       density and lookahead are at least the open lane's, and the open lane
       overflows only where the twin, itself a lane, does, at the root too.
 
-    So the lanes cut exactly the nodes that all the windows cut, and the
-    leaf's `check` still tests every window.  The root is decided first
+    So the lanes cut exactly the nodes that all the windows cut.  A leaf, a
+    complete configuration C, that fits every lane can still fail `check`,
+    which also tests C's own breakpoints, but only in a window ]x-1, x] with
+    x a number of C, so the leaf tests those windows alone.  Let D be the
+    target:
+
+    * h_S(a), the count of a spectrum S in ]a, a+1], is a right-continuous
+      step function of a that rises only at a = x-1 and falls only at a = x,
+      x a number of S.  So f = h_C - h_D rises only at a = x-1 (x in C) or
+      at a = y (y in D), and is 0 far to the left: its maximum is taken at
+      one of those points.
+    * Each y is a breakpoint of D, hence a test point, and there C fits the
+      half-open lane, or that window is no lane and its bound is at least
+      T, which no count exceeds.  So f <= 0 everywhere exactly when
+      h_C(x-1) <= h_D(x-1) for every number x of C.
+    * The open count at a is h_S(a) less the multiplicity of a+1 in S.  It
+      exceeds D's only where f does, or where D has a number y at a+1;
+      then a = y-1 is a test point, and its open window is a lane or has a
+      bound of at least T (its half-open twin's bound is larger).
+
+    This holds with or without the open variant.  The root is decided first
     (`_root_is_cut`); the window vectors, their packing and the lookahead
     densities are built only if it is not cut.
     """
@@ -523,7 +546,7 @@ def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int]:
     """DFS over the whole pool.
 
     Returns (survivors, examined, cuts), where cuts counts the subtrees the
-    lanes cut and the complete configurations the final check rejects.  The
+    lanes cut and the complete configurations the leaf test rejects.  The
     packed window state ``acc`` is passed down by value, so nothing is undone.
     """
     if ctx.root_cut:
@@ -546,7 +569,11 @@ def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int]:
             if ctx.filters.semicontinuity:
                 spectrum = add(*map(curve_spectrum, germs))  # in the frame of ctx.target
                 assert spectrum.total() == ctx.target_mu
-                if not check(spectrum, ctx.target, ctx.kinds).holds:
+                # it fits every lane, so only ]x-1, x] at its own numbers x can
+                # fail the check (`_SearchContext` has the proof)
+                starts, half = [x - spectrum.den for x in spectrum.nums], (WindowKind.OPEN_CLOSED,)
+                own, bound = (window_counts(s, spectrum.den, starts, half) for s in (spectrum, ctx.target))
+                if any(map(gt, own, bound)):
                     cuts += 1
                     return
             config = Configuration(n, d, germs)
@@ -561,7 +588,7 @@ def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int]:
             stack.pop()
 
     # target_mu == 0 gives an empty pool: the DFS examines the smooth
-    # configuration once and runs it through the same final check
+    # configuration once and runs it through the same leaf test
     dfs(0, ctx.target_mu, ctx.start)
     return survivors, examined, cuts
 

@@ -487,7 +487,9 @@ def test_cell_table_vectors_and_least_densities_equal_the_lane_counts():
 # pruning shows up here: the k=2 pairs (ids name the pair only), then the
 # searches that go deepest below the root at k=2 and 3, then deeper ones at
 # k = 5..8, with and without the open variant.  (2,9,8) catches a lane rule
-# that leaves out a window which can cut where the other cases may not.
+# that leaves out a window which can cut where the other cases may not;
+# (2,7,4), (5,3,5) and (2,8,5) without the open variant have leaves that fit
+# every lane and fail the check, so they pin the leaf test.
 @pytest.mark.parametrize(
     "n, d, k, open_variant, pruned, examined",
     [
@@ -510,6 +512,8 @@ def test_cell_table_vectors_and_least_densities_equal_the_lane_counts():
         pytest.param(2, 6, 3, False, 2160, 449, id="2-6-3-no-open"),
         pytest.param(2, 7, 4, False, 10624, 141, id="2-7-4-no-open"),
         pytest.param(2, 6, 5, False, 459, 2921, id="2-6-5-no-open"),
+        pytest.param(5, 3, 5, False, 2214, 12, id="5-3-5-no-open"),
+        pytest.param(2, 8, 5, False, 55647, 668, id="2-8-5-no-open"),
     ],
 )
 def test_dfs_counts_are_pinned(n, d, k, open_variant, pruned, examined):
@@ -521,8 +525,8 @@ def test_dfs_counts_are_pinned(n, d, k, open_variant, pruned, examined):
 def test_final_check_rejects_a_configuration_that_fits_every_lane():
     # The lanes test the target's test points only.  A13 + E7 + E12 at (2,7)
     # fits every half-open lane, yet the check, which also tests the
-    # candidate's breakpoints, fails it at a = -5/9: the leaf's own check
-    # rejects it.  With the open variant a lane cuts it already.
+    # candidate's breakpoints, fails it at a = -5/9: the leaf test rejects
+    # it.  With the open variant a lane cuts it already.
     c = config(2, 7, "A13", "E7", "E12")
     assert polar_degree(c) == 4
     target = fermat_spectrum(2, 7)
@@ -532,6 +536,10 @@ def test_final_check_rejects_a_configuration_that_fits_every_lane():
     assert all(x <= r for x, r in zip(lanes, window_counts(target, den, points, kinds)))
     first = check_configuration(c, apply_open_variant=False).violations[0]
     assert (first.a, first.lhs, first.rhs) == (Fraction(-5, 9), 31, 30)
+    # ]-5/9, 4/9] is ]x-1, x] at x = 4/9, a number of E7: one of the windows
+    # at the leaf's own numbers, which are all that the leaf tests
+    assert first.kind is WindowKind.OPEN_CLOSED
+    assert first.a == Fraction(4, 9) - 1 and Fraction(4, 9) in dict(curve_spectrum(parse_germ("E7")))
     report = enumerate_configurations(2, 7, 4, filters=SearchFilters(open_variant=False))
     assert c not in report.survivors
 
@@ -607,29 +615,36 @@ def test_disabling_semicontinuity_enlarges_survivors():
         assert "semicontinuity" not in unfiltered.filters_applied
 
 
-# (n, d, k) with k = 0..3 whose unpruned search finishes in well under a second
+# (n, d, k) with k = 0..3 whose unpruned search finishes in well under a
+# second, and (5,3,5): its unpruned search lists 30,670 configurations in about
+# a second, and without the open variant the leaf test rejects 7 of its 12
 _ORACLE_CASES = [
     (2, 2, 0), (2, 3, 0), (3, 2, 0),
     (2, 2, 1), (2, 3, 1), (2, 4, 1), (3, 3, 1), (4, 2, 1),
     (2, 3, 2), (2, 4, 2), (3, 3, 2), (2, 5, 2), (4, 3, 2),
     (2, 4, 3), (3, 3, 3), (2, 5, 3), (4, 3, 3),
+    (5, 3, 5),
 ]
 
 
 def test_incremental_pruning_never_drops_a_survivor():
     # The in-search pruning, lookahead included, must yield exactly the
     # configurations of the unpruned enumeration that pass the final check,
-    # with huh and the open variant on and off.
+    # with huh and the open variant on and off.  The check with the open
+    # variant tests every half-open window too, so it rechecks only what
+    # passes without it; each configuration is checked once per variant.
+    holds = functools.cache(lambda c, open_variant: check_configuration(c, open_variant).holds)
     for n, d, k in _ORACLE_CASES:
         for huh in (True, False):
             unpruned = enumerate_configurations(
                 n, d, k, filters=SearchFilters(huh=huh, semicontinuity=False)
             )
-            for open_variant in (True, False):
+            recheck = list(unpruned.survivors)
+            for open_variant in (False, True):
                 pruned = enumerate_configurations(
                     n, d, k, filters=SearchFilters(huh=huh, open_variant=open_variant)
                 )
-                recheck = [c for c in unpruned.survivors if check_configuration(c, open_variant).holds]
+                recheck = [c for c in recheck if holds(c, open_variant)]
                 assert list(pruned.survivors) == recheck, (n, d, k, huh, open_variant)
 
 
