@@ -187,14 +187,17 @@ def _j_negative_part(k: int, i: int) -> tuple[int, Iterable[int]]:
     )
 
 
-# A search reads each pool class's spectrum in its root walk (which stops
-# early where the root is not cut), then for the window vectors, and a leaf
-# reads its own germs again.  Of the pairs of k = 2..12 the search still lists
+# A search reads each pool class's spectrum in its root walk, lightest germ
+# first (the walk stops early where the root is not cut), and, below the
+# root, once more for the tables of the DFS, in the walk's order, so the
+# classes the walk read last are still cached; the leaves sum those tables'
+# spectra and read no cache.  Of the pairs of k = 2..12 the search still lists
 # a pool for, (2,19,9) has the largest, 8,739 classes, read once by a walk that
 # cuts the root: unbounded, the cache keeps them all and the search peaks at
 # 113 MB, against 36 MB at this size (1.3-1.5 s either way).  The largest pool
-# searched below the root, the 1,172 classes of (2,12,11), peaks at 19 MB
-# either way.
+# searched below the root, the 1,172 classes of (2,12,11), is over this size,
+# yet from a cleared cache its search builds each spectrum once (1,172
+# misses), and it peaks at 19 MB either way.
 CURVE_CACHE_SIZE = 1024
 
 

@@ -30,14 +30,15 @@ Filters:
   lanes are the windows of `check(candidate, target, kinds)`, ]a,a+1] and
   with the open variant ]a,a+1[, at every test point a of the target,
   counted by `semicontinuity.window_counts`, less those that can never cut:
-  a bound of at least the target Milnor number, and an open window whose
-  half-open twin has the same bound (`_SearchContext` has both proofs).  A
-  configuration that passes the check fits every lane.  The converse fails,
-  as the lanes test the target's test points only (A13 + E7 + E12 at (2,7)
-  fits every half-open lane, not ]a,a+1] at a = -5/9), so each leaf also
-  tests ]x-1, x] at each of its own spectral numbers x, the only windows
-  that can still fail (`_SearchContext` has the proof), and builds its
-  spectrum for that only.
+  a window that misses ]-1, 1[ in the frame below (the two end windows
+  do), a bound of at least the target Milnor number, and an open window
+  whose half-open twin has the same bound (`_SearchContext` has the
+  proofs).  A configuration that passes the check fits every lane.  The
+  converse fails, as the lanes test the target's test points only (A13 +
+  E7 + E12 at (2,7) fits every half-open lane, not ]a,a+1] at a = -5/9),
+  so each leaf also tests ]x-1, x] at each of its own spectral numbers x,
+  the only windows that can still fail (`_SearchContext` has the proof),
+  and sums its germs' spectra for that only.
 * Lookahead (part of ``semicontinuity``): a node with ``remaining`` Milnor
   number still to place is completed by pool germs whose Milnor numbers sum
   to ``remaining``.  Such a completion adds sum_g vec_g[j] = sum_g mu_g *
@@ -45,12 +46,12 @@ Filters:
   density vec_g[j]/mu_g over the whole pool (a fractional-knapsack
   relaxation), and, counts being integers, at least ceil(remaining * rho_j).
   The germs a node may still take are a subset of the pool, so the
-  whole-pool rho_j bounds them too; it is computed once per search, and the
-  packed bounds once per ``remaining``.  The node adds these bounds to its
-  own counts and is cut if a lane's top bit is set.  Then every completion
-  overflows that lane, so the cut drops only configurations that the lanes
-  would reject at their last germ: survivors and ``examined`` are those of
-  the search without it; only the number of cuts changes.
+  whole-pool rho_j bounds them too; the packed bounds are a table by
+  ``remaining``, built once with the vectors.  The node adds these bounds
+  to its own counts and is cut if a lane's top bit is set.  Then every
+  completion overflows that lane, so the cut drops only configurations
+  that the lanes would reject at their last germ: survivors and
+  ``examined`` are those of the search without it; only cuts change.
 * Centred window (part of ``semicontinuity``): before any pool is counted
   or listed, `centred_window_certificate` tries the lemma that every
   catalog germ puts at least 4/5 of its spectral numbers in the open unit
@@ -91,8 +92,11 @@ necessary criterion only: they are candidates, not certified hypersurfaces.
 Budget: a search that the centred window does not decide and whose pool
 would list more than ``MAX_POOL_CLASSES`` classes is refused with a ValueError
 before the pool is listed; `germ_pool_size` counts the pool in closed form.
-Before anything else, `diagonal_milnor` refuses a (d-1)^n of more than
-``MAX_POWER_BITS`` bits without computing it.
+With semicontinuity off every configuration survives, and a search with more
+than ``MAX_UNPRUNED_CONFIGURATIONS`` of them, counted over the listed pool, is
+refused with a ValueError before the DFS starts.  Before anything else,
+`diagonal_milnor` refuses a (d-1)^n of more than ``MAX_POWER_BITS`` bits
+without computing it.
 """
 
 from __future__ import annotations
@@ -137,6 +141,10 @@ FILTER_NAMES = ("alpha1", "corank", "huh", "semicontinuity")
 # for k = 2..12: 10,732 classes at (2,20,11) without the open variant, 8,739
 # at (2,19,9) with it, each a root cut in about 1.5 s at a 36-39 MB peak.
 MAX_POOL_CLASSES = 200_000
+# With semicontinuity off every configuration survives and is held in memory:
+# unpruned (2,7,2) lists 231,263 in 7.0 s at a 225 MB peak (305 MB through
+# `search --json`), so this budget bounds a search near 0.5-0.7 GB.
+MAX_UNPRUNED_CONFIGURATIONS = 500_000
 # implied by the catalog from the k given on (see the module docstring)
 _IMPLIED_FILTERS = (("alpha1", 1), ("corank", 2))
 
@@ -358,14 +366,34 @@ def _lanes(rhs: list[int], bound: int) -> tuple[int, int, int]:
     return width, _pack([half - 1 - r for r in rhs], width), _pack([half] * len(rhs), width)
 
 
+def _count_configurations(mus: list[int], total: int, cap: int) -> int:
+    """How many multisets of the classes, of Milnor numbers ``mus``, sum to ``total``, up to ``cap``.
+
+    A coin-change count, one class at a time in increasing Milnor number,
+    with every count capped at ``cap``; adding a class never lowers the
+    count at ``total``, so it stops once that count reaches ``cap``.
+    """
+    ways = [1] + [0] * total
+    for mu in sorted(mus):
+        for v in range(mu, total + 1):
+            ways[v] = min(ways[v] + ways[v - mu], cap)
+        if ways[total] == cap:
+            break
+    return ways[total]
+
+
 class _SearchContext:
     """Prepared pool, packed window vectors and filter bookkeeping for one search.
 
     ``lanes`` lists the pruning windows once, as (t, closed on the right,
     bound): the windows ]t/den, t/den + 1] and, with the open variant,
     ]t/den, t/den + 1[ of `check` at the target's test points, bounded by
-    the target's counts there, less the two kinds that can never cut a node:
+    the target's counts there, less the three kinds that can never cut a node:
 
+    * a window that misses ]-1, 1[, where every catalog curve spectrum
+      lies: no germ counts in it, so with a pool its least density is 0 and
+      it never overflows (the target being symmetric about 0, the end
+      windows ]min y - 2, min y - 1] and ]max y + 1, max y + 2] miss it);
     * a bound of at least T = target_mu: a node's count in a window is at
       most the Milnor number it has placed, and the lookahead adds at most
       the Milnor number left, as a density is at most 1, so the lane never
@@ -387,18 +415,21 @@ class _SearchContext:
       x a number of S.  So f = h_C - h_D rises only at a = x-1 (x in C) or
       at a = y (y in D), and is 0 far to the left: its maximum is taken at
       one of those points.
-    * Each y is a breakpoint of D, hence a test point, and there C fits the
-      half-open lane, or that window is no lane and its bound is at least
-      T, which no count exceeds.  So f <= 0 everywhere exactly when
-      h_C(x-1) <= h_D(x-1) for every number x of C.
+    * Each y is a breakpoint of D, hence a test point, and C fits the
+      half-open window there: it is a lane, or its bound is at least T,
+      which no count exceeds, or C counts 0 in it.  So f <= 0 everywhere
+      exactly when h_C(x-1) <= h_D(x-1) for every number x of C.
     * The open count at a is h_S(a) less the multiplicity of a+1 in S.  It
       exceeds D's only where f does, or where D has a number y at a+1;
-      then a = y-1 is a test point, and its open window is a lane or has a
-      bound of at least T (its half-open twin's bound is larger).
+      then a = y-1 is a test point, and its open window is a lane, has a
+      bound of at least T (its half-open twin's bound is larger) or misses
+      ]-1, 1[.
 
     This holds with or without the open variant.  The root is decided first
-    (`_root_is_cut`); the window vectors, their packing and the lookahead
-    densities are built only if it is not cut.
+    (`_root_is_cut`); the tables of `build` are made only if it is not cut.
+    The DFS of every default search reads all T + 1 lookahead entries (at
+    (2,3,2), (3,3,2), (2,4,2), (2,5,2), (2,6,2), (2,7,7), (2,9,8), (2,12,11)
+    and (5,3,7)), so `build` makes them all.
     """
 
     def __init__(self, n: int, d: int, k: int, whitelist: frozenset[str], filters: SearchFilters):
@@ -418,10 +449,16 @@ class _SearchContext:
         # non-increasing canonical order: heaviest germ first
         self.pool = sorted(pool, key=lambda g: (-g.milnor,) + g.sort_key())
         self.mus = [g.milnor for g in self.pool]
-        # the lanes (see the class docstring); with semicontinuity off there
-        # are none and high == 0, and without the open variant ``opened`` is []
+        if not filters.semicontinuity:
+            cap = MAX_UNPRUNED_CONFIGURATIONS + 1
+            if _count_configurations(self.mus, self.target_mu, cap) == cap:
+                raise ValueError(
+                    f"the unpruned search would list more than {MAX_UNPRUNED_CONFIGURATIONS} configurations"
+                )
+        # the lanes, at -2 < t/den < 1 (see the class docstring); none and high == 0 without semicontinuity
         T = self.target_mu
         den, points = integer_test_points(EMPTY, self.target) if filters.semicontinuity else (1, [])
+        points = [t for t in points if -2 * den < t < den]
         self.den, self.kinds = den, window_kinds(filters.open_variant)
         half = window_counts(self.target, den, points, self.kinds[:1])
         opened = window_counts(self.target, den, points, self.kinds[1:])
@@ -438,7 +475,7 @@ class _SearchContext:
 
         The root is cut exactly when some lane j has T * x_j/m_j > rhs_j,
         with T = target_mu and x_j/m_j the least density of lane j over the
-        whole pool (see `lookahead`; rhs_j is an integer, so the ceiling
+        whole pool (see `build`; rhs_j is an integer, so the ceiling
         changes nothing).  The walk counts each germ on the lanes still live
         only, lightest germ first; the order decides only how soon lanes
         drop (with A in the whitelist A1 comes first, whose one spectral
@@ -450,9 +487,13 @@ class _SearchContext:
         live.)  A lane live after the whole pool has every density above
         rhs_j/T, its least one included, so it certifies the root; the lanes
         live at the end are exactly those whose bit is set in
-        (start + lookahead(T)) & high.
+        (start + lookahead[T]) & high.  With semicontinuity on, an empty pool
+        cuts the root for T > 0: its densities are the vacuous 1, and the
+        window ]max y, max y + 1] over the target's numbers y has bound 0.
         """
         T, den, live = self.target_mu, self.den, self.lanes
+        if not self.pool:
+            return self.filters.semicontinuity and T > 0
         for g in reversed(self.pool):
             if not live:
                 return False
@@ -464,7 +505,7 @@ class _SearchContext:
         return bool(live)
 
     def build(self) -> None:
-        """Window vectors of the pool, packed, and the lookahead densities.
+        """Every table the DFS reads: pool spectra, packed window vectors, lookahead.
 
         The vectors come from one cell table.  The lane endpoints t and
         t + den, sorted as e_0 < ... < e_(m-1), cut the line into cells:
@@ -478,13 +519,15 @@ class _SearchContext:
         a germ's packed vector is the sum of its multiplicities times their
         cells' ints, the same counts as `window_counts` per lane.
         """
-        width, den, high = self.width, self.den, self.high
+        width, den, high, T = self.width, self.den, self.high, self.target_mu
         # No carry between lanes: a node tests acc + lookahead, where acc is its
         # parent's state (every lane at most 2^(B-1) - 1, or the parent was cut)
         # plus germ g's vector.  g adds at most mu_g to a lane and the lookahead
         # at most the r - mu_g left after it, so a lane gains at most
         # r <= target_mu < 2^(B-1) and stays below 2^B.
-        assert max(self.mus, default=0) <= self.target_mu < 1 << (width - 1)
+        assert max(self.mus, default=0) <= T < 1 << (width - 1)
+        # in the root walk's order, so what it read last is still cached
+        self.spectra = [curve_spectrum(g) for g in reversed(self.pool)][::-1]
         ends = sorted({e for t, _, _ in self.lanes for e in (t, t + den)})
         cell_of = {e: 2 * i + 1 for i, e in enumerate(ends)}
         diff = [0] * (2 * len(ends) + 1)
@@ -495,8 +538,7 @@ class _SearchContext:
         cells = list(accumulate(diff))
         bounds = [b for e in ends for b in (2 * e, 2 * e + 1)]
         self.packed = []
-        for g in self.pool:
-            s = curve_spectrum(g)
+        for s in self.spectra:
             places = (divmod(y * den, s.den) for y in s.nums)
             self.packed.append(
                 sum(m * cells[bisect_right(bounds, 2 * q + (r > 0))] for (q, r), m in zip(places, s.mults))
@@ -521,25 +563,10 @@ class _SearchContext:
                 x = (low >> (j * width)) & mask
                 if x * ms[j] < xs[j] * mu:
                     xs[j], ms[j] = x, mu
-        # No carry: a density is at most 1, so a bound lane is at most
-        # remaining <= target_mu < 2^(B-1).
+        # lookahead[r]: a completion of r adds at least ceil(r * xs[j]/ms[j])
+        # to lane j; no carry, as a density is at most 1 and r <= target_mu
         assert all(x <= m for x, m in zip(xs, ms))
-        self.xs, self.ms = xs, ms
-        self._bounds: dict[int, int] = {}
-
-    def lookahead(self, remaining: int) -> int:
-        """Packed lower bound on the counts any completion of ``remaining`` adds.
-
-        A completion takes pool germs whose Milnor numbers sum to
-        ``remaining``, so it adds at least ceil(remaining * x/m) to lane j,
-        where x/m is the least density vec_g[j]/mu_g over the whole pool.
-        Memoized per ``remaining``.
-        """
-        bound = self._bounds.get(remaining)
-        if bound is None:
-            bound = _pack([-(-remaining * x // m) for x, m in zip(self.xs, self.ms)], self.width)
-            self._bounds[remaining] = bound
-        return bound
+        self.lookahead = [_pack([-(-r * x // m) for x, m in zip(xs, ms)], width) for r in range(T + 1)]
 
 
 def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int]:
@@ -553,21 +580,21 @@ def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int]:
         # what the DFS returns when its first lookahead test cuts the root
         return [], 0, 1
     n, d, pool, mus, packed, high = ctx.n, ctx.d, ctx.pool, ctx.mus, ctx.packed, ctx.high
-    lookahead = ctx.lookahead
+    lookahead, spectra = ctx.lookahead, ctx.spectra
     survivors: list[Configuration] = []
     examined = cuts = 0
     stack: list[int] = []
 
     def dfs(first: int, remaining: int, acc: int) -> None:
         nonlocal examined, cuts
-        if (acc + lookahead(remaining)) & high:
+        if (acc + lookahead[remaining]) & high:
             cuts += 1
             return
         if remaining == 0:
             examined += 1
             germs = tuple(pool[i] for i in stack)
             if ctx.filters.semicontinuity:
-                spectrum = add(*map(curve_spectrum, germs))  # in the frame of ctx.target
+                spectrum = add(*(spectra[i] for i in stack))  # in the frame of ctx.target
                 assert spectrum.total() == ctx.target_mu
                 # it fits every lane, so only ]x-1, x] at its own numbers x can
                 # fail the check (`_SearchContext` has the proof)
@@ -608,7 +635,9 @@ def enumerate_configurations(
     `centred_window_certificate` eliminates, in the open window with the
     open variant and in the half-open one without it, is answered without a
     pool; otherwise a pool over ``MAX_POOL_CLASSES`` classes is refused with
-    a ValueError before any spectrum is built.
+    a ValueError before any spectrum is built, and with semicontinuity off
+    so is a search of more than ``MAX_UNPRUNED_CONFIGURATIONS``
+    configurations, before the DFS starts.
 
     For k <= 2 restricting to the A/D/E/J catalog is forced by the
     gradient-degree bound; for k >= 3 the whitelist is an input assumption,

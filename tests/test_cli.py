@@ -335,6 +335,10 @@ def test_usage_errors_exit_two(capsys):
         ["region", "1000000"],
         # a pool count past the int-to-str digit limit
         ["search", "20000", "3", "2", "--no-filter", "semicontinuity"],
+        # unpruned searches over the configuration budget, refused before the DFS
+        ["search", "2", "9", "2", "--no-filter", "semicontinuity"],
+        ["search", "2", "11", "2", "--no-filter", "semicontinuity"],
+        ["search", "4", "4", "0", "--no-filter", "semicontinuity"],
         # oversized spectra and powers: refused before they are allocated
         ["spectrum", "germ", "A1000000000"],
         ["spectrum", "fermat", "2", "1000000000"],
@@ -454,12 +458,12 @@ def test_fuzzed_input_exits_zero_or_two_with_one_line(argv):
 
 # Fuzzed search and region arguments: small or invalid n, d, k, random
 # whitelist text, and filters to switch off drawn from the real names and
-# random text.  Semicontinuity stays on, as an unpruned search grows
-# exponentially with (d-1)^n.
+# random text.  Semicontinuity may be off too: an unpruned search that would
+# list too many configurations is refused before it starts.
 _small = st.integers(-1, 4).map(str)
 _json_flag = st.sampled_from([(), ("--json",)])
 _whitelists = st.lists(st.sampled_from("ADEJ") | _words, max_size=5).map(",".join)
-_filter_names = st.sampled_from(["huh", "open-variant"]) | _words.filter(lambda w: w != "semicontinuity")
+_filter_names = st.sampled_from(["huh", "open-variant", "semicontinuity"]) | _words
 _search_lines = st.builds(
     lambda n, d, k, whitelist, names, json_flag: (
         "search", n, d, k, *whitelist, *(f"--no-filter={name}" for name in names), *json_flag

@@ -40,8 +40,11 @@ from specpol.search import (
     CENTRED_DENSITY,
     CENTRED_DENSITY_ATTAINED_BY,
     MAX_POOL_CLASSES,
+    MAX_UNPRUNED_CONFIGURATIONS,
+    _count_configurations,
     _lanes,
     _pack,
+    _run_search,
     _SearchContext,
     centred_window_certificate,
 )
@@ -352,8 +355,8 @@ def test_lookahead_bounds_every_completion(data):
     ctx = _context(n, d, k, open_variant)
     remaining = data.draw(_up_to(min(ctx.target_mu, 12)))
     s = data.draw(st.integers(0, len(ctx.pool)))
-    lanes = len(ctx.xs)
-    bound = _unpack(ctx.lookahead(remaining), ctx.width, lanes)
+    lanes = len(ctx.lanes)
+    bound = _unpack(ctx.lookahead[remaining], ctx.width, lanes)
     for completion in _completions(ctx.mus, s, remaining):
         # lane sums stay below 2^(B-1), so the packed sum does not carry
         counts = _unpack(sum(ctx.packed[i] for i in completion), ctx.width, lanes)
@@ -383,7 +386,7 @@ def test_root_walk_equals_the_full_lookahead():
                 root_cut = ctx.root_cut
                 if root_cut:
                     ctx.build()
-                full = bool((ctx.start + ctx.lookahead(ctx.target_mu)) & ctx.high)
+                full = bool((ctx.start + ctx.lookahead[ctx.target_mu]) & ctx.high)
                 assert root_cut == full, (n, d, k, whitelist, open_variant)
                 cut += root_cut
                 kept += not root_cut
@@ -430,10 +433,13 @@ def _small_pairs():
 
 def test_lanes_are_the_windows_that_can_cut():
     # The lanes are the windows of `check` at the target's test points, less
-    # those that cannot cut: a bound of at least T, and an open window whose
-    # half-open twin at the same point has the same bound.  Both rules drop
-    # windows somewhere.
-    by_bound = as_twin = 0
+    # those that cannot cut: a window that misses ]-1, 1[, and so every
+    # catalog curve spectrum, among them the two end windows, a bound of at
+    # least T, and an open window whose half-open twin at the same point has
+    # the same bound.  Each rule drops windows somewhere, also a window
+    # between the end points that misses ]-1, 1[ (the (6,3) target has -1
+    # and 1 as numbers).
+    at_end = outside = by_bound = as_twin = 0
     for n, d, k, whitelist, open_variant in _small_pairs():
         ctx = _SearchContext(n, d, k, frozenset(whitelist), SearchFilters(open_variant=open_variant))
         T, (den, points) = ctx.target_mu, integer_test_points(EMPTY, ctx.target)
@@ -442,23 +448,32 @@ def test_lanes_are_the_windows_that_can_cut():
         bounds = dict(zip(windows, window_counts(ctx.target, den, points, ctx.kinds)))
         lanes = {(t, closed): r for t, closed, r in ctx.lanes}
         assert len(lanes) == len(ctx.lanes) and ctx.rhs == list(lanes.values())
-        for window, r in lanes.items():
-            assert bounds[window] == r < T, (n, d, k, window)
+        for (t, closed), r in lanes.items():
+            assert bounds[t, closed] == r < T, (n, d, k, t, closed)
+            # ]t/den, t/den + 1] meets ]-1, 1[
+            assert -2 * den < t < den, (n, d, k, t)
+        # ]a, a+1] at the first point lies in ]-inf, -1], at the last in ]1, inf[
+        assert points[0] <= -2 * den and points[-1] >= den
         for (t, closed), r in bounds.items():
             if (t, closed) in lanes:
+                continue
+            if not -2 * den < t < den:
+                at_end += t in (points[0], points[-1])
+                outside += t not in (points[0], points[-1])
                 continue
             assert r >= T or (not closed and lanes.get((t, True)) == r), (n, d, k, t, closed)
             by_bound += r >= T
             as_twin += r < T
+    assert at_end >= 100 and outside >= 1, (at_end, outside)
     assert by_bound >= 100 and as_twin >= 100, (by_bound, as_twin)
 
 
 def test_cell_table_vectors_and_least_densities_equal_the_lane_counts():
     # The cell table's packed vectors against `window_counts` at each lane's
-    # own window, and the least densities against a Fraction minimum per
-    # lane, on every pair of `_small_pairs` whose root is not cut.  Some mu
-    # must have two classes whose lane counts cross, so the lane-wise minimum
-    # differs from both vectors.
+    # own window, and every entry of the lookahead table against the ceiling
+    # of r times a Fraction minimum per lane, on every pair of `_small_pairs`
+    # whose root is not cut.  Some mu must have two classes whose lane counts
+    # cross, so the lane-wise minimum differs from both vectors.
     built = crossed = 0
     for n, d, k, whitelist, open_variant in _small_pairs():
         ctx = _SearchContext(n, d, k, frozenset(whitelist), SearchFilters(open_variant=open_variant))
@@ -471,7 +486,10 @@ def test_cell_table_vectors_and_least_densities_equal_the_lane_counts():
             min([Fraction(1)] + [Fraction(c[j], mu) for c, mu in zip(counts, ctx.mus)])
             for j in range(len(ctx.rhs))
         ]
-        assert [Fraction(x, m) for x, m in zip(ctx.xs, ctx.ms)] == least, (n, d, k, whitelist)
+        assert len(ctx.lookahead) == ctx.target_mu + 1
+        for r, bound in enumerate(ctx.lookahead):
+            ceilings = [-(-r * x.numerator // x.denominator) for x in least]
+            assert bound == _pack(ceilings, ctx.width), (n, d, k, whitelist, r)
         by_mu = {}
         for c, mu in zip(counts, ctx.mus):
             by_mu.setdefault(mu, []).append(c)
@@ -520,6 +538,76 @@ def test_dfs_counts_are_pinned(n, d, k, open_variant, pruned, examined):
     report = enumerate_configurations(n, d, k, filters=SearchFilters(open_variant=open_variant))
     assert report.pruned_by_dict()["semicontinuity"] == pruned
     assert report.examined == examined
+
+
+@pytest.mark.parametrize(
+    "n, d, k, open_variant, pruned, examined",
+    [(2, 4, 2, True, 4, 20), (2, 7, 4, False, 10624, 141)],
+)
+def test_dfs_reads_no_spectrum_once_the_context_is_built(n, d, k, open_variant, pruned, examined, monkeypatch):
+    # The leaves sum the spectra `build` read; nothing after it fetches one.
+    filters = SearchFilters(open_variant=open_variant)
+    expected = set(enumerate_configurations(n, d, k, filters=filters).survivors)
+    ctx = _SearchContext(n, d, k, frozenset("ADEJ"), filters)
+
+    def refuse(g):
+        raise AssertionError(f"curve_spectrum({g}) called by the DFS")
+
+    monkeypatch.setattr("specpol.search.curve_spectrum", refuse)
+    survivors, dfs_examined, cuts = _run_search(ctx)
+    assert (cuts, dfs_examined) == (pruned, examined)
+    assert set(survivors) == expected
+
+
+def test_a_pool_over_the_cache_size_builds_each_spectrum_once():
+    # (2,12,11) lists 1,172 classes, more than the curve-spectrum cache
+    # holds; `build` reads them in the root walk's order, so the classes the
+    # walk read last are still cached and every class is built once.
+    curve_spectrum.cache_clear()
+    report = enumerate_configurations(2, 12, 11)
+    info = curve_spectrum.cache_info()
+    ctx = _SearchContext(2, 12, 11, frozenset("ADEJ"), SearchFilters())
+    assert not ctx.root_cut and report.examined == 0
+    assert info.misses == len(ctx.pool) == 1172 > info.maxsize
+
+
+@pytest.mark.parametrize("n, d, k", [(2, 9, 2), (4, 4, 0)])
+def test_an_unpruned_search_over_the_budget_is_refused_before_the_dfs(n, d, k, monkeypatch):
+    # (2,9,2) would list 242,356,576 configurations, (4,4,0) 14,363,276,034
+    def refuse(*args):
+        raise AssertionError("the search went on past the configuration budget")
+
+    monkeypatch.setattr("specpol.search._run_search", refuse)
+    monkeypatch.setattr(_SearchContext, "build", refuse)
+    with pytest.raises(ValueError, match=f"more than {MAX_UNPRUNED_CONFIGURATIONS} configurations"):
+        enumerate_configurations(n, d, k, filters=SearchFilters(semicontinuity=False))
+
+
+def test_configuration_count_equals_the_unpruned_search():
+    # The count the unpruned budget reads, against the configurations the
+    # unpruned DFS lists, with huh on and off; (5,3,5) is left out for time.
+    # Counts stop at the cap: {1,1,1,1}, {1,1,2} and {2,2} make 4, capped at 2.
+    for n, d, k in [case for case in _ORACLE_CASES if case != (5, 3, 5)] + [(2, 6, 3)]:
+        for huh in (True, False):
+            ctx = _SearchContext(n, d, k, frozenset("ADEJ"), SearchFilters(huh=huh, semicontinuity=False))
+            examined = _run_search(ctx)[1]
+            assert _count_configurations(ctx.mus, ctx.target_mu, MAX_UNPRUNED_CONFIGURATIONS) == examined
+    assert _count_configurations([1, 2], 4, 10) == 3
+    assert _count_configurations([1, 2], 4, 2) == 2
+
+
+def test_an_empty_pool_is_a_cut_root():
+    # Nothing completes a positive Milnor number from an empty pool, and the
+    # search reports a cut root, also at (6,3,63), where every window that
+    # meets ]-1, 1[ has a bound of at least T = 1, so there is no lane.
+    # Without semicontinuity nothing is cut.
+    ctx = _SearchContext(6, 3, 63, frozenset("J"), SearchFilters())
+    assert ctx.pool == [] and ctx.lanes == [] and ctx.root_cut
+    for n, d, k, whitelist in [(6, 3, 63, "J"), (2, 3, 2, "J"), (3, 3, 5, "DE")]:
+        for semicontinuity in (True, False):
+            report = enumerate_configurations(n, d, k, whitelist, SearchFilters(semicontinuity=semicontinuity))
+            assert report.examined == 0, (n, d, k)
+            assert report.pruned_by_dict()["semicontinuity"] == semicontinuity, (n, d, k)
 
 
 def test_final_check_rejects_a_configuration_that_fits_every_lane():

@@ -223,22 +223,22 @@ def test_integer_check_equals_fraction_reference(candidate, target, kind):
 
 def _search_leaves(monkeypatch, searches):
     # (configuration, curve-frame sum) at every leaf of the given searches: a
-    # leaf fetches the curve spectra of its germs, in order, just before the
-    # one add that sums them
-    seen, fetched = [], []
-    real_curve, real_add = search.curve_spectrum, search.add
+    # leaf sums the spectra its context read, one per germ in order, with one
+    # add, so each argument maps back to its pool class by identity
+    seen, classes = [], {}
+    real_run, real_add = search._run_search, search.add
 
-    def curve(g):
-        fetched.append(g)
-        return real_curve(g)
+    def run(ctx):
+        classes.clear()
+        classes.update((id(s), g) for s, g in zip(getattr(ctx, "spectra", ()), ctx.pool))
+        return real_run(ctx)
 
     def leaf_add(*spectra):
         total = real_add(*spectra)
-        seen.append((tuple(fetched[len(fetched) - len(spectra):]), total))
-        fetched.clear()
+        seen.append((tuple(classes[id(s)] for s in spectra), total))
         return total
 
-    monkeypatch.setattr(search, "curve_spectrum", curve)
+    monkeypatch.setattr(search, "_run_search", run)
     monkeypatch.setattr(search, "add", leaf_add)
     leaves = []
     for n, d, k, open_variant in searches:
