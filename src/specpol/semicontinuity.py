@@ -125,7 +125,7 @@ def window_counts(
     """Counts of ``spec`` over the unit windows at the integer test points t/den.
 
     Per t, then per kind in order: ]t/den, t/den + 1], or ]t/den, t/den + 1[ for OPEN_OPEN.
-    As in `Spectrum.rank`, each endpoint p/den is one integer threshold on the
+    As in `deg_window`, each endpoint p/den is one integer threshold on the
     numerators x of ``spec`` over its own denominator s: x/s > p/den exactly
     when x > floor(p*s/den), x/s <= p/den when x <= floor(p*s/den), and
     x/s < p/den when x < ceil(p*s/den); a bisect on the numerators counts them.

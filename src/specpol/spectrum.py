@@ -135,15 +135,6 @@ class Spectrum:
             return self._cum[bisect_right(self.nums, t // q)]
         return self._cum[bisect_left(self.nums, -(-t // q))]
 
-    def count_below(self, x: Bound, inclusive: bool = False) -> int:
-        """Spectral numbers (with multiplicity) < x, or <= x when inclusive.
-
-        x is an int, a Fraction or the float +-inf.
-        """
-        if type(x) is float:
-            return 0 if x < 0 else self._cum[-1]
-        return self.rank(x.numerator, x.denominator, inclusive)
-
     def total(self) -> int:
         """Sum of all multiplicities (the Milnor number for a germ spectrum)."""
         return self._cum[-1]
@@ -313,18 +304,11 @@ def join(s1: Spectrum, s2: Spectrum) -> Spectrum:
 
 
 def _check_bound(x: Bound, name: str) -> Bound:
-    if type(x) is Fraction:
-        return x
     if isinstance(x, float):
         if not math.isinf(x):
             raise ValueError(f"{name} must be an exact rational or +-inf, got {x!r}")
         return POS_INF if x > 0 else NEG_INF
     return Fraction(x)
-
-
-def _side(x: Bound) -> int:
-    # -1 for -inf, 1 for +inf, 0 for a rational
-    return ((x > 0) - (x < 0)) if type(x) is float else 0
 
 
 def deg_window(
@@ -338,16 +322,31 @@ def deg_window(
 
     Endpoints are exact rationals or +-infinity; each side is open or closed
     independently, so unit windows ]a,a+1], rays ]-inf,t] and any mixed
-    interval all go through this one code path.  Bounds with a > b are
-    rejected, infinite ones included.
+    interval all go through this one code path.  The only floats accepted
+    are +-inf, which mark a ray and enter no arithmetic.  A rational endpoint
+    p/q becomes an integer threshold on the numerators x over ``s.den``,
+    inline: x/den <= p/q exactly when x <= floor(p*den/q), and x/den < p/q
+    when x < ceil(p*den/q).  Bounds with a > b are rejected, infinite ones
+    included.
     """
-    a = _check_bound(a, "left endpoint")
-    b = _check_bound(b, "right endpoint")
-    if type(a) is float or type(b) is float:
-        if _side(a) <= _side(b):
-            return max(s.count_below(b, not right_open) - s.count_below(a, left_open), 0)
+    if type(a) is not Fraction:
+        a = _check_bound(a, "left endpoint")
+    if type(b) is not Fraction:
+        b = _check_bound(b, "right endpoint")
+    nums, cum, den = s.nums, s._cum, s.den
+    # a float is now NEG_INF or POS_INF: nothing lies below -inf, all below +inf
+    if type(a) is float:
+        lo = 0 if a is NEG_INF else cum[-1]
     else:
-        p, q, r, u = a.numerator, a.denominator, b.numerator, b.denominator
-        if p * u <= r * q:
-            return max(s.rank(r, u, not right_open) - s.rank(p, q, left_open), 0)
+        p, q = a.as_integer_ratio()
+        t = p * den
+        lo = cum[bisect_right(nums, t // q)] if left_open else cum[bisect_left(nums, -(-t // q))]
+    if type(b) is float:
+        hi = 0 if b is NEG_INF else cum[-1]
+    else:
+        r, u = b.as_integer_ratio()
+        t = r * den
+        hi = cum[bisect_left(nums, -(-t // u))] if right_open else cum[bisect_right(nums, t // u)]
+    if a is NEG_INF or b is POS_INF or type(a) is type(b) is Fraction and p * u <= r * q:
+        return hi - lo if hi > lo else 0
     raise ValueError(f"empty interval bounds: {a} > {b}")

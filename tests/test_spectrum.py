@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -18,9 +20,12 @@ from specpol import (
     deg_window,
     fermat_spectrum,
     from_numerators,
+    germ_spectrum,
     join,
     make_spectrum,
+    parse_germ,
 )
+from specpol.spectrum import EMPTY
 from oracles import brute_deg
 
 F = Fraction
@@ -166,6 +171,29 @@ def test_deg_window_rejects_bad_bounds():
     assert deg_window(s, POS_INF, POS_INF) == deg_window(s, NEG_INF, NEG_INF) == 0
 
 
+@pytest.mark.parametrize("s", [germ_spectrum(parse_germ("J2_3")), EMPTY], ids=["J2_3", "empty"])
+def test_deg_window_endpoint_types(s):
+    # every pair of endpoint types under every open/closed choice: the exact
+    # count, or the ValueError of a finite float, a NaN or reversed bounds
+    pairs = list(s.entries)
+    ends = [F(-1, 6), F(1, 2), 0, 1, NEG_INF, POS_INF, 0.5, math.nan]
+    for a, b in itertools.product(ends, repeat=2):
+        for left_open, right_open in itertools.product((True, False), repeat=2):
+            args = (s, a, b, left_open, right_open)
+            floats = [side for side, x in (("left", a), ("right", b))
+                      if type(x) is float and not math.isinf(x)]
+            if floats:
+                message = f"^{floats[0]} endpoint must be an exact rational or \\+-inf, got "
+                with pytest.raises(ValueError, match=message):
+                    deg_window(*args)
+            elif a > b:
+                with pytest.raises(ValueError, match="^empty interval bounds: "):
+                    deg_window(*args)
+            else:
+                exact = [F(x) if type(x) is int else x for x in (a, b)]
+                assert deg_window(*args) == brute_deg(pairs, *exact, left_open, right_open), args
+
+
 @given(spectra, rationals, rationals, st.booleans(), st.booleans())
 def test_deg_window_matches_brute_force(s, a, b, left_open, right_open):
     if a > b:
@@ -285,8 +313,10 @@ def test_integer_ranks_match_brute_force(s, extra):
     pairs = list(s.entries)
     bounds = sorted(set(_probe_bounds(s) + extra))
     for x in bounds:
-        assert s.count_below(x) == brute_deg(pairs, NEG_INF, x, True, True)
-        assert s.count_below(x, inclusive=True) == brute_deg(pairs, NEG_INF, x, True, False)
+        for inclusive in (False, True):
+            expected = brute_deg(pairs, NEG_INF, x, True, not inclusive)
+            assert deg_window(s, NEG_INF, x, True, not inclusive) == expected
+            assert s.rank(x.numerator, x.denominator, inclusive) == expected
     ends = [NEG_INF] + bounds + [POS_INF]
     for i, a in enumerate(ends):
         for b in ends[i:]:
