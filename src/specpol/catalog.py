@@ -264,10 +264,7 @@ def germ_spectrum(g: GermClass) -> Spectrum:
     Equals the curve spectrum suspended n-2 times, hence symmetric about
     (n-2)/2 and contained in ]-1, n-1[.
     """
-    n = g.ambient_vars
-    if n < 2:
-        raise ValueError(f"ambient_vars must be >= 2, got {n}")
-    return curve_spectrum(g).suspend(n - 2)
+    return curve_spectrum(g).suspend(g.ambient_vars - 2)
 
 
 # The most window-sum steps fermat_spectrum takes: n passes over a support of

@@ -17,8 +17,12 @@ Filters:
   applied from that k on and prunes nothing (checked by
   ``test_implied_pool_filters_are_vacuous``); below it, it is not listed.
 * ``huh`` (k >= 1, plane only): multiplicity - 1 <= k for every pool germ.
-  For n >= 3 the gradient-degree bound is catalog membership, which the pool
-  has by construction.
+  That is 1 for A and 2 for D/E/J, so ``huh`` removes whole families: every
+  D/E/J class at k = 1 and nothing from k = 2 on.  `enumerate_configurations`
+  applies it per family, counting what it removes in closed form
+  (`germ_pool_size`), before any class is listed.  For n >= 3 the
+  gradient-degree bound is catalog membership, which the pool has by
+  construction.
 * ``semicontinuity``: window counts of the summed spectrum must not exceed
   the diagonal-germ target's anywhere; applied to every complete
   configuration, and incrementally during the search (window counts only grow
@@ -60,9 +64,8 @@ Filters:
   ]c-1/2, c+1/2].  If ceil(4T/5), T the target Milnor number, exceeds the
   target spectrum's count in the open window (with the open variant) or
   the half-open one (without it), no configuration passes, and the search
-  reports what the DFS reports for a cut root: one cut, nothing examined,
-  and for ``huh`` the classes it would have removed, counted in closed
-  form.  With the open variant this decides 4 of the 13 pairs of
+  reports what the DFS reports for a cut root: one cut and nothing
+  examined.  With the open variant this decides 4 of the 13 pairs of
   `candidate_region(2)` and 39 of the 51 of `candidate_region(3)`, among
   them all 14 whose pools are over the budget; without it, 33 of the 51.
 * Root walk (part of ``semicontinuity``): at the root the bound is a
@@ -93,9 +96,10 @@ Budget: a search that the centred window does not decide and whose pool
 would list more than ``MAX_POOL_CLASSES`` classes is refused with a ValueError
 before the pool is listed; `germ_pool_size` counts the pool in closed form.
 With semicontinuity off every configuration survives, and a search with more
-than ``MAX_UNPRUNED_CONFIGURATIONS`` of them, counted over the listed pool, is
-refused with a ValueError before the DFS starts.  Before anything else,
-`diagonal_milnor` refuses a (d-1)^n of more than ``MAX_POWER_BITS`` bits
+than ``MAX_UNPRUNED_CONFIGURATIONS`` of them is refused with a ValueError
+before the pool is listed: they are counted by Milnor number, with the classes
+of each counted in closed form.  The pool budget is checked first.  Before
+anything else, `diagonal_milnor` refuses a (d-1)^n of more than ``MAX_POWER_BITS`` bits
 without computing it.
 """
 
@@ -111,13 +115,7 @@ from operator import gt
 from typing import Iterable, Optional
 
 from .catalog import FAMILIES, GermClass, curve_spectrum, fermat_spectrum
-from .polar import (
-    Configuration,
-    InfeasibleConfigurationError,
-    diagonal_milnor,
-    polar_degree,
-    sectional_milnor_plane,
-)
+from .polar import Configuration, InfeasibleConfigurationError, diagonal_milnor, polar_degree
 from .semicontinuity import check_configuration, integer_test_points
 from .semicontinuity import window_counts, window_kinds
 from .spectrum import EMPTY, NEG_INF, WindowKind, add, deg_window
@@ -366,24 +364,27 @@ def _lanes(rhs: list[int], bound: int) -> tuple[int, int, int]:
     return width, _pack([half - 1 - r for r in rhs], width), _pack([half] * len(rhs), width)
 
 
-def _count_configurations(mus: list[int], total: int, cap: int) -> int:
-    """How many multisets of the classes, of Milnor numbers ``mus``, sum to ``total``, up to ``cap``.
+def _count_configurations(total: int, families: Iterable[str], cap: int) -> int:
+    """How many multisets of classes of ``families`` have Milnor sum ``total``, up to ``cap``.
 
-    A coin-change count, one class at a time in increasing Milnor number,
-    with every count capped at ``cap``; adding a class never lowers the
-    count at ``total``, so it stops once that count reaches ``cap``.
+    A coin-change count, one class at a time in increasing Milnor number m,
+    with every count capped at ``cap``; the classes of Milnor number m are
+    counted in closed form, germ_pool_size(m) - germ_pool_size(m - 1), so
+    no pool is listed.  Adding a class never lowers the count at ``total``,
+    so it stops once that count reaches ``cap``.
     """
     ways = [1] + [0] * total
-    for mu in sorted(mus):
-        for v in range(mu, total + 1):
-            ways[v] = min(ways[v] + ways[v - mu], cap)
+    for mu in range(1, total + 1):
+        for _ in range(germ_pool_size(mu, families) - germ_pool_size(mu - 1, families)):
+            for v in range(mu, total + 1):
+                ways[v] = min(ways[v] + ways[v - mu], cap)
         if ways[total] == cap:
             break
     return ways[total]
 
 
 class _SearchContext:
-    """Prepared pool, packed window vectors and filter bookkeeping for one search.
+    """Prepared pool and packed window vectors for one search over the given families.
 
     ``lanes`` lists the pruning windows once, as (t, closed on the right,
     bound): the windows ]t/den, t/den + 1] and, with the open variant,
@@ -432,31 +433,25 @@ class _SearchContext:
     and (5,3,7)), so `build` makes them all.
     """
 
-    def __init__(self, n: int, d: int, k: int, whitelist: frozenset[str], filters: SearchFilters):
+    def __init__(self, n: int, d: int, k: int, families: frozenset[str], filters: SearchFilters):
         self.n, self.d, self.k = n, d, k
         self.filters = filters
-        self.target_mu = diagonal_milnor(n, d) - k
-        self.pool_pruned = dict.fromkeys(FILTER_NAMES, 0)
-        # listed first: the pool budget refuses before any spectrum is built
-        pool = germ_pool(n, self.target_mu, sorted(whitelist))
-        # in the frame of the curve spectra (see the module docstring)
-        self.target = fermat_spectrum(n, d).shift(Fraction(2 - n, 2))
-        if filters.huh and n == 2 and k >= 1:
-            kept = [g for g in pool if sectional_milnor_plane(g) <= k]
-            self.pool_pruned["huh"] = len(pool) - len(kept)
-            pool = kept
-
-        # non-increasing canonical order: heaviest germ first
-        self.pool = sorted(pool, key=lambda g: (-g.milnor,) + g.sort_key())
-        self.mus = [g.milnor for g in self.pool]
-        if not filters.semicontinuity:
+        self.target_mu = T = diagonal_milnor(n, d) - k
+        # over the pool budget `germ_pool` refuses first, which also bounds
+        # the count's T + 1 ints
+        if not filters.semicontinuity and germ_pool_size(T, families) <= MAX_POOL_CLASSES:
             cap = MAX_UNPRUNED_CONFIGURATIONS + 1
-            if _count_configurations(self.mus, self.target_mu, cap) == cap:
+            if _count_configurations(T, families, cap) == cap:
                 raise ValueError(
                     f"the unpruned search would list more than {MAX_UNPRUNED_CONFIGURATIONS} configurations"
                 )
+        # non-increasing canonical order: heaviest germ first; listed before
+        # any spectrum is built
+        self.pool = sorted(germ_pool(n, T, families), key=lambda g: (-g.milnor,) + g.sort_key())
+        self.mus = [g.milnor for g in self.pool]
+        # in the frame of the curve spectra (see the module docstring)
+        self.target = fermat_spectrum(n, d).shift(Fraction(2 - n, 2))
         # the lanes, at -2 < t/den < 1 (see the class docstring); none and high == 0 without semicontinuity
-        T = self.target_mu
         den, points = integer_test_points(EMPTY, self.target) if filters.semicontinuity else (1, [])
         points = [t for t in points if -2 * den < t < den]
         self.den, self.kinds = den, window_kinds(filters.open_variant)
@@ -637,7 +632,8 @@ def enumerate_configurations(
     pool; otherwise a pool over ``MAX_POOL_CLASSES`` classes is refused with
     a ValueError before any spectrum is built, and with semicontinuity off
     so is a search of more than ``MAX_UNPRUNED_CONFIGURATIONS``
-    configurations, before the DFS starts.
+    configurations, before the pool is listed.  ``huh`` and the budgets see
+    the families that ``huh`` keeps; the report names the whitelist given.
 
     For k <= 2 restricting to the A/D/E/J catalog is forced by the
     gradient-degree bound; for k >= 3 the whitelist is an input assumption,
@@ -651,20 +647,23 @@ def enumerate_configurations(
     if smooth < k:
         raise InfeasibleConfigurationError(f"polar degree {k} exceeds (d-1)^n = {smooth}")
     whitelist = frozenset(_families(whitelist))
+    # every pool filter, decided per family before any class is listed
+    families, pruned = whitelist, dict.fromkeys(FILTER_NAMES, 0)
+    if filters.huh and n == 2 and k == 1:
+        # multiplicity - 1 is 1 for A and 2 for D/E/J, so huh removes every
+        # D/E/J class at k = 1 and none from k = 2 on
+        families = whitelist & {"A"}
+        pruned["huh"] = germ_pool_size(smooth - k, whitelist - {"A"})
     # the narrowest window the check tests: open with the open variant
     kind = window_kinds(filters.open_variant)[-1]
     if filters.semicontinuity and centred_window_certificate(n, d, k, kind):
         # what a cut root reports, without listing the pool
         survivors, examined, cuts = [], 0, 1
-        pruned = dict.fromkeys(FILTER_NAMES, 0)
-        if filters.huh and n == 2 and k == 1:
-            # sectional_milnor_plane is 1 for A and 2 for D/E/J, so huh
-            # removes every D/E/J class at k = 1 and none from k = 2 on
-            pruned["huh"] = germ_pool_size(smooth - k, whitelist - {"A"})
+    elif not families and smooth > k:
+        # what an empty pool reports (see `_root_is_cut`), without a table of T + 1 entries
+        survivors, examined, cuts = [], 0, int(filters.semicontinuity)
     else:
-        ctx = _SearchContext(n, d, k, whitelist, filters)
-        survivors, examined, cuts = _run_search(ctx)
-        pruned = dict(ctx.pool_pruned)
+        survivors, examined, cuts = _run_search(_SearchContext(n, d, k, families, filters))
     pruned["semicontinuity"] = cuts
     survivors = sorted(survivors, key=lambda c: tuple(g.sort_key() for g in c.germs))
 

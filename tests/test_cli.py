@@ -547,6 +547,15 @@ def test_output_into_a_closed_pipe_stops_quietly():
     assert proc.returncode not in (0, 2)
 
 
+def test_unpruned_plane_search_at_k1_is_refused_by_the_configuration_budget(capsys):
+    # huh keeps only the A classes at (2, d, 1), and the pool budget counts
+    # those: 2,400 at (2,50,1), where the whole pool would have 483,598.
+    # The configuration budget refuses the search instead.
+    code, out, err = invoke(capsys, "search", "2", "50", "1", "--no-filter", "semicontinuity")
+    assert (code, out) == (2, "")
+    assert err == "error: the unpruned search would list more than 500000 configurations\n"
+
+
 def test_readme_command_block_runs(capsys):
     # every `specpol ...` line of the README's command block, comment stripped;
     # a `# -> N` comment is the output the line must print
@@ -585,6 +594,8 @@ LIBRARY_ONLY = {
     "huh_inequality_holds": "perfbench/spans.py traces it by name",
     "alpha1_threshold": "perfbench/spans.py traces it by name",
     "corank_curve": "test_implied_pool_filters_are_vacuous uses it",
+    "sectional_milnor_plane": "huh_inequality_holds calls it; the search applies huh per family",
+    "multiplicity_curve": "huh_inequality_holds calls it; the search applies huh per family",
 }
 
 

@@ -34,6 +34,7 @@ from specpol import (
     load_huh_lists,
     parse_germ,
     polar_degree,
+    sectional_milnor_plane,
     verify_huh_lists,
 )
 from specpol.search import (
@@ -95,15 +96,20 @@ def test_pool_size_closed_form_equals_germ_pool():
                 assert len(germ_pool(n, t, wl)) == germ_pool_size(t, wl), (n, wl, t)
 
 
-def test_out_of_budget_pool_is_refused_before_listing():
+def _refuse(*args):
+    raise AssertionError("the search went on past its budget")
+
+
+def test_out_of_budget_pool_is_refused_before_listing(monkeypatch):
     too_big = 2**100 - 2
     assert germ_pool_size(too_big) > MAX_POOL_CLASSES
     with pytest.raises(ValueError, match="budget"):
         germ_pool(2, too_big)
     # the centred-window lemma decides (100,3,2) without a pool, with the open
     # variant or without; with semicontinuity off it does not apply, and the
-    # pool budget refuses the search
-    with pytest.raises(ValueError, match="budget"):
+    # pool budget refuses the search before the configurations are counted
+    monkeypatch.setattr("specpol.search._count_configurations", _refuse)
+    with pytest.raises(ValueError, match=f"germ pool would list .* over the budget of {MAX_POOL_CLASSES}$"):
         enumerate_configurations(100, 3, 2, filters=SearchFilters(semicontinuity=False))
     # the largest pool searched so far, (4,6,3), is well inside the budget
     assert germ_pool_size(5**4 - 3) == 33_171 < MAX_POOL_CLASSES
@@ -571,29 +577,60 @@ def test_a_pool_over_the_cache_size_builds_each_spectrum_once():
     assert info.misses == len(ctx.pool) == 1172 > info.maxsize
 
 
-@pytest.mark.parametrize("n, d, k", [(2, 9, 2), (4, 4, 0)])
+@pytest.mark.parametrize("n, d, k", [(2, 9, 2), (4, 4, 0), (2, 40, 2)])
 def test_an_unpruned_search_over_the_budget_is_refused_before_the_dfs(n, d, k, monkeypatch):
-    # (2,9,2) would list 242,356,576 configurations, (4,4,0) 14,363,276,034
-    def refuse(*args):
-        raise AssertionError("the search went on past the configuration budget")
-
-    monkeypatch.setattr("specpol.search._run_search", refuse)
-    monkeypatch.setattr(_SearchContext, "build", refuse)
+    # (2,9,2) would list 242,356,576 configurations, (4,4,0) 14,363,276,034;
+    # (2,40,2) has 194,557 classes, inside the pool budget
+    monkeypatch.setattr("specpol.search.germ_pool", _refuse)
+    monkeypatch.setattr("specpol.search._run_search", _refuse)
+    monkeypatch.setattr(_SearchContext, "build", _refuse)
     with pytest.raises(ValueError, match=f"more than {MAX_UNPRUNED_CONFIGURATIONS} configurations"):
         enumerate_configurations(n, d, k, filters=SearchFilters(semicontinuity=False))
 
 
 def test_configuration_count_equals_the_unpruned_search():
-    # The count the unpruned budget reads, against the configurations the
-    # unpruned DFS lists, with huh on and off; (5,3,5) is left out for time.
-    # Counts stop at the cap: {1,1,1,1}, {1,1,2} and {2,2} make 4, capped at 2.
+    # The count the unpruned budget reads, over the families of the classes
+    # huh keeps (found by a scan), against the configurations the unpruned
+    # DFS lists, with huh on and off; (5,3,5) is left out for time.  Counts stop at the cap: A1..A4 and D4
+    # make 6 multisets of Milnor sum 4, capped at 2.
     for n, d, k in [case for case in _ORACLE_CASES if case != (5, 3, 5)] + [(2, 6, 3)]:
+        total = (d - 1) ** n - k
         for huh in (True, False):
-            ctx = _SearchContext(n, d, k, frozenset("ADEJ"), SearchFilters(huh=huh, semicontinuity=False))
-            examined = _run_search(ctx)[1]
-            assert _count_configurations(ctx.mus, ctx.target_mu, MAX_UNPRUNED_CONFIGURATIONS) == examined
-    assert _count_configurations([1, 2], 4, 10) == 3
-    assert _count_configurations([1, 2], 4, 2) == 2
+            report = enumerate_configurations(n, d, k, filters=SearchFilters(huh=huh, semicontinuity=False))
+            kept = [g for g in germ_pool(n, total) if not huh or n > 2 or k < 1 or sectional_milnor_plane(g) <= k]
+            families = {g.family for g in kept}
+            assert _count_configurations(total, families, MAX_UNPRUNED_CONFIGURATIONS) == report.examined
+    assert _count_configurations(4, {"A", "D"}, 10) == 6
+    assert _count_configurations(4, {"A", "D"}, 2) == 2
+
+
+def test_configuration_count_per_milnor_number_equals_a_count_over_the_pool():
+    # The closed-form count reads the classes of each Milnor number from
+    # germ_pool_size; a coin-change count over the listed pool's Milnor
+    # numbers must give the same at every total up to 60, for each whitelist.
+    top = 60
+    for wl in (wl for r in range(1, 5) for wl in combinations("ADEJ", r)):
+        ways = [1] + [0] * top
+        for mu in (g.milnor for g in germ_pool(2, top, wl)):
+            for v in range(mu, top + 1):
+                ways[v] += ways[v - mu]
+        for total in range(top + 1):
+            assert _count_configurations(total, set(wl), 10**30) == ways[total], (wl, total)
+        assert ways[top] > 1, wl
+
+
+def test_an_empty_family_set_lists_no_pool(monkeypatch):
+    # With no family left, nothing completes a positive Milnor number, and
+    # the answer needs neither a pool nor a table of T + 1 entries, even
+    # where T has 40 digits (with semicontinuity on, the target spectrum of
+    # so large a d is over its work budget)
+    monkeypatch.setattr("specpol.search._SearchContext", _refuse)
+    for wl, k in [((), 2), ("DEJ", 1)]:
+        for d, semicontinuity in [(50, True), (10**20, False)]:
+            filters = SearchFilters(semicontinuity=semicontinuity)
+            report = enumerate_configurations(2, d, k, wl, filters)
+            assert (report.survivors, report.examined) == ((), 0)
+            assert report.pruned_by_dict()["semicontinuity"] == semicontinuity
 
 
 def test_an_empty_pool_is_a_cut_root():
@@ -754,6 +791,24 @@ def test_open_variant_only_tightens():
     )
     assert set(open_on.survivors) <= set(open_off.survivors)
     assert config(2, 5, "J2_4") in set(open_on.survivors)
+
+
+def test_huh_per_family_equals_the_per_class_scan():
+    # huh removes whole families, so the search applies it per family, in
+    # closed form; a scan of every listed class must count the same removals,
+    # and the survivors must be those of the search without huh that pass
+    # huh_inequality_holds; on (2, d, 1) for d = 2..12 and the plane pairs
+    # of candidate_region(2)
+    plane_k2 = [(n, d, 2) for n, d in sorted(candidate_region(2).pairs) if n == 2]
+    for n, d, k in [(2, d, 1) for d in range(2, 13)] + plane_k2:
+        total = (d - 1) ** n - k
+        for wl in ("ADEJ", "DEJ", "AJ", "J"):
+            report = enumerate_configurations(n, d, k, wl)
+            scan = sum(sectional_milnor_plane(g) > k for g in germ_pool(n, total, wl))
+            assert report.pruned_by_dict()["huh"] == scan, (n, d, k, wl)
+            without = enumerate_configurations(n, d, k, wl, SearchFilters(huh=False))
+            kept = [c for c in without.survivors if huh_inequality_holds(c, k)]
+            assert list(report.survivors) == kept, (n, d, k, wl)
 
 
 def test_huh_filter_prunes_plane_germs_at_k1():
