@@ -217,6 +217,8 @@ def _make_filters(disabled: list[str]) -> SearchFilters:
 
 def _cmd_search(args) -> int:
     whitelist = tuple(f.strip() for f in args.whitelist.split(",") if f.strip())
+    if not whitelist:
+        raise ValueError(f"--whitelist {args.whitelist!r} names no family; choose from A, D, E, J")
     report = search.enumerate_configurations(
         args.n,
         args.d,

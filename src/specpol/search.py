@@ -31,9 +31,9 @@ Filters:
   counts live in one int, a lane of B bits per window, with B wide enough that
   no lane carries into the next; a child adds its germ's packed counts, and
   a node is cut if any lane's top bit is set (SWAR, SIMD within a register).  The
-  lanes are the windows of `check(candidate, target, kinds)`, ]a,a+1] and
-  with the open variant ]a,a+1[, at every test point a of the target,
-  counted by `semicontinuity.window_counts`, less those that can never cut:
+  lanes are windows (t, closed) of `semicontinuity.window_counts`: those of
+  `check(candidate, target, kinds)`, ]a,a+1] and with the open variant
+  ]a,a+1[, at every test point a of the target, less those that can never cut:
   a window that misses ]-1, 1[ in the frame below (the two end windows
   do), a bound of at least the target Milnor number, and an open window
   whose half-open twin has the same bound (`_SearchContext` has the
@@ -110,7 +110,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import gt
 from typing import Iterable, Optional
 
@@ -386,10 +386,11 @@ def _count_configurations(total: int, families: Iterable[str], cap: int) -> int:
 class _SearchContext:
     """Prepared pool and packed window vectors for one search over the given families.
 
-    ``lanes`` lists the pruning windows once, as (t, closed on the right,
-    bound): the windows ]t/den, t/den + 1] and, with the open variant,
-    ]t/den, t/den + 1[ of `check` at the target's test points, bounded by
-    the target's counts there, less the three kinds that can never cut a node:
+    ``lanes`` lists the pruning windows once, as the (t, closed) windows of
+    `window_counts`: ]t/den, t/den + 1] and, with the open variant,
+    ]t/den, t/den + 1[, those of `check` at the target's test points.
+    ``rhs`` holds their bounds, the target's counts there.  The windows
+    that can never cut a node are left out; they are of three kinds:
 
     * a window that misses ]-1, 1[, where every catalog curve spectrum
       lies: no germ counts in it, so with a pool its least density is 0 and
@@ -454,12 +455,13 @@ class _SearchContext:
         # the lanes, at -2 < t/den < 1 (see the class docstring); none and high == 0 without semicontinuity
         den, points = integer_test_points(EMPTY, self.target) if filters.semicontinuity else (1, [])
         points = [t for t in points if -2 * den < t < den]
-        self.den, self.kinds = den, window_kinds(filters.open_variant)
-        half = window_counts(self.target, den, points, self.kinds[:1])
-        opened = window_counts(self.target, den, points, self.kinds[1:])
-        self.lanes = [(t, True, r) for t, r in zip(points, half) if r < T]
-        self.lanes += [(t, False, r) for t, r, h in zip(points, opened, half) if r < min(h, T)]
-        self.rhs = [r for _, _, r in self.lanes]
+        windows = list(product(points, (True, False) if filters.open_variant else (True,)))
+        bounds = dict(zip(windows, window_counts(self.target, den, windows)))
+        self.den = den
+        self.lanes = [
+            (t, closed) for (t, closed), r in bounds.items() if r < T and (closed or r < bounds[t, True])
+        ]
+        self.rhs = [bounds[w] for w in self.lanes]
         self.width, self.start, self.high = _lanes(self.rhs, T)
         self.root_cut = self._root_is_cut()
         if not self.root_cut:
@@ -472,9 +474,10 @@ class _SearchContext:
         with T = target_mu and x_j/m_j the least density of lane j over the
         whole pool (see `build`; rhs_j is an integer, so the ceiling
         changes nothing).  The walk counts each germ on the lanes still live
-        only, lightest germ first; the order decides only how soon lanes
-        drop (with A in the whitelist A1 comes first, whose one spectral
-        number is the centre, and drops every lane whose window misses it).
+        only, with one `window_counts` call, lightest germ first; the order
+        decides only how soon lanes drop (with A in the whitelist A1 comes
+        first, whose one spectral number is the centre, and drops every lane
+        whose window misses it).
         A lane is dropped at the first germ g with
         T * count_j(g) <= rhs_j * mu_g: the least density is at most that
         germ's, so the lane cannot certify the root.  (No window with
@@ -482,21 +485,14 @@ class _SearchContext:
         live.)  A lane live after the whole pool has every density above
         rhs_j/T, its least one included, so it certifies the root; the lanes
         live at the end are exactly those whose bit is set in
-        (start + lookahead[T]) & high.  With semicontinuity on, an empty pool
-        cuts the root for T > 0: its densities are the vacuous 1, and the
-        window ]max y, max y + 1] over the target's numbers y has bound 0.
+        (start + lookahead[T]) & high.
         """
-        T, den, live = self.target_mu, self.den, self.lanes
-        if not self.pool:
-            return self.filters.semicontinuity and T > 0
+        T, den, live = self.target_mu, self.den, list(zip(self.lanes, self.rhs))
         for g in reversed(self.pool):
             if not live:
                 return False
-            rank, mu = curve_spectrum(g).rank, g.milnor
-            live = [
-                (t, closed, r) for t, closed, r in live
-                if T * (rank(t + den, den, closed) - rank(t, den, True)) > r * mu
-            ]
+            counts = window_counts(curve_spectrum(g), den, [w for w, _ in live])
+            live = [(w, r) for (w, r), x in zip(live, counts) if T * x > r * g.milnor]
         return bool(live)
 
     def build(self) -> None:
@@ -512,7 +508,7 @@ class _SearchContext:
         and bounds = 2e_i, 2e_i + 1 per endpoint: its place over den is q
         exactly when r is 0, and strictly between q and q + 1 otherwise.  So
         a germ's packed vector is the sum of its multiplicities times their
-        cells' ints, the same counts as `window_counts` per lane.
+        cells' ints, the counts `window_counts(s, den, lanes)` gives.
         """
         width, den, high, T = self.width, self.den, self.high, self.target_mu
         # No carry between lanes: a node tests acc + lookahead, where acc is its
@@ -523,10 +519,10 @@ class _SearchContext:
         assert max(self.mus, default=0) <= T < 1 << (width - 1)
         # in the root walk's order, so what it read last is still cached
         self.spectra = [curve_spectrum(g) for g in reversed(self.pool)][::-1]
-        ends = sorted({e for t, _, _ in self.lanes for e in (t, t + den)})
+        ends = sorted({e for t, _ in self.lanes for e in (t, t + den)})
         cell_of = {e: 2 * i + 1 for i, e in enumerate(ends)}
         diff = [0] * (2 * len(ends) + 1)
-        for j, (t, closed, _) in enumerate(self.lanes):
+        for j, (t, closed) in enumerate(self.lanes):
             # ]t, t + den] takes the point cell t + den, ]t, t + den[ stops below it
             diff[cell_of[t] + 1] += 1 << (j * width)
             diff[cell_of[t + den] + closed] -= 1 << (j * width)
@@ -593,8 +589,8 @@ def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int]:
                 assert spectrum.total() == ctx.target_mu
                 # it fits every lane, so only ]x-1, x] at its own numbers x can
                 # fail the check (`_SearchContext` has the proof)
-                starts, half = [x - spectrum.den for x in spectrum.nums], (WindowKind.OPEN_CLOSED,)
-                own, bound = (window_counts(s, spectrum.den, starts, half) for s in (spectrum, ctx.target))
+                windows = [(x - spectrum.den, True) for x in spectrum.nums]
+                own, bound = (window_counts(s, spectrum.den, windows) for s in (spectrum, ctx.target))
                 if any(map(gt, own, bound)):
                     cuts += 1
                     return
@@ -659,8 +655,9 @@ def enumerate_configurations(
     if filters.semicontinuity and centred_window_certificate(n, d, k, kind):
         # what a cut root reports, without listing the pool
         survivors, examined, cuts = [], 0, 1
-    elif not families and smooth > k:
-        # what an empty pool reports (see `_root_is_cut`), without a table of T + 1 entries
+    elif smooth > k and not germ_pool_size(smooth - k, families):
+        # an empty pool completes no T > 0: reported as a cut root with
+        # semicontinuity, as nothing cut without it, and no table is built
         survivors, examined, cuts = [], 0, int(filters.semicontinuity)
     else:
         survivors, examined, cuts = _run_search(_SearchContext(n, d, k, families, filters))

@@ -15,9 +15,11 @@ when a or a+1 crosses a support point.  We therefore test every breakpoint
 (support values and support values minus one), one midpoint inside each
 constancy interval, and one point beyond each end.  Over D = 2*lcm of the two
 denominators every breakpoint is an even integer, so every test point is an
-integer t and its window ]t/D, t/D + 1] ends at (t + D)/D: the check counts
-each window with two integer thresholds and two bisects per spectrum
-(`window_counts`) and builds a `Fraction` only for the a of a violation.
+integer t, and a window is a pair (t, closed): ]t/D, t/D + 1], or
+]t/D, t/D + 1[ when not closed.  `window_counts` counts a spectrum in a list
+of such windows with two integer thresholds and two bisects per window; the
+search passes it the windows it tests, and the check builds a `Fraction`
+only for the a of a violation.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import Iterable
 
 from .catalog import curve_spectrum, fermat_spectrum
 from .polar import Configuration
@@ -119,28 +122,26 @@ def window_kinds(open_variant: bool) -> tuple[WindowKind, ...]:
     return kinds if open_variant else kinds[:1]
 
 
-def window_counts(
-    spec: Spectrum, den: int, points: list[int], kinds: tuple[WindowKind, ...]
-) -> list[int]:
-    """Counts of ``spec`` over the unit windows at the integer test points t/den.
+def window_counts(spec: Spectrum, den: int, windows: Iterable[tuple[int, bool]]) -> list[int]:
+    """Counts of ``spec`` in the unit windows ``(t, closed)`` over ``den``, in order.
 
-    Per t, then per kind in order: ]t/den, t/den + 1], or ]t/den, t/den + 1[ for OPEN_OPEN.
-    As in `deg_window`, each endpoint p/den is one integer threshold on the
-    numerators x of ``spec`` over its own denominator s: x/s > p/den exactly
-    when x > floor(p*s/den), x/s <= p/den when x <= floor(p*s/den), and
-    x/s < p/den when x < ceil(p*s/den); a bisect on the numerators counts them.
+    A window is ]t/den, t/den + 1] when ``closed`` is true, else
+    ]t/den, t/den + 1[.  As in `deg_window`, each endpoint p/den is one
+    integer threshold on the numerators x of ``spec`` over its own
+    denominator s: x/s > p/den exactly when x > floor(p*s/den), x/s <= p/den
+    when x <= floor(p*s/den), and x/s < p/den when x < ceil(p*s/den); a
+    bisect on the numerators counts them.
     """
     nums, cum, s = spec.nums, spec._cum, spec.den
-    closed = [kind is WindowKind.OPEN_CLOSED for kind in kinds]
-    counts = []
-    for t in points:
-        left = cum[bisect_right(nums, t * s // den)]
+    counts, last = [], None
+    for t, closed in windows:
+        if t != last:  # both kinds at one t share the left end
+            last, left = t, cum[bisect_right(nums, t * s // den)]
         right = (t + den) * s
-        for inclusive in closed:
-            if inclusive:
-                counts.append(cum[bisect_right(nums, right // den)] - left)
-            else:
-                counts.append(cum[bisect_left(nums, -(-right // den))] - left)
+        if closed:
+            counts.append(cum[bisect_right(nums, right // den)] - left)
+        else:
+            counts.append(cum[bisect_left(nums, -(-right // den))] - left)
     return counts
 
 
@@ -154,8 +155,9 @@ def check(
     the order given.
     """
     den, points = integer_test_points(candidate, target)
-    lhs = window_counts(candidate, den, points, kinds)
-    rhs = window_counts(target, den, points, kinds)
+    closed = [kind is WindowKind.OPEN_CLOSED for kind in kinds]
+    lhs = window_counts(candidate, den, product(points, closed))
+    rhs = window_counts(target, den, product(points, closed))
     violations = [
         Violation(Fraction(t, den), x, y, kind)
         for (t, kind), x, y in zip(product(points, kinds), lhs, rhs)

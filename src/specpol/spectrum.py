@@ -123,18 +123,6 @@ class Spectrum:
             return self.mults[i]
         return 0
 
-    def rank(self, p: int, q: int, inclusive: bool = False) -> int:
-        """Spectral numbers (with multiplicity) < p/q, or <= p/q when inclusive.
-
-        p and q are integers, q > 0.  The numerators below p/q are those
-        below the integer threshold ceil(p*den/q), and those up to p/q are
-        those up to floor(p*den/q): one C-level bisect on ints.
-        """
-        t = p * self.den
-        if inclusive:
-            return self._cum[bisect_right(self.nums, t // q)]
-        return self._cum[bisect_left(self.nums, -(-t // q))]
-
     def total(self) -> int:
         """Sum of all multiplicities (the Milnor number for a germ spectrum)."""
         return self._cum[-1]
@@ -329,9 +317,9 @@ def deg_window(
     when x < ceil(p*den/q).  Bounds with a > b are rejected, infinite ones
     included.
     """
-    if type(a) is not Fraction:
+    if type(a) is not Fraction and a is not NEG_INF:
         a = _check_bound(a, "left endpoint")
-    if type(b) is not Fraction:
+    if type(b) is not Fraction and b is not POS_INF:
         b = _check_bound(b, "right endpoint")
     nums, cum, den = s.nums, s._cum, s.den
     # a float is now NEG_INF or POS_INF: nothing lies below -inf, all below +inf

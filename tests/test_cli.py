@@ -358,6 +358,9 @@ def test_usage_errors_exit_two(capsys):
         # negative value after a space, read as an option
         ["search", "2", "x", "2"],
         ["deg", "germ:A2", "--from", "-1/3", "--to", "1"],
+        # a whitelist that names no family: no search, not an elimination
+        ["search", "2", "3", "2", "--whitelist", ","],
+        ["search", "2", "3", "2", "--whitelist", ""],
     ],
 )
 def test_malformed_input_exits_two_with_one_line(argv, tmp_path, capsys):

@@ -52,7 +52,6 @@ from specpol.search import (
 from specpol.semicontinuity import (
     integer_test_points,
     window_counts,
-    window_kinds,
     window_test_points,
 )
 from specpol.spectrum import EMPTY, WindowKind
@@ -276,10 +275,11 @@ def test_window_counts_equal_deg_window(open_variant):
     # spectra include J(k, i>0) curve spectra, whose denominators do not
     # divide the points' (at (3,4) the points are over 8, J2_1 is over 42),
     # and the points include the search's points moved down by (n-2)/2 and
-    # every integer in [-2, 2] over den, negative ones among them.
-    kinds = window_kinds(open_variant)
-    right_open = (False, True) if open_variant else (False,)
-    off_grid = 0
+    # every integer in [-2, 2] over den, negative ones among them.  With the
+    # open variant the windows are one shuffled list of both kinds at each
+    # t, so a count of the wrong kind fails; some t must tell them apart.
+    rng = random.Random(2018)
+    off_grid = told_apart = 0
     for n, d in [(2, 5), (3, 3), (5, 3), (3, 4)]:
         target = fermat_spectrum(n, d)
         den, points = integer_test_points(EMPTY, target)
@@ -287,16 +287,19 @@ def test_window_counts_equal_deg_window(open_variant):
         shift = (n - 2) * den // 2
         points = sorted({*points, *(t - shift for t in points), *range(-2 * den, 2 * den + 1)})
         assert points[0] < 0
-        # ]a,a+1], then ]a,a+1[ with the open variant
-        windows = [(Fraction(t, den), Fraction(t, den) + 1, True, r) for t in points for r in right_open]
+        windows = list(product(points, (True, False) if open_variant else (True,)))
+        rng.shuffle(windows)
         pool = germ_pool(n, (d - 1) ** n)
         spectra = [target] + [germ_spectrum(g) for g in pool]
         spectra += [curve_spectrum(g) for g in pool if g.family == "J" and g.i > 0]
+        # ]a,a+1] when closed, else ]a,a+1[
+        bounds = [(Fraction(t, den), Fraction(t, den) + 1, True, not closed) for t, closed in windows]
         for spec in spectra:
             off_grid += den % spec.den != 0
-            expected = [deg_window(spec, *w) for w in windows]
-            assert window_counts(spec, den, points, kinds) == expected
-    assert off_grid >= 10
+            expected = [deg_window(spec, *b) for b in bounds]
+            assert window_counts(spec, den, windows) == expected
+            told_apart += expected != [deg_window(spec, a, b) for a, b, _, _ in bounds]
+    assert off_grid >= 10 and told_apart >= 10 * open_variant
 
 
 @pytest.mark.parametrize("open_variant", [True, False])
@@ -316,9 +319,9 @@ def test_lanes_never_prune_a_configuration_the_check_passes(open_variant):
             continue
         passed += 1
         den, points = integer_test_points(EMPTY, target)
-        kinds = window_kinds(open_variant)
-        lanes = window_counts(candidate_spectrum(c), den, points, kinds)
-        bounds = window_counts(target, den, points, kinds)
+        windows = list(product(points, (True, False) if open_variant else (True,)))
+        lanes = window_counts(candidate_spectrum(c), den, windows)
+        bounds = window_counts(target, den, windows)
         assert all(x <= y for x, y in zip(lanes, bounds)), c
     assert passed >= 100 and failed >= 100, (passed, failed)
 
@@ -399,12 +402,6 @@ def test_root_walk_equals_the_full_lookahead():
     assert cut >= 100 and kept >= 100, (cut, kept)
 
 
-def _lane_counts(spec, den, lanes):
-    # `window_counts` of spec at each lane's own point t/den and window kind
-    kinds = {True: WindowKind.OPEN_CLOSED, False: WindowKind.OPEN_OPEN}
-    return [window_counts(spec, den, [t], (kinds[closed],))[0] for t, closed, _ in lanes]
-
-
 @pytest.mark.parametrize("n, d, k", [(3, 3, 2), (5, 3, 2), (4, 3, 3), (7, 3, 3)])
 def test_vectors_count_the_curve_spectrum_at_shifted_points(n, d, k):
     # the context counts each curve spectrum at the test points of the target
@@ -415,13 +412,13 @@ def test_vectors_count_the_curve_spectrum_at_shifted_points(n, d, k):
     target = fermat_spectrum(n, d)
     den, points = integer_test_points(EMPTY, target)
     unmoved = []
-    for t, closed, r in ctx.lanes:
+    for t, closed in ctx.lanes:
         a = (Fraction(t, ctx.den) + Fraction(n - 2, 2)) * den
         assert a.denominator == 1 and a in points
-        unmoved.append((int(a), closed, r))
-    assert ctx.rhs == _lane_counts(target, den, unmoved)
+        unmoved.append((int(a), closed))
+    assert ctx.rhs == window_counts(target, den, unmoved)
     for g, packed in zip(ctx.pool, ctx.packed):
-        assert packed == _pack(_lane_counts(germ_spectrum(g), den, unmoved), ctx.width), g
+        assert packed == _pack(window_counts(germ_spectrum(g), den, unmoved), ctx.width), g
 
 
 def _small_pairs():
@@ -450,10 +447,10 @@ def test_lanes_are_the_windows_that_can_cut():
         ctx = _SearchContext(n, d, k, frozenset(whitelist), SearchFilters(open_variant=open_variant))
         T, (den, points) = ctx.target_mu, integer_test_points(EMPTY, ctx.target)
         assert den == ctx.den
-        windows = [(t, kind is WindowKind.OPEN_CLOSED) for t, kind in product(points, ctx.kinds)]
-        bounds = dict(zip(windows, window_counts(ctx.target, den, points, ctx.kinds)))
-        lanes = {(t, closed): r for t, closed, r in ctx.lanes}
-        assert len(lanes) == len(ctx.lanes) and ctx.rhs == list(lanes.values())
+        windows = list(product(points, (True, False) if open_variant else (True,)))
+        bounds = dict(zip(windows, window_counts(ctx.target, den, windows)))
+        lanes = dict(zip(ctx.lanes, ctx.rhs))
+        assert len(lanes) == len(ctx.lanes) == len(ctx.rhs)
         for (t, closed), r in lanes.items():
             assert bounds[t, closed] == r < T, (n, d, k, t, closed)
             # ]t/den, t/den + 1] meets ]-1, 1[
@@ -486,7 +483,7 @@ def test_cell_table_vectors_and_least_densities_equal_the_lane_counts():
         if ctx.root_cut:
             continue
         built += 1
-        counts = [_lane_counts(curve_spectrum(g), ctx.den, ctx.lanes) for g in ctx.pool]
+        counts = [window_counts(curve_spectrum(g), ctx.den, ctx.lanes) for g in ctx.pool]
         assert ctx.packed == [_pack(c, ctx.width) for c in counts], (n, d, k, whitelist)
         least = [
             min([Fraction(1)] + [Fraction(c[j], mu) for c, mu in zip(counts, ctx.mus)])
@@ -633,13 +630,13 @@ def test_an_empty_family_set_lists_no_pool(monkeypatch):
             assert report.pruned_by_dict()["semicontinuity"] == semicontinuity
 
 
-def test_an_empty_pool_is_a_cut_root():
+def test_an_empty_pool_is_a_cut_root(monkeypatch):
     # Nothing completes a positive Milnor number from an empty pool, and the
     # search reports a cut root, also at (6,3,63), where every window that
     # meets ]-1, 1[ has a bound of at least T = 1, so there is no lane.
-    # Without semicontinuity nothing is cut.
-    ctx = _SearchContext(6, 3, 63, frozenset("J"), SearchFilters())
-    assert ctx.pool == [] and ctx.lanes == [] and ctx.root_cut
+    # Without semicontinuity nothing is cut.  The pool is found empty in
+    # closed form, so no search context is made.
+    monkeypatch.setattr("specpol.search._SearchContext", _refuse)
     for n, d, k, whitelist in [(6, 3, 63, "J"), (2, 3, 2, "J"), (3, 3, 5, "DE")]:
         for semicontinuity in (True, False):
             report = enumerate_configurations(n, d, k, whitelist, SearchFilters(semicontinuity=semicontinuity))
@@ -656,9 +653,9 @@ def test_final_check_rejects_a_configuration_that_fits_every_lane():
     assert polar_degree(c) == 4
     target = fermat_spectrum(2, 7)
     den, points = integer_test_points(EMPTY, target)
-    kinds = window_kinds(False)
-    lanes = window_counts(candidate_spectrum(c), den, points, kinds)
-    assert all(x <= r for x, r in zip(lanes, window_counts(target, den, points, kinds)))
+    windows = [(t, True) for t in points]
+    lanes = window_counts(candidate_spectrum(c), den, windows)
+    assert all(x <= r for x, r in zip(lanes, window_counts(target, den, windows)))
     first = check_configuration(c, apply_open_variant=False).violations[0]
     assert (first.a, first.lhs, first.rhs) == (Fraction(-5, 9), 31, 30)
     # ]-5/9, 4/9] is ]x-1, x] at x = 4/9, a number of E7: one of the windows

@@ -174,9 +174,12 @@ def test_deg_window_rejects_bad_bounds():
 @pytest.mark.parametrize("s", [germ_spectrum(parse_germ("J2_3")), EMPTY], ids=["J2_3", "empty"])
 def test_deg_window_endpoint_types(s):
     # every pair of endpoint types under every open/closed choice: the exact
-    # count, or the ValueError of a finite float, a NaN or reversed bounds
+    # count, or the ValueError of a finite float, a NaN or reversed bounds.
+    # A freshly made infinity is not the NEG_INF or POS_INF object and must
+    # count as a ray all the same.
     pairs = list(s.entries)
-    ends = [F(-1, 6), F(1, 2), 0, 1, NEG_INF, POS_INF, 0.5, math.nan]
+    ends = [F(-1, 6), F(1, 2), 0, 1, NEG_INF, POS_INF, float("-inf"), float("inf"), 0.5, math.nan]
+    assert ends[6] is not NEG_INF and ends[7] is not POS_INF
     for a, b in itertools.product(ends, repeat=2):
         for left_open, right_open in itertools.product((True, False), repeat=2):
             args = (s, a, b, left_open, right_open)
@@ -316,7 +319,6 @@ def test_integer_ranks_match_brute_force(s, extra):
         for inclusive in (False, True):
             expected = brute_deg(pairs, NEG_INF, x, True, not inclusive)
             assert deg_window(s, NEG_INF, x, True, not inclusive) == expected
-            assert s.rank(x.numerator, x.denominator, inclusive) == expected
     ends = [NEG_INF] + bounds + [POS_INF]
     for i, a in enumerate(ends):
         for b in ends[i:]:
