@@ -55,7 +55,6 @@ from .spectrum import (
     POS_INF,
     EmptySpectrumError,
     Spectrum,
-    WindowKind,
     add,
     deg_window,
     from_numerators,

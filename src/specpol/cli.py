@@ -198,7 +198,7 @@ def _cmd_check(args) -> int:
     print(f"configuration {config}")
     print(f"holds: {report.holds}  (windows tested: {report.breakpoints_checked})")
     for v in report.violations:
-        shape = "[" if v.kind.value == "open" else "]"
+        shape = "]" if v.closed else "["
         print(f"  violated ]{v.a}, {v.a + 1}{shape}: candidate {v.lhs} > target {v.rhs}")
     return 0
 

@@ -31,12 +31,12 @@ Filters:
   counts live in one int, a lane of B bits per window, with B wide enough that
   no lane carries into the next; a child adds its germ's packed counts, and
   a node is cut if any lane's top bit is set (SWAR, SIMD within a register).  The
-  lanes are windows (t, closed) of `semicontinuity.window_counts`: those of
-  `check(candidate, target, kinds)`, ]a,a+1] and with the open variant
-  ]a,a+1[, at every test point a of the target, less those that can never cut:
-  a window that misses ]-1, 1[ in the frame below (the two end windows
-  do), a bound of at least the target Milnor number, and an open window
-  whose half-open twin has the same bound (`_SearchContext` has the
+  lanes are the windows (t, closed) of `semicontinuity.check_windows`, those
+  that `check(candidate, target, open_variant)` tests: ]a,a+1] and with the
+  open variant ]a,a+1[, at every test point a of the target, less those that
+  can never cut: a window that misses ]-1, 1[ in the frame below (the two end
+  windows do), a bound of at least the target Milnor number, and an open
+  window whose half-open twin has the same bound (`_SearchContext` has the
   proofs).  A configuration that passes the check fits every lane.  The
   converse fails, as the lanes test the target's test points only (A13 +
   E7 + E12 at (2,7) fits every half-open lane, not ]a,a+1] at a = -5/9),
@@ -110,15 +110,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from itertools import accumulate, product
+from itertools import accumulate
 from operator import gt
 from typing import Iterable, Optional
 
 from .catalog import FAMILIES, GermClass, curve_spectrum, fermat_spectrum
 from .polar import Configuration, InfeasibleConfigurationError, diagonal_milnor, polar_degree
-from .semicontinuity import check_configuration, integer_test_points
-from .semicontinuity import window_counts, window_kinds
-from .spectrum import EMPTY, NEG_INF, WindowKind, add, deg_window
+from .semicontinuity import check_configuration, check_windows, window_counts
+from .spectrum import EMPTY, NEG_INF, add, deg_window
 
 __all__ = [
     "CentredWindowCertificate",
@@ -282,13 +281,13 @@ class CentredWindowCertificate:
     """An elimination by the centred-window lemma, checkable from the spectra alone.
 
     Every configuration of the pair puts at least ``forced`` spectral numbers
-    in ``window``, open or half-open as ``kind`` says (each germ at least
-    ``density`` of its Milnor number, attained by ``attained_by``), and the
-    diagonal germ has only ``target`` there.
+    in ``window``, half-open ]low, high] when ``closed``, else open (each germ
+    at least ``density`` of its Milnor number, attained by ``attained_by``),
+    and the diagonal germ has only ``target`` there.
     """
 
     window: tuple[Fraction, Fraction]
-    kind: WindowKind
+    closed: bool
     density: Fraction
     attained_by: str
     forced: int
@@ -296,7 +295,7 @@ class CentredWindowCertificate:
 
 
 def centred_window_certificate(
-    n: int, d: int, k: int, kind: WindowKind = WindowKind.OPEN_OPEN
+    n: int, d: int, k: int, open_variant: bool = True
 ) -> Optional[CentredWindowCertificate]:
     """Eliminate (n, d, k) by the unit window centred on the spectra, or return None.
 
@@ -330,7 +329,7 @@ def centred_window_certificate(
     variant of semicontinuity bounds that count by the diagonal germ's count
     in the same window; when ceil(4T/5) exceeds it, no configuration passes,
     and the certificate is returned.  A germ's count in the half-open
-    ]c-1/2, c+1/2] is at least its open count, so with ``kind`` OPEN_CLOSED
+    ]c-1/2, c+1/2] is at least its open count, so without ``open_variant``
     the same ceil(4T/5) is set against the diagonal germ's half-open count,
     which the check without the open variant bounds.  Nothing depends on the
     whitelist: any subset of the catalog has the density.
@@ -340,11 +339,11 @@ def centred_window_certificate(
     low, high = centre - Fraction(1, 2), centre + Fraction(1, 2)
     # ceil(total * 4/5), in integers
     forced = -(-total * CENTRED_DENSITY.numerator // CENTRED_DENSITY.denominator)
-    target = deg_window(fermat_spectrum(n, d), low, high, right_open=kind is WindowKind.OPEN_OPEN)
+    target = deg_window(fermat_spectrum(n, d), low, high, right_open=open_variant)
     if forced <= target:
         return None
     return CentredWindowCertificate(
-        (low, high), kind, CENTRED_DENSITY, CENTRED_DENSITY_ATTAINED_BY, forced, target
+        (low, high), not open_variant, CENTRED_DENSITY, CENTRED_DENSITY_ATTAINED_BY, forced, target
     )
 
 
@@ -386,9 +385,9 @@ def _count_configurations(total: int, families: Iterable[str], cap: int) -> int:
 class _SearchContext:
     """Prepared pool and packed window vectors for one search over the given families.
 
-    ``lanes`` lists the pruning windows once, as the (t, closed) windows of
-    `window_counts`: ]t/den, t/den + 1] and, with the open variant,
-    ]t/den, t/den + 1[, those of `check` at the target's test points.
+    ``lanes`` lists the pruning windows once, as the (t, closed) windows
+    that `check_windows` gives `check` at the target's test points:
+    ]t/den, t/den + 1] and, with the open variant, ]t/den, t/den + 1[.
     ``rhs`` holds their bounds, the target's counts there.  The windows
     that can never cut a node are left out; they are of three kinds:
 
@@ -453,9 +452,8 @@ class _SearchContext:
         # in the frame of the curve spectra (see the module docstring)
         self.target = fermat_spectrum(n, d).shift(Fraction(2 - n, 2))
         # the lanes, at -2 < t/den < 1 (see the class docstring); none and high == 0 without semicontinuity
-        den, points = integer_test_points(EMPTY, self.target) if filters.semicontinuity else (1, [])
-        points = [t for t in points if -2 * den < t < den]
-        windows = list(product(points, (True, False) if filters.open_variant else (True,)))
+        den, windows = check_windows(EMPTY, self.target, filters.open_variant) if filters.semicontinuity else (1, [])
+        windows = [(t, closed) for t, closed in windows if -2 * den < t < den]
         bounds = dict(zip(windows, window_counts(self.target, den, windows)))
         self.den = den
         self.lanes = [
@@ -650,9 +648,7 @@ def enumerate_configurations(
         # D/E/J class at k = 1 and none from k = 2 on
         families = whitelist & {"A"}
         pruned["huh"] = germ_pool_size(smooth - k, whitelist - {"A"})
-    # the narrowest window the check tests: open with the open variant
-    kind = window_kinds(filters.open_variant)[-1]
-    if filters.semicontinuity and centred_window_certificate(n, d, k, kind):
+    if filters.semicontinuity and centred_window_certificate(n, d, k, filters.open_variant):
         # what a cut root reports, without listing the pool
         survivors, examined, cuts = [], 0, 1
     elif smooth > k and not germ_pool_size(smooth - k, families):

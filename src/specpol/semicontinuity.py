@@ -16,10 +16,10 @@ when a or a+1 crosses a support point.  We therefore test every breakpoint
 constancy interval, and one point beyond each end.  Over D = 2*lcm of the two
 denominators every breakpoint is an even integer, so every test point is an
 integer t, and a window is a pair (t, closed): ]t/D, t/D + 1], or
-]t/D, t/D + 1[ when not closed.  `window_counts` counts a spectrum in a list
-of such windows with two integer thresholds and two bisects per window; the
-search passes it the windows it tests, and the check builds a `Fraction`
-only for the a of a violation.
+]t/D, t/D + 1[ when not closed.  `check_windows` lists the windows a check
+tests, and `window_counts` counts a spectrum in them with two integer
+thresholds and two bisects per window; the search takes its lanes from the
+same list, and the check builds a `Fraction` only for the a of a violation.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Iterable
 
 from .catalog import curve_spectrum, fermat_spectrum
 from .polar import Configuration
-from .spectrum import Spectrum, WindowKind, add
+from .spectrum import Spectrum, add
 
 __all__ = [
     "SemicontinuityReport",
@@ -42,28 +42,28 @@ __all__ = [
     "candidate_spectrum",
     "check",
     "check_configuration",
+    "check_windows",
     "integer_test_points",
     "window_counts",
-    "window_kinds",
     "window_test_points",
 ]
 
 
 @dataclass(frozen=True)
 class Violation:
-    """One failed window: at a, the candidate count lhs exceeds the target rhs."""
+    """One failed window, ]a, a+1] if closed, else ]a, a+1[: candidate count lhs > target rhs."""
 
     a: Fraction
     lhs: int
     rhs: int
-    kind: WindowKind
+    closed: bool
 
     def to_json_obj(self) -> dict:
         return {
             "a": {"num": self.a.numerator, "den": self.a.denominator},
             "lhs": self.lhs,
             "rhs": self.rhs,
-            "kind": self.kind.value,
+            "kind": "half" if self.closed else "open",
         }
 
 
@@ -116,10 +116,12 @@ def window_test_points(candidate: Spectrum, target: Spectrum) -> list[Fraction]:
     return [Fraction(t, den) for t in points]
 
 
-def window_kinds(open_variant: bool) -> tuple[WindowKind, ...]:
-    """The window kinds a check tests: ]a,a+1], then ]a,a+1[ with the open variant."""
-    kinds = (WindowKind.OPEN_CLOSED, WindowKind.OPEN_OPEN)
-    return kinds if open_variant else kinds[:1]
+def check_windows(
+    candidate: Spectrum, target: Spectrum, open_variant: bool
+) -> tuple[int, list[tuple[int, bool]]]:
+    """(D, windows): at each test point t over D, (t, True), then with the open variant (t, False)."""
+    den, points = integer_test_points(candidate, target)
+    return den, list(product(points, (True, False) if open_variant else (True,)))
 
 
 def window_counts(spec: Spectrum, den: int, windows: Iterable[tuple[int, bool]]) -> list[int]:
@@ -135,7 +137,7 @@ def window_counts(spec: Spectrum, den: int, windows: Iterable[tuple[int, bool]])
     nums, cum, s = spec.nums, spec._cum, spec.den
     counts, last = [], None
     for t, closed in windows:
-        if t != last:  # both kinds at one t share the left end
+        if t != last:  # both windows at one t share the left end
             last, left = t, cum[bisect_right(nums, t * s // den)]
         right = (t + den) * s
         if closed:
@@ -145,22 +147,19 @@ def window_counts(spec: Spectrum, den: int, windows: Iterable[tuple[int, bool]])
     return counts
 
 
-def check(
-    candidate: Spectrum, target: Spectrum, kinds: tuple[WindowKind, ...]
-) -> SemicontinuityReport:
+def check(candidate: Spectrum, target: Spectrum, open_variant: bool = True) -> SemicontinuityReport:
     """Verify candidate unit-window counts never exceed the target's.
 
-    Scans every test point for each of the given window kinds and reports
-    each failed window with both side values, ordered by a, then by kind in
-    the order given.
+    Counts both spectra in the windows of `check_windows` and reports each
+    failed window with both side values, ordered by a, the half-open window
+    ]a, a+1] before the open ]a, a+1[ (tested unless ``open_variant`` is False).
     """
-    den, points = integer_test_points(candidate, target)
-    closed = [kind is WindowKind.OPEN_CLOSED for kind in kinds]
-    lhs = window_counts(candidate, den, product(points, closed))
-    rhs = window_counts(target, den, product(points, closed))
+    den, windows = check_windows(candidate, target, open_variant)
+    lhs = window_counts(candidate, den, windows)
+    rhs = window_counts(target, den, windows)
     violations = [
-        Violation(Fraction(t, den), x, y, kind)
-        for (t, kind), x, y in zip(product(points, kinds), lhs, rhs)
+        Violation(Fraction(t, den), x, y, closed)
+        for (t, closed), x, y in zip(windows, lhs, rhs)
         if x > y
     ]
     return SemicontinuityReport(violations=tuple(violations), breakpoints_checked=len(lhs))
@@ -176,12 +175,11 @@ def candidate_spectrum(c: Configuration) -> Spectrum:
     return add(*map(curve_spectrum, c.germs)).suspend(c.n - 2)
 
 
-def check_configuration(c: Configuration, apply_open_variant: bool = True) -> SemicontinuityReport:
+def check_configuration(c: Configuration, open_variant: bool = True) -> SemicontinuityReport:
     """Run the semicontinuity check of a configuration against its target.
 
     The target is always the diagonal-germ spectrum for (n, d).  The half-open
     windows are always checked; the open windows are added unless
-    ``apply_open_variant`` is False.
+    ``open_variant`` is False.
     """
-    kinds = window_kinds(apply_open_variant)
-    return check(candidate_spectrum(c), fermat_spectrum(c.n, c.d), kinds)
+    return check(candidate_spectrum(c), fermat_spectrum(c.n, c.d), open_variant)

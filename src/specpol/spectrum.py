@@ -25,7 +25,6 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, chain
 from operator import lt
@@ -37,7 +36,6 @@ __all__ = [
     "Bound",
     "EmptySpectrumError",
     "Spectrum",
-    "WindowKind",
     "add",
     "deg_window",
     "from_numerators",
@@ -52,18 +50,18 @@ POS_INF = math.inf
 Bound = Union[Fraction, float]
 
 
+# The most bits of the common denominator of a spectrum read from JSON, refused
+# as the entries are read, before any gcd over it.  Catalog spectra need at most
+# 37 bits (J83333_4), so a join of two at most 74.  On a 2-core machine
+# with Python 3.11, at this bound `deg` reads 100,000 entries (5.5 MB) in 1.2 s
+# at 97 MB peak RSS; `spectrum join --json` of two 1,000-entry files (10^6
+# distinct sums) takes 6.8 s at 610 MB, against 464 MB at 40 bits and 817 MB at
+# 256.  200 entries of 1,000 digits took 35 s unbounded, and now 0.2 s.
+MAX_DENOMINATOR_BITS = 128
+
+
 class EmptySpectrumError(ValueError):
     """Raised when an operation needs at least one spectral number."""
-
-
-class WindowKind(Enum):
-    """The two length-one window shapes used by semicontinuity.
-
-    OPEN_OPEN is the interval ]a, a+1[, OPEN_CLOSED is ]a, a+1].
-    """
-
-    OPEN_OPEN = "open"
-    OPEN_CLOSED = "half"
 
 
 @dataclass(frozen=True)
@@ -180,7 +178,7 @@ class Spectrum:
     def from_json_obj(cls, obj: list[dict[str, int]]) -> "Spectrum":
         if not isinstance(obj, list):
             raise ValueError(f"a spectrum is a JSON list of entries, got {obj!r}")
-        pairs = []
+        pairs, den = [], 1
         for e in obj:
             # type() is int rejects JSON floats and booleans alike
             if not isinstance(e, dict) or not all(
@@ -189,7 +187,11 @@ class Spectrum:
                 raise ValueError(f"spectrum entry {e!r} needs integer num, den and mult")
             if e["den"] == 0:
                 raise ValueError(f"spectrum entry {e!r} has den 0")
-            pairs.append((Fraction(e["num"], e["den"]), e["mult"]))
+            alpha = Fraction(e["num"], e["den"])
+            den = math.lcm(den, alpha.denominator)
+            if den.bit_length() > MAX_DENOMINATOR_BITS:
+                raise ValueError(f"the spectrum's common denominator has more than {MAX_DENOMINATOR_BITS} bits")
+            pairs.append((alpha, e["mult"]))
         return make_spectrum(pairs)
 
     @classmethod

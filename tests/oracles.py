@@ -14,7 +14,7 @@ different algorithm than the library:
   the bisect-based window degree;
 * a dense-sampling semicontinuity verdict, against the breakpoint scan;
 * the breakpoint scan on `Fraction` test points, one `deg_window` call per
-  point, kind and spectrum, against the integer scan;
+  point, window shape and spectrum, against the integer scan;
 * the candidate spectrum as a running sum of suspended germ spectra, one
   `add` per germ, against the single merge of the curve spectra.
 """
@@ -31,7 +31,6 @@ from specpol import (
     SemicontinuityReport,
     Spectrum,
     Violation,
-    WindowKind,
     add,
     deg_window,
     fermat_spectrum,
@@ -213,8 +212,11 @@ def brute_deg(
     return total
 
 
-def dense_check(candidate: Spectrum, target: Spectrum, kind: WindowKind) -> bool:
-    """Semicontinuity verdict by sampling a on a grid finer than every gap."""
+def dense_check(candidate: Spectrum, target: Spectrum, closed: bool) -> bool:
+    """Semicontinuity verdict by sampling a on a grid finer than every gap.
+
+    The windows are ]a, a+1] when ``closed``, else ]a, a+1[.
+    """
     support = sorted(set(candidate.support) | set(target.support))
     if not support:
         return True
@@ -225,10 +227,9 @@ def dense_check(candidate: Spectrum, target: Spectrum, kind: WindowKind) -> bool
     stop = breakpoints[-1] + 2
     cpairs = list(candidate.entries)
     tpairs = list(target.entries)
-    right_open = kind is WindowKind.OPEN_OPEN
     while a <= stop:
-        lhs = brute_deg(cpairs, a, a + 1, True, right_open)
-        rhs = brute_deg(tpairs, a, a + 1, True, right_open)
+        lhs = brute_deg(cpairs, a, a + 1, True, not closed)
+        rhs = brute_deg(tpairs, a, a + 1, True, not closed)
         if lhs > rhs:
             return False
         a += step
@@ -249,33 +250,38 @@ def fraction_test_points(candidate: Spectrum, target: Spectrum) -> list[Fraction
     return sorted(points)
 
 
-def fraction_check(candidate: Spectrum, target: Spectrum, kind: WindowKind) -> SemicontinuityReport:
-    """The semicontinuity scan with Fraction test points and window bounds."""
+def fraction_check(candidate: Spectrum, target: Spectrum, closed: bool) -> SemicontinuityReport:
+    """The scan of one window shape with Fraction test points and window bounds.
+
+    The windows are ]a, a+1] when ``closed``, else ]a, a+1[.
+    """
     points = fraction_test_points(candidate, target)
     violations = []
-    right_open = kind is WindowKind.OPEN_OPEN
     for a in points:
-        lhs = deg_window(candidate, a, a + 1, True, right_open)
-        rhs = deg_window(target, a, a + 1, True, right_open)
+        lhs = deg_window(candidate, a, a + 1, True, not closed)
+        rhs = deg_window(target, a, a + 1, True, not closed)
         if lhs > rhs:
-            violations.append(Violation(a, lhs, rhs, kind))
+            violations.append(Violation(a, lhs, rhs, closed))
     return SemicontinuityReport(
         violations=tuple(violations),
         breakpoints_checked=len(points),
     )
 
 
-def fraction_check_configuration(c: Configuration, apply_open_variant: bool = True) -> SemicontinuityReport:
-    """The half-open scan, merged with the open one by (a, kind) when it applies."""
-    cand = summed_candidate_spectrum(c)
-    target = fermat_spectrum(c.n, c.d)
-    reports = [fraction_check(cand, target, WindowKind.OPEN_CLOSED)]
-    if apply_open_variant:
-        reports.append(fraction_check(cand, target, WindowKind.OPEN_OPEN))
+def fraction_check_merged(candidate: Spectrum, target: Spectrum, open_variant: bool = True) -> SemicontinuityReport:
+    """The half-open scan, merged with the open one when it applies: half before open at each a."""
+    reports = [fraction_check(candidate, target, True)]
+    if open_variant:
+        reports.append(fraction_check(candidate, target, False))
     violations = sorted(
-        (v for r in reports for v in r.violations), key=lambda v: (v.a, v.kind.value)
+        (v for r in reports for v in r.violations), key=lambda v: (v.a, not v.closed)
     )
     return SemicontinuityReport(
         violations=tuple(violations),
         breakpoints_checked=sum(r.breakpoints_checked for r in reports),
     )
+
+
+def fraction_check_configuration(c: Configuration, open_variant: bool = True) -> SemicontinuityReport:
+    """`fraction_check_merged` of the per-germ candidate sum against the diagonal germ."""
+    return fraction_check_merged(summed_candidate_spectrum(c), fermat_spectrum(c.n, c.d), open_variant)

@@ -10,9 +10,11 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from io import StringIO
+from io import BytesIO, StringIO, TextIOWrapper
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -361,6 +363,9 @@ def test_usage_errors_exit_two(capsys):
         # a whitelist that names no family: no search, not an elimination
         ["search", "2", "3", "2", "--whitelist", ","],
         ["search", "2", "3", "2", "--whitelist", ""],
+        # 200 distinct odd 1,000-digit denominators: refused as their lcm
+        # passes MAX_DENOMINATOR_BITS, before any gcd over it
+        ["deg", "{over_budget_file}", "--from=0", "--to=1"],
     ],
 )
 def test_malformed_input_exits_two_with_one_line(argv, tmp_path, capsys):
@@ -368,10 +373,10 @@ def test_malformed_input_exits_two_with_one_line(argv, tmp_path, capsys):
     spectrum_file.write_text('[{"num":1,"den":0,"mult":1}]')
     deep_file = tmp_path / "deep.json"
     deep_file.write_text("[" * 100_000)
-    argv = [
-        a.replace("{spectrum_file}", str(spectrum_file)).replace("{deep_file}", str(deep_file))
-        for a in argv
-    ]
+    over_budget_file = tmp_path / "over_budget.json"
+    over_budget_file.write_text(json.dumps([{"num": 1, "den": 10**999 + 2 * i + 1, "mult": 1} for i in range(200)]))
+    files = {"{spectrum_file}": spectrum_file, "{deep_file}": deep_file, "{over_budget_file}": over_budget_file}
+    argv = [str(files.get(a, a)) for a in argv]
     code, out, err = invoke(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -515,11 +520,46 @@ def test_join_over_budget_builds_no_diagonal_germ(left, right, monkeypatch, caps
 
 
 def test_spectrum_file_and_stdin_sources(tmp_path, capsys):
-    spec = specpol.fermat_spectrum(2, 4)
+    # the --json output of each catalog source, read back from a file and
+    # from stdin (-): the join has the largest denominator, 97 * 23550
     path = tmp_path / "spec.json"
-    path.write_text(spec.to_json())
-    code, out, _ = invoke(capsys, "deg", str(path), "--from=-inf", "--to=+inf")
-    assert out.strip() == "9"
+    for argv, total in [
+        (("spectrum", "fermat", "2", "4"), 9),
+        (("spectrum", "germ", "J50_7", "--vars=3"), 305),
+        (("spectrum", "join", "germ:J50_7", "fermat:1:97"), 305 * 96),
+    ]:
+        code, text, _ = invoke(capsys, *argv, "--json")
+        assert code == 0
+        path.write_text(text)
+        for source, stdin in ((str(path), sys.stdin), ("-", StringIO(text))):
+            with mock.patch("sys.stdin", stdin):
+                code, out, err = invoke(capsys, "deg", source, "--from=-inf", "--to=+inf")
+            assert (code, out, err) == (0, f"{total}\n", ""), (argv, source)
+    assert specpol.Spectrum.from_json(text).den == 97 * 23550
+
+
+# Fuzzed spectrum files and stdin: drawn JSON, spectrum-like entry lists, and
+# random bytes, through deg and join.
+_entries = st.lists(
+    st.fixed_dictionaries({}, optional={key: _numbers | _json for key in ("num", "den", "mult")}),
+    max_size=4,
+)
+_spectrum_bytes = (_json | _entries).map(lambda obj: json.dumps(obj).encode()) | st.binary(max_size=64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spectrum_bytes, _bounds, _bounds)
+def test_fuzzed_spectrum_file_and_stdin_exit_zero_or_two_with_one_line(data, low, high):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_bytes(data)
+        for source in (str(path), "-"):
+            for argv in (
+                ("deg", source, f"--from={low}", f"--to={high}"),
+                ("spectrum", "join", source, "germ:A2", "--json"),
+            ):
+                with mock.patch("sys.stdin", TextIOWrapper(BytesIO(data), encoding="utf-8")):
+                    _exits_zero_or_two_with_one_line(argv)
 
 
 def test_python_dash_m_runs_from_a_checkout(capsys):

@@ -54,7 +54,7 @@ from specpol.semicontinuity import (
     window_counts,
     window_test_points,
 )
-from specpol.spectrum import EMPTY, WindowKind
+from specpol.spectrum import EMPTY
 from oracles import brute_deg, newton_diagram_negatives, spectrum_from_weights, weights
 
 
@@ -141,14 +141,15 @@ def test_centred_window_density_holds_for_every_catalog_class():
     assert attained == {CENTRED_DENSITY_ATTAINED_BY}
 
 
-def _certified_cases(pool_cap, kind=WindowKind.OPEN_OPEN):
-    # the pairs of k = 1..5 that the lemma decides in the window of ``kind``,
-    # with a pool of at most pool_cap classes: (2, d, 1) for every d of the
-    # k = 2 region's range, then candidate_region(k) for k = 2..5
+def _certified_cases(pool_cap, open_variant=True):
+    # the pairs of k = 1..5 that the lemma decides, in the open window with
+    # the open variant and in the half-open one without it, with a pool of
+    # at most pool_cap classes: (2, d, 1) for every d of the k = 2 region's
+    # range, then candidate_region(k) for k = 2..5
     for k in range(1, 6):
         pairs = [(2, d) for d in range(2, 20)] if k == 1 else sorted(candidate_region(k).pairs)
         for n, d in pairs:
-            if germ_pool_size((d - 1) ** n - k) <= pool_cap and centred_window_certificate(n, d, k, kind):
+            if germ_pool_size((d - 1) ** n - k) <= pool_cap and centred_window_certificate(n, d, k, open_variant):
                 yield n, d, k
 
 
@@ -167,13 +168,12 @@ def test_half_open_centred_window_certificate():
     # there at least its open count, the target its half-open count.  That
     # leaves (5,3,2) (its target has 20 + 10 numbers in ]1,2]) and decides
     # (4,6,3), which it answers without listing its 33,171 classes.
-    half_open = WindowKind.OPEN_CLOSED
-    assert centred_window_certificate(5, 3, 2, half_open) is None
-    cert = centred_window_certificate(4, 6, 3, half_open)
-    assert (cert.window, cert.kind) == ((Fraction(1, 2), Fraction(3, 2)), half_open)
+    assert centred_window_certificate(5, 3, 2, open_variant=False) is None
+    cert = centred_window_certificate(4, 6, 3, open_variant=False)
+    assert (cert.window, cert.closed) == ((Fraction(1, 2), Fraction(3, 2)), True)
     assert (cert.forced, cert.target) == (498, 433)
     assert cert.target == deg_window(fermat_spectrum(4, 6), Fraction(1, 2), Fraction(3, 2), right_open=False)
-    assert centred_window_certificate(4, 6, 3).kind is WindowKind.OPEN_OPEN
+    assert centred_window_certificate(4, 6, 3).closed is False
     report = enumerate_configurations(4, 6, 3, filters=SearchFilters(open_variant=False))
     assert (report.examined, report.pruned_by_dict()["semicontinuity"]) == (0, 1)
 
@@ -186,7 +186,7 @@ def test_centred_window_certificates_agree_with_the_explicit_search(monkeypatch)
     # variant, the half-open ones without it.  Larger pools were compared
     # once outside the suite.
     open_cases = list(_certified_cases(1_500))
-    half_open_cases = list(_certified_cases(1_500, WindowKind.OPEN_CLOSED))
+    half_open_cases = list(_certified_cases(1_500, open_variant=False))
     assert len(open_cases) >= 25 and any(k == 1 for _, _, k in open_cases)
     assert len(half_open_cases) >= 8
     lemma = {}
@@ -656,11 +656,11 @@ def test_final_check_rejects_a_configuration_that_fits_every_lane():
     windows = [(t, True) for t in points]
     lanes = window_counts(candidate_spectrum(c), den, windows)
     assert all(x <= r for x, r in zip(lanes, window_counts(target, den, windows)))
-    first = check_configuration(c, apply_open_variant=False).violations[0]
+    first = check_configuration(c, open_variant=False).violations[0]
     assert (first.a, first.lhs, first.rhs) == (Fraction(-5, 9), 31, 30)
     # ]-5/9, 4/9] is ]x-1, x] at x = 4/9, a number of E7: one of the windows
     # at the leaf's own numbers, which are all that the leaf tests
-    assert first.kind is WindowKind.OPEN_CLOSED
+    assert first.closed is True
     assert first.a == Fraction(4, 9) - 1 and Fraction(4, 9) in dict(curve_spectrum(parse_germ("E7")))
     report = enumerate_configurations(2, 7, 4, filters=SearchFilters(open_variant=False))
     assert c not in report.survivors

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from specpol import (
     Configuration,
-    WindowKind,
     candidate_spectrum,
     check,
     check_configuration,
@@ -28,8 +27,8 @@ from specpol.semicontinuity import window_test_points
 from specpol.spectrum import EMPTY, POS_INF
 from oracles import (
     dense_check,
-    fraction_check,
     fraction_check_configuration,
+    fraction_check_merged,
     fraction_test_points,
     summed_candidate_spectrum,
 )
@@ -75,8 +74,8 @@ def test_candidate_spectrum_examples():
 
 def test_check_holds_on_equal_spectra():
     target = fermat_spectrum(3, 4)
-    for kind in WindowKind:
-        report = check(target, target, (kind,))
+    for open_variant in (True, False):
+        report = check(target, target, open_variant)
         assert report.holds and not report.violations
         assert report.breakpoints_checked > 0
 
@@ -84,18 +83,18 @@ def test_check_holds_on_equal_spectra():
 def test_check_reports_violation_values():
     candidate = make_spectrum([(F(0), 3)])
     target = make_spectrum([(F(0), 1)])
-    report = check(candidate, target, (WindowKind.OPEN_CLOSED,))
+    report = check(candidate, target, open_variant=False)
     assert not report.holds
     worst = max(v.lhs - v.rhs for v in report.violations)
     assert worst == 2
-    assert all(v.kind is WindowKind.OPEN_CLOSED for v in report.violations)
+    assert all(v.closed for v in report.violations)
 
 
 def test_cuspidal_cubic_candidate_holds():
     report = check(
         candidate_spectrum(config(2, 3, "A2")),
         fermat_spectrum(2, 3),
-        (WindowKind.OPEN_CLOSED,),
+        open_variant=False,
     )
     assert report.holds
 
@@ -114,14 +113,16 @@ def test_check_configuration_rejects_heavy_cubic_fourfold_locus():
 
 
 def test_report_merging_records_kinds():
-    report = check_configuration(config(5, 3, "J2_0", "J2_0", "J2_0"))
-    kinds = {v.kind for v in report.violations}
-    # with the open variant on, at least one of the two families must witness
-    assert kinds <= {WindowKind.OPEN_OPEN, WindowKind.OPEN_CLOSED}
-    closed_only = check_configuration(
-        config(5, 3, "J2_0", "J2_0", "J2_0"), apply_open_variant=False
-    )
-    assert all(v.kind is WindowKind.OPEN_CLOSED for v in closed_only.violations)
+    c = config(5, 3, "J2_0", "J2_0", "J2_0")
+    report = check_configuration(c)
+    # with the open variant on both window shapes witness, the open ]1,2[
+    # with the centred lemma's 24 > 20 among them
+    assert {v.closed for v in report.violations} == {True, False}
+    assert (F(1), 24, 20, False) in {(v.a, v.lhs, v.rhs, v.closed) for v in report.violations}
+    # without it only the half-open windows are tested, and they fail alike
+    closed_only = check_configuration(c, open_variant=False)
+    assert closed_only.violations and all(v.closed for v in closed_only.violations)
+    assert closed_only.violations == tuple(v for v in report.violations if v.closed)
 
 
 def test_report_json_shape():
@@ -140,11 +141,14 @@ def test_breakpoint_scan_matches_dense_sampling():
     for _ in range(100):
         candidate = random_spectrum(rng)
         target = random_spectrum(rng)
-        for kind in WindowKind:
-            fast = check(candidate, target, (kind,)).holds
-            slow = dense_check(candidate, target, kind)
-            if fast != slow:
-                disagreements += 1
+        for open_variant in (True, False):
+            report = check(candidate, target, open_variant)
+            # with the open variant, the verdict of each window shape on its own
+            for closed in (True, False) if open_variant else (True,):
+                fast = not any(v.closed == closed for v in report.violations)
+                slow = dense_check(candidate, target, closed)
+                if fast != slow:
+                    disagreements += 1
     assert disagreements == 0
 
 
@@ -159,8 +163,7 @@ def test_window_count_constancy_between_test_points():
         points = window_test_points(s, t)
         for x, y in zip(points, points[1:]):
             probes = [x + (y - x) * F(p, 7) for p in range(1, 7)]
-            for kind in WindowKind:
-                right_open = kind is WindowKind.OPEN_OPEN
+            for right_open in (False, True):
                 values = {
                     tuple(deg_window(u, a, a + 1, True, right_open) for u in (s, t))
                     for a in probes
@@ -185,7 +188,7 @@ def test_unit_windows_imply_ray_inequalities():
             continue
         candidate = candidate_spectrum(cfg)
         target = fermat_spectrum(n, d)
-        if not check(candidate, target, (WindowKind.OPEN_CLOSED,)).holds:
+        if not check(candidate, target, open_variant=False).holds:
             continue
         checked_holds += 1
         for a in window_test_points(candidate, target):
@@ -203,7 +206,7 @@ def test_existing_curves_pass_both_variants():
         config(2, 5, "J2_4"),
         config(3, 3, "A2", "A2", "A2"),
     ]:
-        assert check_configuration(cfg, apply_open_variant=True).holds
+        assert check_configuration(cfg, open_variant=True).holds
 
 
 def test_empty_candidate_always_holds():
@@ -211,12 +214,14 @@ def test_empty_candidate_always_holds():
         assert check_configuration(Configuration(n, d, ())).holds
 
 
-@given(st.just(EMPTY) | spectra(), st.just(EMPTY) | spectra(), st.sampled_from(list(WindowKind)))
-def test_integer_check_equals_fraction_reference(candidate, target, kind):
+@given(st.just(EMPTY) | spectra(), st.just(EMPTY) | spectra(), st.booleans())
+def test_integer_check_equals_fraction_reference(candidate, target, open_variant):
     # same test points, and the same report: violations in the same order
-    # with the same a, lhs, rhs and kind, the same breakpoints_checked
+    # (by a, half-open before open) with the same a, lhs, rhs and window
+    # shape, the same breakpoints_checked
     assert window_test_points(candidate, target) == fraction_test_points(candidate, target)
-    fast, slow = check(candidate, target, (kind,)), fraction_check(candidate, target, kind)
+    fast = check(candidate, target, open_variant)
+    slow = fraction_check_merged(candidate, target, open_variant)
     assert fast == slow
     assert fast.to_json() == slow.to_json()
 
