@@ -55,7 +55,7 @@ from functools import lru_cache
 from itertools import chain
 from math import lcm
 from operator import neg
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .spectrum import Spectrum, from_numerators
 
@@ -156,17 +156,24 @@ def multiplicity_curve(g: GermClass) -> int:
 
 # The most spectral numbers a catalog curve spectrum is built with: a class
 # of larger Milnor number is refused before anything is allocated.  On a
-# 2-core machine with Python 3.11, the largest classes within it build in
-# 0.07-0.35 s at 46-98 MB peak RSS (A500000 0.11 s at 62 MB, D500000 0.35 s
-# at 84 MB, J2_499990 0.31 s at 98 MB); a search pool within
-# MAX_POOL_CLASSES has mu at most 1,540.
+# 2-core machine with Python 3.11, in a fresh interpreter, the largest
+# classes within it build in 0.12-0.43 s at 62-105 MB peak RSS: the curve
+# spectra of A500000 in 0.12-0.13 s at 62 MB, D500000 0.20 s at 66 MB,
+# J2_499990 0.27-0.29 s at 89 MB and J83333_4 0.35-0.39 s at 89 MB; in three
+# variables A500000 in 0.22-0.27 s at 101 MB (a doubled denominator) and
+# J83333_4 in 0.40-0.43 s at 89 MB.  A search pool within MAX_POOL_CLASSES
+# has mu at most 1,540.
 MAX_EXPANSION_LENGTH = 500_000
 
 
-def _disjoint(den: int, *progressions: range) -> Spectrum:
+#: (den, numerators, multiplicities): a spectrum before the Spectrum constructor
+_Parts = tuple[int, Sequence[int], Sequence[int]]
+
+
+def _disjoint(den: int, *progressions: range) -> _Parts:
     # progressions of numerators over den that share no number, each once
     nums = tuple(sorted(chain(*progressions)))
-    return Spectrum(den, nums, (1,) * len(nums))
+    return den, nums, (1,) * len(nums)
 
 
 def _j_negative_part(k: int, i: int) -> tuple[int, Iterable[int]]:
@@ -200,8 +207,17 @@ def _j_negative_part(k: int, i: int) -> tuple[int, Iterable[int]]:
 # misses), and it peaks at 19 MB either way.
 CURVE_CACHE_SIZE = 1024
 
+# The largest Milnor number whose curve spectrum the cache keeps, so that the
+# cache holds at most CURVE_CACHE_SIZE * CURVE_CACHE_MAX_MILNOR spectral
+# numbers (1,024 A, D and J classes of mu 1,707 to 2,048 take 148 MB); a
+# larger class is built on each call.  Every class of a search pool
+# within MAX_POOL_CLASSES over all four families is kept (such a pool has mu
+# at most 1,540); a pool over a narrower whitelist can list larger classes,
+# and its search builds those twice, once in the root walk and once in
+# `build`.
+CURVE_CACHE_MAX_MILNOR = 2048
 
-@lru_cache(maxsize=CURVE_CACHE_SIZE)
+
 def curve_spectrum(g: GermClass) -> Spectrum:
     """Spectrum of the two-variable germ of the class (symmetric about 0).
 
@@ -222,8 +238,27 @@ def curve_spectrum(g: GermClass) -> Spectrum:
 
     J(k, i>0) is assembled from its negative part (`_j_negative_part`) by
     symmetry.  A class with Milnor number over MAX_EXPANSION_LENGTH is
-    refused with a ValueError before anything is built.
+    refused with a ValueError before anything is built.  Spectra of Milnor
+    number up to CURVE_CACHE_MAX_MILNOR are cached (``cache_info`` and
+    ``cache_clear`` act on that cache).
     """
+    if g.milnor > CURVE_CACHE_MAX_MILNOR:
+        return Spectrum(*_curve_parts(g))
+    return _cached_curve_spectrum(g)
+
+
+@lru_cache(maxsize=CURVE_CACHE_SIZE)
+def _cached_curve_spectrum(g: GermClass) -> Spectrum:
+    return Spectrum(*_curve_parts(g))
+
+
+curve_spectrum.cache_info = _cached_curve_spectrum.cache_info
+curve_spectrum.cache_clear = _cached_curve_spectrum.cache_clear
+
+
+def _curve_parts(g: GermClass) -> _Parts:
+    # den, increasing numerators and their multiplicities: the curve spectrum
+    # of g before the Spectrum constructor checks and reduces them
     fam, k, mu = g.family, g.k, g.milnor
     if mu > MAX_EXPANSION_LENGTH:
         raise ValueError(f"the spectrum of {g} has more than {MAX_EXPANSION_LENGTH} spectral numbers")
@@ -234,7 +269,7 @@ def curve_spectrum(g: GermClass) -> Spectrum:
             return _disjoint(2 * k - 2, range(2 - k, k - 1, 2), range(0, 1))
         mults = [1] * (k - 1)
         mults[k // 2 - 1] = 2
-        return Spectrum(2 * k - 2, tuple(range(2 - k, k - 1, 2)), tuple(mults))
+        return 2 * k - 2, range(2 - k, k - 1, 2), mults
     if fam == "E":
         r, res = divmod(k, 6)
         if res == 1:
@@ -242,7 +277,7 @@ def curve_spectrum(g: GermClass) -> Spectrum:
         m = 3 * r + 1 + res // 2
         return _disjoint(3 * m, range(3 - 2 * m, m, 3), range(3 - m, 2 * m, 3))
     if g.i == 0:
-        return Spectrum(3 * k, tuple(range(1 - 2 * k, 2 * k)), (1,) * k + (2,) * (2 * k - 1) + (1,) * k)
+        return 3 * k, range(1 - 2 * k, 2 * k), (1,) * k + (2,) * (2 * k - 1) + (1,) * k
     den, negatives = _j_negative_part(k, g.i)
     # the two groups can share a number, so merge them; then mirror about 0
     merged = Counter(negatives)
@@ -251,20 +286,25 @@ def curve_spectrum(g: GermClass) -> Spectrum:
     at_zero = mu - 2 * sum(mults)
     assert at_zero >= 0, f"negative multiplicity at 0 for {g}"
     middle_nums, middle_mults = ([0], [at_zero]) if at_zero else ([], [])
-    return Spectrum(
-        den,
-        tuple(nums + middle_nums + list(map(neg, reversed(nums)))),
-        tuple(mults + middle_mults + mults[::-1]),
-    )
+    return den, nums + middle_nums + list(map(neg, reversed(nums))), mults + middle_mults + mults[::-1]
 
 
 def germ_spectrum(g: GermClass) -> Spectrum:
     """Spectrum of the class in its ambient variable count.
 
     Equals the curve spectrum suspended n-2 times, hence symmetric about
-    (n-2)/2 and contained in ]-1, n-1[.
+    (n-2)/2 and contained in ]-1, n-1[.  For n > 2 it is built uncached, as
+    one Spectrum from the curve numerators moved up by (n-2)/2: over the
+    curve's denominator, doubled only when it and n are both odd.
     """
-    return curve_spectrum(g).suspend(g.ambient_vars - 2)
+    n = g.ambient_vars
+    if n == 2:
+        return curve_spectrum(g)
+    den, nums, mults = _curve_parts(g)
+    scale = 1 + (n & den & 1)
+    den *= scale
+    offset = (n - 2) * den // 2
+    return Spectrum(den, tuple([x * scale + offset for x in nums]), mults)
 
 
 # The most window-sum steps fermat_spectrum takes: n passes over a support of

@@ -24,7 +24,7 @@ from specpol import (
     parse_germ,
     germ_pool,
 )
-from specpol.catalog import MAX_EXPANSION_LENGTH
+from specpol.catalog import CURVE_CACHE_MAX_MILNOR, MAX_EXPANSION_LENGTH
 from specpol.spectrum import NEG_INF
 from oracles import (
     NotWeightedHomogeneousError,
@@ -300,6 +300,31 @@ def test_germ_spectrum_suspends():
     assert e6_surface == curve_spectrum(GermClass("E", 6)).shift(F(1, 2))
     g = GermClass("D", 5)
     assert germ_spectrum(g) == curve_spectrum(g)
+
+
+def test_germ_spectrum_is_the_suspended_curve_spectrum():
+    # germ_spectrum builds one Spectrum in the ambient frame; suspend, which
+    # shifts a built curve spectrum, is the oracle.  An odd n over an odd
+    # curve denominator (E7 over 9 at n = 3) doubles the denominator.
+    doubled = 0
+    for n in range(2, 9):
+        for g in germ_pool(n, 60):
+            curve = curve_spectrum(g)
+            assert germ_spectrum(g) == curve.suspend(n - 2), g
+            doubled += n % 2 * curve.den % 2
+    assert doubled == 3 * 105  # n = 3, 5, 7 over the 105 odd-denominator classes
+
+
+def test_large_classes_are_built_uncached():
+    # the curve-spectrum cache keeps classes of Milnor number up to
+    # CURVE_CACHE_MAX_MILNOR; larger ones are built on every call
+    classes = [GermClass("J", 2, MAX_EXPANSION_LENGTH - 10 - i) for i in range(3)]
+    assert min(g.milnor for g in classes) > CURVE_CACHE_MAX_MILNOR
+    before = curve_spectrum.cache_info()
+    for g in classes:
+        assert curve_spectrum(g).total() == g.milnor
+    after = curve_spectrum.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
 
 
 def test_germ_spectrum_symmetry_and_range():

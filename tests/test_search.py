@@ -54,6 +54,7 @@ from specpol.semicontinuity import (
     window_counts,
     window_test_points,
 )
+from specpol.catalog import CURVE_CACHE_MAX_MILNOR
 from specpol.spectrum import EMPTY
 from oracles import brute_deg, newton_diagram_negatives, spectrum_from_weights, weights
 
@@ -213,6 +214,8 @@ def test_curve_spectrum_cache_is_bounded():
     assert maxsize is not None
     # room for the largest pool of the k=2 region, (2,11,2)
     assert maxsize >= germ_pool_size((11 - 1) ** 2 - 2)
+    # a pool within the pool budget has no class the cache would not keep
+    assert germ_pool_size(CURVE_CACHE_MAX_MILNOR + 1) > MAX_POOL_CLASSES
 
 
 def test_infeasible_parameters_error():

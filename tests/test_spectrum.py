@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -195,6 +196,48 @@ def test_deg_window_endpoint_types(s):
             else:
                 exact = [F(x) if type(x) is int else x for x in (a, b)]
                 assert deg_window(*args) == brute_deg(pairs, *exact, left_open, right_open), args
+
+
+class _FractionSubclass(Fraction):
+    pass
+
+
+@pytest.mark.parametrize("s", [germ_spectrum(parse_germ("J2_3")), EMPTY], ids=["J2_3", "empty"])
+def test_deg_window_normalises_other_endpoints(s):
+    # an int, a str, a Decimal or a Fraction subclass counts as the equal
+    # Fraction, or fails with the same error text; a malformed endpoint fails
+    # on the left before the right
+    spellings = {
+        F(-1): [-1, "-1", Decimal("-1"), _FractionSubclass(-1)],
+        F(-1, 3): ["-1/3", _FractionSubclass(-1, 3)],
+        F(0): [0, False, "0", Decimal("0.0"), _FractionSubclass(0)],
+        F(1, 3): ["1/3", " 2/6 ", _FractionSubclass(1, 3)],
+        F(1, 2): ["1/2", "0.5", Decimal("0.5"), _FractionSubclass(1, 2)],
+        F(2): [2, "2", Decimal("2.00"), _FractionSubclass(4, 2)],
+    }
+
+    def outcome(a, b, left_open, right_open):
+        try:
+            return deg_window(s, a, b, left_open, right_open)
+        except ValueError as e:
+            return str(e)
+
+    for (a, a_spelt), (b, b_spelt) in itertools.product(spellings.items(), repeat=2):
+        for left_open, right_open in itertools.product((True, False), repeat=2):
+            expected = outcome(a, b, left_open, right_open)
+            for x, y in itertools.product([a, *a_spelt], [b, *b_spelt]):
+                assert outcome(x, y, left_open, right_open) == expected, (x, y)
+    assert outcome("x", 0.5, True, True) == "Invalid literal for Fraction: 'x'"
+    assert outcome(0.5, "x", True, True).startswith("left endpoint must be")
+    assert outcome(F(1), "x", True, True) == "Invalid literal for Fraction: 'x'"
+
+
+def test_fraction_numerator_slots():
+    # deg_window reads an endpoint's numerator and denominator from these
+    # slots of fractions.Fraction, which they name in lowest terms
+    assert {"_numerator", "_denominator"} <= set(Fraction.__slots__)
+    x = F(6, -4)
+    assert (x._numerator, x._denominator) == x.as_integer_ratio() == (-3, 2)
 
 
 @given(spectra, rationals, rationals, st.booleans(), st.booleans())
