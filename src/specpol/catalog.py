@@ -57,7 +57,7 @@ from math import lcm
 from operator import neg
 from typing import Iterable, Sequence
 
-from .spectrum import Spectrum, from_numerators
+from .spectrum import Spectrum, _suspended, from_numerators
 
 __all__ = [
     "FAMILIES",
@@ -157,11 +157,11 @@ def multiplicity_curve(g: GermClass) -> int:
 # The most spectral numbers a catalog curve spectrum is built with: a class
 # of larger Milnor number is refused before anything is allocated.  On a
 # 2-core machine with Python 3.11, in a fresh interpreter, the largest
-# classes within it build in 0.12-0.43 s at 62-105 MB peak RSS: the curve
-# spectra of A500000 in 0.12-0.13 s at 62 MB, D500000 0.20 s at 66 MB,
-# J2_499990 0.27-0.29 s at 89 MB and J83333_4 0.35-0.39 s at 89 MB; in three
-# variables A500000 in 0.22-0.27 s at 101 MB (a doubled denominator) and
-# J83333_4 in 0.40-0.43 s at 89 MB.  A search pool within MAX_POOL_CLASSES
+# classes within it build in 0.11-0.41 s at 63-101 MB peak RSS: the curve
+# spectra of A500000 in 0.11-0.12 s at 63 MB, D500000 0.15-0.16 s at 66 MB,
+# J2_499990 0.20-0.24 s at 89 MB and J83333_4 0.29-0.32 s at 90 MB; in three
+# variables A500000 in 0.17-0.25 s at 101 MB (a doubled denominator) and
+# J83333_4 in 0.29-0.41 s at 89 MB.  A search pool within MAX_POOL_CLASSES
 # has mu at most 1,540.
 MAX_EXPANSION_LENGTH = 500_000
 
@@ -293,18 +293,14 @@ def germ_spectrum(g: GermClass) -> Spectrum:
     """Spectrum of the class in its ambient variable count.
 
     Equals the curve spectrum suspended n-2 times, hence symmetric about
-    (n-2)/2 and contained in ]-1, n-1[.  For n > 2 it is built uncached, as
-    one Spectrum from the curve numerators moved up by (n-2)/2: over the
-    curve's denominator, doubled only when it and n are both odd.
+    (n-2)/2 and contained in ]-1, n-1[.  For n > 2 the curve's unbuilt parts
+    go through the rule of `Spectrum.suspend`, so one Spectrum is built, and
+    none is cached.
     """
     n = g.ambient_vars
     if n == 2:
         return curve_spectrum(g)
-    den, nums, mults = _curve_parts(g)
-    scale = 1 + (n & den & 1)
-    den *= scale
-    offset = (n - 2) * den // 2
-    return Spectrum(den, tuple([x * scale + offset for x in nums]), mults)
+    return _suspended(*_curve_parts(g), n - 2)
 
 
 # The most window-sum steps fermat_spectrum takes: n passes over a support of

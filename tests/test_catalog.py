@@ -303,14 +303,15 @@ def test_germ_spectrum_suspends():
 
 
 def test_germ_spectrum_is_the_suspended_curve_spectrum():
-    # germ_spectrum builds one Spectrum in the ambient frame; suspend, which
-    # shifts a built curve spectrum, is the oracle.  An odd n over an odd
-    # curve denominator (E7 over 9 at n = 3) doubles the denominator.
+    # germ_spectrum builds one Spectrum in the ambient frame from the curve's
+    # unbuilt parts; suspend on the built curve spectrum, and shift by the
+    # Fraction (n-2)/2, are the oracles.  An odd n over an odd curve
+    # denominator (E7 over 9 at n = 3) doubles the denominator.
     doubled = 0
     for n in range(2, 9):
         for g in germ_pool(n, 60):
             curve = curve_spectrum(g)
-            assert germ_spectrum(g) == curve.suspend(n - 2), g
+            assert germ_spectrum(g) == curve.suspend(n - 2) == curve.shift(F(n - 2, 2)), g
             doubled += n % 2 * curve.den % 2
     assert doubled == 3 * 105  # n = 3, 5, 7 over the 105 odd-denominator classes
 

@@ -232,14 +232,6 @@ def test_deg_window_normalises_other_endpoints(s):
     assert outcome(F(1), "x", True, True) == "Invalid literal for Fraction: 'x'"
 
 
-def test_fraction_numerator_slots():
-    # deg_window reads an endpoint's numerator and denominator from these
-    # slots of fractions.Fraction, which they name in lowest terms
-    assert {"_numerator", "_denominator"} <= set(Fraction.__slots__)
-    x = F(6, -4)
-    assert (x._numerator, x._denominator) == x.as_integer_ratio() == (-3, 2)
-
-
 @given(spectra, rationals, rationals, st.booleans(), st.booleans())
 def test_deg_window_matches_brute_force(s, a, b, left_open, right_open):
     if a > b:
