@@ -197,8 +197,8 @@ def _j_negative_part(k: int, i: int) -> tuple[int, Iterable[int]]:
 # A search reads each pool class's spectrum in its root walk, lightest germ
 # first (the walk stops early where the root is not cut), and, below the
 # root, once more for the tables of the DFS, in the walk's order, so the
-# classes the walk read last are still cached; the leaves sum those tables'
-# spectra and read no cache.  Of the pairs of k = 2..12 the search still lists
+# classes the walk read last are still cached; the leaves read those tables'
+# spectra and no cache.  Of the pairs of k = 2..12 the search still lists
 # a pool for, (2,19,9) has the largest, 8,739 classes, read once by a walk that
 # cuts the root: unbounded, the cache keeps them all and the search peaks at
 # 113 MB, against 36 MB at this size (1.3-1.5 s either way).  The largest pool
@@ -239,29 +239,33 @@ def curve_spectrum(g: GermClass) -> Spectrum:
     J(k, i>0) is assembled from its negative part (`_j_negative_part`) by
     symmetry.  A class with Milnor number over MAX_EXPANSION_LENGTH is
     refused with a ValueError before anything is built.  Spectra of Milnor
-    number up to CURVE_CACHE_MAX_MILNOR are cached (``cache_info`` and
-    ``cache_clear`` act on that cache).
+    number up to CURVE_CACHE_MAX_MILNOR are cached once per curve class,
+    whatever the ambient count (``cache_info`` and ``cache_clear`` act on
+    that cache).
     """
     if g.milnor > CURVE_CACHE_MAX_MILNOR:
-        return Spectrum(*_curve_parts(g))
-    return _cached_curve_spectrum(g)
+        return Spectrum(*_curve_parts(g.family, g.k, g.i))
+    return _cached_curve_spectrum(g.family, g.k, g.i)
 
 
+# keyed on the curve class alone: the ambient count does not change the curve
 @lru_cache(maxsize=CURVE_CACHE_SIZE)
-def _cached_curve_spectrum(g: GermClass) -> Spectrum:
-    return Spectrum(*_curve_parts(g))
+def _cached_curve_spectrum(family: str, k: int, i: int) -> Spectrum:
+    return Spectrum(*_curve_parts(family, k, i))
 
 
 curve_spectrum.cache_info = _cached_curve_spectrum.cache_info
 curve_spectrum.cache_clear = _cached_curve_spectrum.cache_clear
 
 
-def _curve_parts(g: GermClass) -> _Parts:
+def _curve_parts(fam: str, k: int, i: int) -> _Parts:
     # den, increasing numerators and their multiplicities: the curve spectrum
-    # of g before the Spectrum constructor checks and reduces them
-    fam, k, mu = g.family, g.k, g.milnor
+    # of the class (fam, k, i) before the Spectrum constructor checks and
+    # reduces them; taken from the class's fields, so that a cache miss
+    # builds no GermClass
+    mu = 6 * k - 2 + i if fam == "J" else k  # GermClass.milnor
     if mu > MAX_EXPANSION_LENGTH:
-        raise ValueError(f"the spectrum of {g} has more than {MAX_EXPANSION_LENGTH} spectral numbers")
+        raise ValueError(f"the spectrum of {GermClass(fam, k, i)} has more than {MAX_EXPANSION_LENGTH} spectral numbers")
     if fam == "A":
         return _disjoint(2 * k + 2, range(1 - k, k, 2))
     if fam == "D":
@@ -276,15 +280,15 @@ def _curve_parts(g: GermClass) -> _Parts:
             return _disjoint(6 * r + 3, range(-4 * r, 4 * r + 1, 2), range(1 - 2 * r, 2 * r, 2))
         m = 3 * r + 1 + res // 2
         return _disjoint(3 * m, range(3 - 2 * m, m, 3), range(3 - m, 2 * m, 3))
-    if g.i == 0:
+    if i == 0:
         return 3 * k, range(1 - 2 * k, 2 * k), (1,) * k + (2,) * (2 * k - 1) + (1,) * k
-    den, negatives = _j_negative_part(k, g.i)
+    den, negatives = _j_negative_part(k, i)
     # the two groups can share a number, so merge them; then mirror about 0
     merged = Counter(negatives)
     nums = sorted(merged)
     mults = [merged[x] for x in nums]
     at_zero = mu - 2 * sum(mults)
-    assert at_zero >= 0, f"negative multiplicity at 0 for {g}"
+    assert at_zero >= 0, f"negative multiplicity at 0 for J{k}_{i}"
     middle_nums, middle_mults = ([0], [at_zero]) if at_zero else ([], [])
     return den, nums + middle_nums + list(map(neg, reversed(nums))), mults + middle_mults + mults[::-1]
 
@@ -300,7 +304,7 @@ def germ_spectrum(g: GermClass) -> Spectrum:
     n = g.ambient_vars
     if n == 2:
         return curve_spectrum(g)
-    return _suspended(*_curve_parts(g), n - 2)
+    return _suspended(*_curve_parts(g.family, g.k, g.i), n - 2)
 
 
 # The most window-sum steps fermat_spectrum takes: n passes over a support of

@@ -41,8 +41,9 @@ Filters:
   converse fails, as the lanes test the target's test points only (A13 +
   E7 + E12 at (2,7) fits every half-open lane, not ]a,a+1] at a = -5/9),
   so each leaf also tests ]x-1, x] at each of its own spectral numbers x,
-  the only windows that can still fail (`_SearchContext` has the proof),
-  and sums its germs' spectra for that only.
+  the only windows that can still fail (`_SearchContext` has the proof).
+  It sums no spectrum: it sorts its germs' numbers over one integer frame
+  and reads the target's counts from a table (`_SearchContext.leaf_passes`).
 * Lookahead (part of ``semicontinuity``): a node with ``remaining`` Milnor
   number still to place is completed by pool germs whose Milnor numbers sum
   to ``remaining``.  Such a completion adds sum_g vec_g[j] = sum_g mu_g *
@@ -110,14 +111,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from itertools import accumulate
-from operator import gt
+from itertools import accumulate, chain
+from math import lcm
 from typing import Iterable, Optional
 
 from .catalog import FAMILIES, GermClass, curve_spectrum, fermat_spectrum
 from .polar import Configuration, InfeasibleConfigurationError, diagonal_milnor, polar_degree
 from .semicontinuity import check_configuration, check_windows, window_counts
-from .spectrum import EMPTY, NEG_INF, add, deg_window
+from .spectrum import EMPTY, NEG_INF, deg_window
 
 __all__ = [
     "CentredWindowCertificate",
@@ -408,8 +409,9 @@ class _SearchContext:
     So the lanes cut exactly the nodes that all the windows cut.  A leaf, a
     complete configuration C, that fits every lane can still fail `check`,
     which also tests C's own breakpoints, but only in a window ]x-1, x] with
-    x a number of C, so the leaf tests those windows alone.  Let D be the
-    target:
+    x a number of C, so the leaf tests those windows alone (`leaf_passes`,
+    over one integer frame in which the target's bound at each x is tabled
+    once per search).  Let D be the target:
 
     * h_S(a), the count of a spectrum S in ]a, a+1], is a right-continuous
       step function of a that rises only at a = x-1 and falls only at a = x,
@@ -556,6 +558,40 @@ class _SearchContext:
         # to lane j; no carry, as a density is at most 1 and r <= target_mu
         assert all(x <= m for x, m in zip(xs, ms))
         self.lookahead = [_pack([-(-r * x // m) for x, m in zip(xs, ms)], width) for r in range(T + 1)]
+        # the leaf's frame, where every pool number is an integer, and its
+        # tables, filled per class at its first leaf; the target needs no
+        # place in it, as `window_counts` counts in windows over any den
+        self.frame = lcm(*(s.den for s in self.spectra))
+        self.frame_numbers: list[Optional[list[int]]] = [None] * len(self.pool)
+        self.frame_bound: dict[int, int] = {}
+
+    def _frame_numbers_of(self, i: int) -> list[int]:
+        # pool class i's numbers over the frame, repeated by multiplicity, and
+        # the target's count in ]x - L, x] at each new number x
+        s, L, bound = self.spectra[i], self.frame, self.frame_bound
+        nums = [x * (L // s.den) for x in s.nums]
+        new = [x for x in nums if x not in bound]
+        bound.update(zip(new, window_counts(self.target, L, [(x - L, True) for x in new])))
+        return [x for x, m in zip(nums, s.mults) for _ in range(m)]
+
+    def leaf_passes(self, germs: list[int]) -> bool:
+        """Whether the complete configuration of pool indices ``germs`` passes the check.
+
+        It fits every lane, so only ]x-1, x] at its own numbers x can still
+        fail (see the class docstring).  Over L = ``frame``, the lcm of every
+        pool spectrum's denominator, such a window is ]x - L, x]: the leaf
+        sorts its germs' numbers over L and counts them there with two
+        bisects, against the target's count at x, tabled once per search.
+        Integers only; no spectrum is summed.
+        """
+        numbers = self.frame_numbers
+        for i in germs:
+            if numbers[i] is None:
+                numbers[i] = self._frame_numbers_of(i)
+        xs = sorted(chain.from_iterable(numbers[i] for i in germs))
+        assert len(xs) == self.target_mu
+        L, bound = self.frame, self.frame_bound
+        return all(bisect_right(xs, x) - bisect_right(xs, x - L) <= bound[x] for x in xs)
 
 
 def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int]:
@@ -569,7 +605,7 @@ def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int]:
         # what the DFS returns when its first lookahead test cuts the root
         return [], 0, 1
     n, d, pool, mus, packed, high = ctx.n, ctx.d, ctx.pool, ctx.mus, ctx.packed, ctx.high
-    lookahead, spectra = ctx.lookahead, ctx.spectra
+    lookahead, semicontinuity, leaf_passes = ctx.lookahead, ctx.filters.semicontinuity, ctx.leaf_passes
     survivors: list[Configuration] = []
     examined = cuts = 0
     stack: list[int] = []
@@ -581,18 +617,10 @@ def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int]:
             return
         if remaining == 0:
             examined += 1
-            germs = tuple(pool[i] for i in stack)
-            if ctx.filters.semicontinuity:
-                spectrum = add(*(spectra[i] for i in stack))  # in the frame of ctx.target
-                assert spectrum.total() == ctx.target_mu
-                # it fits every lane, so only ]x-1, x] at its own numbers x can
-                # fail the check (`_SearchContext` has the proof)
-                windows = [(x - spectrum.den, True) for x in spectrum.nums]
-                own, bound = (window_counts(s, spectrum.den, windows) for s in (spectrum, ctx.target))
-                if any(map(gt, own, bound)):
-                    cuts += 1
-                    return
-            config = Configuration(n, d, germs)
+            if semicontinuity and not leaf_passes(stack):
+                cuts += 1
+                return
+            config = Configuration(n, d, tuple(pool[i] for i in stack))
             assert polar_degree(config) == ctx.k
             survivors.append(config)
             return

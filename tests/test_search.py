@@ -54,6 +54,7 @@ from specpol.semicontinuity import (
     window_counts,
     window_test_points,
 )
+from specpol import catalog
 from specpol.catalog import CURVE_CACHE_MAX_MILNOR
 from specpol.spectrum import EMPTY
 from oracles import brute_deg, newton_diagram_negatives, spectrum_from_weights, weights
@@ -216,6 +217,29 @@ def test_curve_spectrum_cache_is_bounded():
     assert maxsize >= germ_pool_size((11 - 1) ** 2 - 2)
     # a pool within the pool budget has no class the cache would not keep
     assert germ_pool_size(CURVE_CACHE_MAX_MILNOR + 1) > MAX_POOL_CLASSES
+
+
+def test_curve_spectrum_cache_keeps_one_entry_per_curve_class(monkeypatch):
+    # the curve spectrum does not depend on the ambient count, so J3_4 in 2
+    # and in 7 variables is one entry
+    curve_spectrum.cache_clear()
+    assert curve_spectrum(parse_germ("J3_4", 2)) is curve_spectrum(parse_germ("J3_4", 7))
+    info = curve_spectrum.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    # verify-huh searches pairs of n = 2..5: every class it reads is built
+    # once, and the cache holds one entry per distinct curve class
+    built = []
+    real_parts = catalog._curve_parts
+
+    def parts(*curve_class):
+        built.append(curve_class)
+        return real_parts(*curve_class)
+
+    monkeypatch.setattr(catalog, "_curve_parts", parts)
+    curve_spectrum.cache_clear()
+    assert verify_huh_lists().all_ok
+    info = curve_spectrum.cache_info()
+    assert info.misses == info.currsize == len(built) == len(set(built)) < info.maxsize
 
 
 def test_infeasible_parameters_error():
@@ -551,7 +575,7 @@ def test_dfs_counts_are_pinned(n, d, k, open_variant, pruned, examined):
     [(2, 4, 2, True, 4, 20), (2, 7, 4, False, 10624, 141)],
 )
 def test_dfs_reads_no_spectrum_once_the_context_is_built(n, d, k, open_variant, pruned, examined, monkeypatch):
-    # The leaves sum the spectra `build` read; nothing after it fetches one.
+    # The leaves read the spectra `build` read; nothing after it fetches one.
     filters = SearchFilters(open_variant=open_variant)
     expected = set(enumerate_configurations(n, d, k, filters=filters).survivors)
     ctx = _SearchContext(n, d, k, frozenset("ADEJ"), filters)
@@ -563,6 +587,29 @@ def test_dfs_reads_no_spectrum_once_the_context_is_built(n, d, k, open_variant, 
     survivors, dfs_examined, cuts = _run_search(ctx)
     assert (cuts, dfs_examined) == (pruned, examined)
     assert set(survivors) == expected
+
+
+def test_leaf_tables_are_built_for_the_classes_a_leaf_reads():
+    # Every pool number is an integer over the frame.  (2,6,2) reaches no
+    # leaf, so it tables nothing; (2,4,2) and (3,3,2) table the classes of
+    # their leaves alone: each class's spectral numbers over the frame,
+    # repeated by multiplicity, and at each number x the target's count in
+    # ]x-1, x]
+    for (n, d, k), leaves in [((2, 6, 2), 0), ((2, 4, 2), 20), ((3, 3, 2), 7)]:
+        ctx = _SearchContext(n, d, k, frozenset("ADEJ"), SearchFilters())
+        survivors, examined, _cuts = _run_search(ctx)
+        assert examined == len(survivors) == leaves
+        read = {ctx.pool.index(g) for c in survivors for g in c.germs}
+        tabled = {i for i, numbers in enumerate(ctx.frame_numbers) if numbers is not None}
+        assert tabled == read
+        L = ctx.frame
+        assert all(L % curve_spectrum(g).den == 0 for g in ctx.pool)
+        for i in read:
+            spectrum = curve_spectrum(ctx.pool[i])
+            assert [Fraction(x, L) for x in ctx.frame_numbers[i]] == [a for a, m in spectrum for _ in range(m)]
+        assert set(ctx.frame_bound) == {x for i in read for x in ctx.frame_numbers[i]}
+        for x, bound in ctx.frame_bound.items():
+            assert bound == deg_window(ctx.target, Fraction(x - L, L), Fraction(x, L), right_open=False)
 
 
 def test_a_pool_over_the_cache_size_builds_each_spectrum_once():
@@ -774,12 +821,12 @@ def test_incremental_pruning_never_drops_a_survivor():
 
 
 def test_unpruned_search_builds_no_spectrum_at_a_leaf(monkeypatch):
-    # With semicontinuity off nothing reads a leaf's spectrum, so none is
-    # summed: every complete configuration survives, and `add` is never called.
-    def refuse(*spectra):
-        raise AssertionError("a leaf built a spectrum with semicontinuity off")
+    # With semicontinuity off nothing reads a leaf's spectral numbers: every
+    # complete configuration survives, and the leaf test is never called.
+    def refuse(ctx, germs):
+        raise AssertionError("a leaf was tested with semicontinuity off")
 
-    monkeypatch.setattr("specpol.search.add", refuse)
+    monkeypatch.setattr(_SearchContext, "leaf_passes", refuse)
     report = enumerate_configurations(2, 6, 3, filters=SearchFilters(semicontinuity=False))
     assert report.examined == len(report.survivors) == 6520
 

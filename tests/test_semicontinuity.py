@@ -227,30 +227,20 @@ def test_integer_check_equals_fraction_reference(candidate, target, open_variant
 
 
 def _search_leaves(monkeypatch, searches):
-    # (configuration, curve-frame sum) at every leaf of the given searches: a
-    # leaf sums the spectra its context read, one per germ in order, with one
-    # add, so each argument maps back to its pool class by identity
-    seen, classes = [], {}
-    real_run, real_add = search._run_search, search.add
+    # (configuration, verdict) at every leaf of the given searches, read
+    # through the leaf test, which gets the leaf's pool indices
+    seen = []
+    real_leaf = search._SearchContext.leaf_passes
 
-    def run(ctx):
-        classes.clear()
-        classes.update((id(s), g) for s, g in zip(getattr(ctx, "spectra", ()), ctx.pool))
-        return real_run(ctx)
+    def leaf(ctx, germs):
+        passed = real_leaf(ctx, germs)
+        seen.append((Configuration(ctx.n, ctx.d, tuple(ctx.pool[i] for i in germs)), passed))
+        return passed
 
-    def leaf_add(*spectra):
-        total = real_add(*spectra)
-        seen.append((tuple(classes[id(s)] for s in spectra), total))
-        return total
-
-    monkeypatch.setattr(search, "_run_search", run)
-    monkeypatch.setattr(search, "add", leaf_add)
-    leaves = []
+    monkeypatch.setattr(search._SearchContext, "leaf_passes", leaf)
     for n, d, k, open_variant in searches:
-        del seen[:]
         enumerate_configurations(n, d, k, filters=SearchFilters(open_variant=open_variant))
-        leaves += [(Configuration(n, d, germs), total) for germs, total in seen]
-    return leaves
+    return seen
 
 
 # the k=2 sweep, and the searches the bundled lists are checked against
@@ -260,11 +250,23 @@ _K2_SWEEP = sorted(
 )
 
 
+def test_leaf_verdict_equals_the_check(monkeypatch):
+    # Without the open variant the leaf rejects configurations at (2,7,4)
+    # (13 of 141) and at (5,3,5), whose target, moved down by 3/2 into the
+    # curve frame, has its denominator doubled from 3 to 6 (7 of 12): each
+    # rejected leaf fails the check, and each passed one holds.
+    leaves = _search_leaves(monkeypatch, [(2, 7, 4, False), (5, 3, 5, False)])
+    assert len(leaves) == 141 + 12
+    assert sum(not passed for _c, passed in leaves) == 13 + 7
+    for c, passed in leaves:
+        assert check_configuration(c, open_variant=False).holds == passed, c
+
+
 def test_check_configuration_equals_fraction_reference_on_the_k2_sweep(monkeypatch):
     # every configuration the k=2 sweep and the bundled lists send to the
     # check: the leaves of their searches, and the bundled entries
     leaves = _search_leaves(monkeypatch, _K2_SWEEP)
-    configs = {c for c, _total in leaves} | {c for _key, c, _pol in search.load_huh_lists()}
+    configs = {c for c, _passed in leaves} | {c for _key, c, _pol in search.load_huh_lists()}
     assert len(configs) > 15
     for c in configs:
         for open_variant in (True, False):
@@ -278,12 +280,9 @@ def test_candidate_spectrum_equals_the_per_germ_sum(monkeypatch):
     # the single merge of the curve spectra, suspended once, against one
     # suspension and one add per germ: on every configuration the k=2 sweep
     # and (2,6,3) without the open variant (449) examine, the bundled lists,
-    # and random mixed-family configurations for n = 2..5; each leaf's own
-    # curve-frame sum, suspended, against the same reference
+    # and random mixed-family configurations for n = 2..5
     leaves = _search_leaves(monkeypatch, _K2_SWEEP + [(2, 6, 3, False)])
-    for c, total in leaves:
-        assert total.suspend(c.n - 2) == summed_candidate_spectrum(c), c
-    configs = {c for c, _total in leaves} | {c for _key, c, _pol in search.load_huh_lists()}
+    configs = {c for c, _passed in leaves} | {c for _key, c, _pol in search.load_huh_lists()}
     assert len(configs) > 480
     rng = random.Random(13)
     pool = germ_pool(2, 40)
