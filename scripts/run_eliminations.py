@@ -8,15 +8,15 @@ comes out empty.
 
 The default pair set is the whole k=2 region, `candidate_region(2)`.  On a
 2-core machine with Python 3.11 (six runs each, interpreter start
-included), the whole default run takes 0.18-0.20 s, `-k 3 7,3` 0.13-0.14 s
-and `-k 3 3,8 2,19` 0.13-0.15 s: the centred-window lemma decides (7,3,3),
+included), the whole default run takes 0.16-0.22 s, `-k 3 7,3` 0.12-0.27 s
+and `-k 3 3,8 2,19` 0.12-0.17 s: the centred-window lemma decides (7,3,3),
 (3,8,3) and (2,19,3) before their pools (1,487, 10,141 and 9,066 classes)
 are listed.  `-k 3 2,5 2,6 4,3` (three k=3 pairs with survivors, where the
-search goes below the root) takes 0.13-0.14 s, `-k 4 2,6 2,7 3,4` (k=4
-pairs cut below the root) 0.15-0.17 s, `-k 5 2,9` (376 classes: of the
+search goes below the root) takes 0.12-0.19 s, `-k 4 2,6 2,7 3,4` (k=4
+pairs cut below the root) 0.13-0.19 s, `-k 5 2,9` (376 classes: of the
 pairs of k = 2..5 with pools of at most 12,000 classes, the largest pool
-whose root is not cut) 0.15-0.23 s, and `-k 5` over the default pairs
-0.20-0.24 s.  Pass explicit pairs and `-k` to search elsewhere.
+whose root is not cut) 0.13-0.14 s, and `-k 5` over the default pairs
+0.18-0.22 s.  Pass explicit pairs and `-k` to search elsewhere.
 
 A pair with polar degree k > (d-1)^n, such as (2,3) from k = 5 on, is
 reported as infeasible on one line and the run goes on.  A malformed pair,

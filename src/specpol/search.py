@@ -2,10 +2,11 @@
 
 For parameters (n, d, k) the target total Milnor number is (d-1)^n - k, and a
 configuration is any multiset of catalog germs in ambient n whose Milnor
-numbers add up to it.  Enumeration is a depth-first partition search over a
-canonically ordered germ pool (non-increasing germ order, so each multiset is
-produced exactly once); since every family's Milnor number grows strictly
-with its parameters, the pool of admissible classes is finite.
+numbers add up to it.  Enumeration is a depth-first partition search over
+the germ pool, heaviest germ first (pool indices never decrease along a
+branch, so each multiset is produced exactly once); since every family's
+Milnor number grows strictly with its parameters, the pool of admissible
+classes is finite.
 
 Filters:
 
@@ -88,7 +89,12 @@ Reported counts: ``examined`` is the number of complete configurations that
 reached the target Milnor sum and entered per-configuration checking;
 ``pruned_by`` records, for the pool filters, how many germ classes they
 removed and, for semicontinuity, how many subtrees and complete
-configurations it cut.  Survivors are returned canonically sorted.  Every
+configurations it cut.  Survivors are returned canonically sorted: the
+canonical order of classes is `germ_pool`'s (family in ``FAMILIES`` order,
+then k, then i, which is ``GermClass.sort_key``), each survivor lists its
+germs in it, and the survivors are in lexicographic order of those lists.
+The DFS keeps each survivor as its pool indices and sorts them once, as
+tuples of canonical places, before any `Configuration` is built.  Every
 search runs in this process; the ``workers`` argument is checked but selects
 nothing, so any worker count gives the same report.  Survivors satisfy a
 necessary criterion only: they are candidates, not certified hypersurfaces.
@@ -240,10 +246,12 @@ def germ_pool_size(mu_max: int, whitelist: Iterable[str] = FAMILIES) -> int:
 
 
 def germ_pool(n: int, mu_max: int, whitelist: Iterable[str] = FAMILIES) -> list[GermClass]:
-    """All catalog classes in ambient n with Milnor number <= mu_max.
+    """All catalog classes in ambient n with Milnor number <= mu_max, in canonical order.
 
-    Raises ValueError, before listing any class, if there are more than
-    ``MAX_POOL_CLASSES``.
+    The order is family by family in ``FAMILIES`` order, each by k and then
+    i: ascending ``GermClass.sort_key``, as the classes are listed, so
+    nothing is sorted.  Raises ValueError, before listing any class, if
+    there are more than ``MAX_POOL_CLASSES``.
     """
     families = _families(whitelist)
     size = germ_pool_size(mu_max, families)
@@ -268,7 +276,7 @@ def germ_pool(n: int, mu_max: int, whitelist: Iterable[str] = FAMILIES) -> list[
                 GermClass("J", k, i, n) for i in range(0, mu_max - (6 * k - 2) + 1)
             ]
             k += 1
-    return sorted(pool, key=GermClass.sort_key)
+    return pool
 
 
 # The least share of a catalog curve spectrum inside ]-1/2, 1/2[, and a class
@@ -447,9 +455,12 @@ class _SearchContext:
                 raise ValueError(
                     f"the unpruned search would list more than {MAX_UNPRUNED_CONFIGURATIONS} configurations"
                 )
-        # non-increasing canonical order: heaviest germ first; listed before
-        # any spectrum is built
-        self.pool = sorted(germ_pool(n, T, families), key=lambda g: (-g.milnor,) + g.sort_key())
+        # the DFS order, heaviest germ first, listed before any spectrum is
+        # built; the sort is stable, so germs of one Milnor number keep the
+        # canonical order, and rank[i] is pool class i's place in that order
+        self.canonical = canonical = germ_pool(n, T, families)
+        self.rank = sorted(range(len(canonical)), key=lambda r: -canonical[r].milnor)
+        self.pool = [canonical[r] for r in self.rank]
         self.mus = [g.milnor for g in self.pool]
         # in the frame of the curve spectra (see the module docstring)
         self.target = fermat_spectrum(n, d).shift(Fraction(2 - n, 2))
@@ -600,13 +611,19 @@ def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int]:
     Returns (survivors, examined, cuts), where cuts counts the subtrees the
     lanes cut and the complete configurations the leaf test rejects.  The
     packed window state ``acc`` is passed down by value, so nothing is undone.
+    A leaf that passes keeps its pool indices; once the DFS is done they
+    become canonical places (``rank``), each survivor's sorted, and the
+    survivors are sorted as those int tuples, which is the canonical order
+    of the module docstring.  Only then is each made a `Configuration`.
+    Every survivor has polar degree k by construction: its Milnor numbers
+    sum to T, as ``remaining`` reached 0.
     """
     if ctx.root_cut:
         # what the DFS returns when its first lookahead test cuts the root
         return [], 0, 1
-    n, d, pool, mus, packed, high = ctx.n, ctx.d, ctx.pool, ctx.mus, ctx.packed, ctx.high
+    pool, mus, packed, high, rank, canonical = ctx.pool, ctx.mus, ctx.packed, ctx.high, ctx.rank, ctx.canonical
     lookahead, semicontinuity, leaf_passes = ctx.lookahead, ctx.filters.semicontinuity, ctx.leaf_passes
-    survivors: list[Configuration] = []
+    found: list[tuple[int, ...]] = []
     examined = cuts = 0
     stack: list[int] = []
 
@@ -620,9 +637,7 @@ def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int]:
             if semicontinuity and not leaf_passes(stack):
                 cuts += 1
                 return
-            config = Configuration(n, d, tuple(pool[i] for i in stack))
-            assert polar_degree(config) == ctx.k
-            survivors.append(config)
+            found.append(tuple(stack))
             return
         for idx in range(first, len(pool)):
             if mus[idx] > remaining:
@@ -634,7 +649,8 @@ def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int]:
     # target_mu == 0 gives an empty pool: the DFS examines the smooth
     # configuration once and runs it through the same leaf test
     dfs(0, ctx.target_mu, ctx.start)
-    return survivors, examined, cuts
+    places = sorted(tuple(sorted(rank[i] for i in s)) for s in found)
+    return [Configuration(ctx.n, ctx.d, tuple(canonical[r] for r in t)) for t in places], examined, cuts
 
 
 def enumerate_configurations(
@@ -686,7 +702,6 @@ def enumerate_configurations(
     else:
         survivors, examined, cuts = _run_search(_SearchContext(n, d, k, families, filters))
     pruned["semicontinuity"] = cuts
-    survivors = sorted(survivors, key=lambda c: tuple(g.sort_key() for g in c.germs))
 
     diagnostics = ()
     if (n, d) in _DIAGNOSTIC_CASES:

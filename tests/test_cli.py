@@ -265,6 +265,27 @@ def test_search_json_below_k2_lists_only_the_implied_filters(k, out, capsys):
     assert invoke(capsys, "search", "2", "3", str(k), "--json") == (0, out, "")
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["2", "4", "2"], "cfa9da5a139b9d2d301bf17b4542a1f0a20a273ec58470f1a6fa19383da66631"),
+        (["2", "7", "4", "--no-filter", "open-variant"],
+         "56e2e2eee82e4aa49eb3a557fe266b755b1d48ac23305df3d74e31dc7c23212d"),
+        (["2", "6", "3", "--no-filter", "semicontinuity"],
+         "882f53e5ac12cfa1d730831c4cfd31a3c8398ed1da5f4306d15763a4fcb5233a"),
+        (["2", "5", "3", "--whitelist", "A,E"],
+         "3da129aa543f37520485f494dbbb1d9870932429f92494b0c1ba94f7673635ed"),
+    ],
+)
+def test_search_json_bytes_are_pinned(argv, digest, capsys):
+    # survivors in canonical order, with the counts and filters around them:
+    # a search with many survivors, one whose leaves the leaf test rejects,
+    # an unpruned one and a whitelisted one
+    code, out, err = invoke(capsys, "search", *argv, "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_search_json_is_byte_stable_across_runs_and_workers(capsys):
     outputs = []
     for argv in (
@@ -356,6 +377,10 @@ def test_usage_errors_exit_two(capsys):
         ["spectrum", "join", "fermat:1:1000001", "fermat:1:1000001"],
         # a total Milnor number over (d-1)^n, refused by check as by pol
         ["check", "--config", json.dumps({"n": 2, "d": 3, "germs": [f"A{k}" for k in range(1, 121)]})],
+        # over the check's support budget, refused before any spectrum is
+        # built: 40 large classes, and a diagonal germ alone
+        ["check", "--config", json.dumps({"n": 2, "d": 100000, "germs": [f"A{400000 + i}" for i in range(40)]})],
+        ["check", "--config", '{"n":2,"d":100002,"germs":[]}'],
         # usage errors that argparse finds: a non-integer argument, and a
         # negative value after a space, read as an option
         ["search", "2", "x", "2"],

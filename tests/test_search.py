@@ -86,15 +86,21 @@ def test_germ_pool_whitelist():
 
 def test_pool_size_closed_form_equals_germ_pool():
     # germ_pool(n, T) is the part of germ_pool(n, 300) with Milnor number <= T;
-    # that is checked by direct calls for small T, the count for every T <= 300
+    # that is checked by direct calls for small T, the count for every T <= 300.
+    # Each pool is listed in canonical order, ascending sort_key, as the
+    # search's ranks and survivor order take it without sorting it.
     whitelists = [wl for r in range(1, 5) for wl in combinations("ADEJ", r)]
     for n in (2, 3):
         for wl in whitelists:
-            mus = sorted(g.milnor for g in germ_pool(n, 300, wl))
+            pool = germ_pool(n, 300, wl)
+            assert pool == sorted(pool, key=lambda g: g.sort_key()), (n, wl)
+            mus = sorted(g.milnor for g in pool)
             for t in range(-2, 301):
                 assert germ_pool_size(t, wl) == bisect_right(mus, t), (n, wl, t)
             for t in range(-2, 41):
-                assert len(germ_pool(n, t, wl)) == germ_pool_size(t, wl), (n, wl, t)
+                pool = germ_pool(n, t, wl)
+                assert len(pool) == germ_pool_size(t, wl), (n, wl, t)
+                assert pool == sorted(pool, key=lambda g: g.sort_key()), (n, wl, t)
 
 
 def _refuse(*args):
@@ -763,18 +769,43 @@ def test_plane_cubic_survivors():
 
 
 def test_every_survivor_has_polar_degree_k():
-    for n, d, k in [(2, 4, 2), (3, 3, 2), (2, 3, 1)]:
-        report = enumerate_configurations(n, d, k)
+    # the DFS asserts nothing per survivor: a leaf is reached when the Milnor
+    # numbers left to place are 0, with or without semicontinuity
+    unpruned = SearchFilters(semicontinuity=False)
+    for n, d, k, whitelist, filters in [
+        (2, 4, 2, "ADEJ", SearchFilters()),
+        (3, 3, 2, "ADEJ", SearchFilters()),
+        (2, 3, 1, "ADEJ", SearchFilters()),
+        (2, 5, 3, "ADEJ", unpruned),
+        (3, 3, 3, "ADEJ", unpruned),
+        (2, 5, 3, "AE", SearchFilters()),
+        (2, 6, 3, "DJ", unpruned),
+    ]:
+        report = enumerate_configurations(n, d, k, whitelist, filters)
+        assert report.survivors, (n, d, k, whitelist)
         for c in report.survivors:
             assert polar_degree(c) == k
             assert candidate_spectrum(c).total() == report.target_mu
+            assert {g.family for g in c.germs} <= set(whitelist)
 
 
 def test_survivors_are_sorted_canonically():
-    report = enumerate_configurations(2, 4, 2)
-    keys = [tuple(g.sort_key() for g in c.germs) for c in report.survivors]
-    assert keys == sorted(keys)
-    assert len(set(report.survivors)) == len(report.survivors)
+    # each survivor lists its germs by sort_key, and the survivors are in
+    # lexicographic order of those lists, whatever order the DFS found them in
+    for n, d, k, whitelist, filters, count in [
+        (2, 4, 2, "ADEJ", SearchFilters(), 20),
+        (2, 7, 7, "ADEJ", SearchFilters(), 8012),
+        (2, 6, 3, "ADEJ", SearchFilters(semicontinuity=False), 6520),
+        (2, 7, 4, "ADEJ", SearchFilters(open_variant=False), 128),
+        (2, 5, 3, "AE", SearchFilters(), 25),
+        (2, 5, 3, "DJ", SearchFilters(), 4),
+    ]:
+        report = enumerate_configurations(n, d, k, whitelist, filters)
+        assert len(report.survivors) == count, (n, d, k, whitelist)
+        keys = [tuple(g.sort_key() for g in c.germs) for c in report.survivors]
+        assert all(list(key) == sorted(key) for key in keys), (n, d, k, whitelist)
+        assert keys == sorted(keys), (n, d, k, whitelist)
+        assert len(set(keys)) == len(keys), (n, d, k, whitelist)
 
 
 def test_disabling_semicontinuity_enlarges_survivors():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from specpol import (
     make_spectrum,
     parse_germ,
     search,
+    semicontinuity,
 )
 from specpol.search import SearchFilters
 from specpol.semicontinuity import window_test_points
@@ -212,6 +214,29 @@ def test_existing_curves_pass_both_variants():
 def test_empty_candidate_always_holds():
     for n, d in [(2, 3), (3, 3), (4, 2)]:
         assert check_configuration(Configuration(n, d, ())).holds
+
+
+def test_check_over_its_support_budget_is_refused_before_any_spectrum(monkeypatch):
+    # the bound, sum of mu over the distinct classes plus the diagonal germ's
+    # n(d-2)+1 distinct numbers, is at least the union support that the
+    # check counts; a configuration over the budget builds no spectrum
+    cases = [config(2, 3, "A1", "A1"), config(2, 8, "A7", "A7", "E7", "J2_3"), config(5, 3, "J2_0", "J2_0", "J2_0")]
+    for c in cases:
+        bound = sum(g.milnor for g in set(c.germs)) + c.n * (c.d - 2) + 1
+        union = {y for s in (candidate_spectrum(c), fermat_spectrum(c.n, c.d)) for y in s.support}
+        assert len(union) <= bound, c
+        monkeypatch.setattr(semicontinuity, "MAX_CHECK_SUPPORT", bound)
+        assert check_configuration(c) == check(candidate_spectrum(c), fermat_spectrum(c.n, c.d))
+        monkeypatch.setattr(semicontinuity, "MAX_CHECK_SUPPORT", bound - 1)
+        with monkeypatch.context() as m:
+            m.setattr(semicontinuity, "curve_spectrum", _refuse_spectrum)
+            m.setattr(semicontinuity, "fermat_spectrum", _refuse_spectrum)
+            with pytest.raises(ValueError, match=f"could count {bound} distinct spectral numbers"):
+                check_configuration(c)
+
+
+def _refuse_spectrum(*args):
+    raise AssertionError("a spectrum was built past the check's budget")
 
 
 @given(st.just(EMPTY) | spectra(), st.just(EMPTY) | spectra(), st.booleans())
