@@ -3,9 +3,14 @@
 Subcommands reach every function that ``specpol`` exports except a few
 library-only ones: ``LIBRARY_ONLY`` in ``tests/test_cli.py`` names them with
 their reasons, and the test there measures the reach of every subcommand
-under a profiler.  Each subcommand has a human-readable format and a
-canonical JSON format (``--json``): sorted keys, sorted arrays, no
-whitespace, so identical inputs always produce identical bytes.
+under a profiler.  Each subcommand but ``sweep`` has a human-readable format
+and a canonical JSON format (``--json``): sorted keys, sorted arrays, no
+whitespace, so identical inputs always produce identical bytes.  ``sweep k``
+prints, for each pair of ``candidate_region(k)`` (or each ``n,d`` pair
+given), the block that ``search n d k`` prints and a blank line; its
+canonical bytes are those of ``search n d k --json``, pair by pair.  A pair
+with k > (d-1)^n is one ``infeasible`` line and the sweep goes on; a pair
+that the search refuses stops it with status 2, after the blocks before it.
 
 Rationals on the command line are written ``p/q`` or as plain integers;
 ``-inf`` and ``+inf`` are accepted where a ray endpoint makes sense.  Exit
@@ -20,11 +25,12 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 from . import bounds, catalog, polar, search, semicontinuity, spectrum
-from .polar import Configuration
+from .polar import Configuration, InfeasibleConfigurationError
 from .search import SearchFilters
 from .spectrum import NEG_INF, POS_INF, Spectrum
 
@@ -229,7 +235,12 @@ def _cmd_search(args) -> int:
     )
     if args.json:
         _emit_json(report.to_json_obj())
-        return 0
+    else:
+        _print_search(report)
+    return 0
+
+
+def _print_search(report: search.SearchReport) -> None:
     print(f"search n={report.n} d={report.d} k={report.k}  target mu = {report.target_mu}")
     print(f"filters: {', '.join(report.filters_applied) or 'none'}")
     print(f"examined {report.examined} complete configurations; pruned: "
@@ -239,6 +250,31 @@ def _cmd_search(args) -> int:
     print(f"survivors ({len(report.survivors)} candidates):")
     for config in report.survivors:
         print(f"  {config}")
+
+
+def _pair(text: str) -> tuple[int, int]:
+    # checked here, so that no pair is searched before a bad one is refused
+    try:
+        n, d = map(int, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a pair n,d of integers, got {text!r}") from None
+    if n < 2 or d < 2:
+        raise argparse.ArgumentTypeError(f"need n >= 2 and d >= 2, got {text!r}")
+    return n, d
+
+
+def _cmd_sweep(args) -> int:
+    k = args.k
+    for n, d in args.pairs or sorted(bounds.candidate_region(k).pairs):
+        try:
+            report = search.enumerate_configurations(n, d, k)
+        except InfeasibleConfigurationError as exc:
+            print(f"search n={n} d={d} k={k}  infeasible: {exc}")
+        except ValueError as exc:
+            raise ValueError(f"(n={n}, d={d}, k={k}): {exc}") from None
+        else:
+            _print_search(report)
+        print()
     return 0
 
 
@@ -247,10 +283,12 @@ def _cmd_region(args) -> int:
     if args.json:
         _emit_json(region.to_json_obj())
         return 0
-    print(f"candidate (n, d) region for polar degree {region.k}:")
+    print(f"candidate (n, d) region for polar degree {region.k}: {len(region.pairs)} pairs")
     for n, d in sorted(region.pairs):
         print(f"  ({n}, {d})")
-    print(f"excluded pairs in scanned rectangle: {len(region.exclusion_log)}")
+    by_tag = Counter(by for _, _, by in region.exclusion_log)
+    print(f"excluded pairs in scanned rectangle: {len(region.exclusion_log)} ("
+          + ", ".join(f"{tag}: {count}" for tag, count in sorted(by_tag.items())) + ")")
     for note in region.notes:
         print(f"note: {note}")
     return 0
@@ -276,7 +314,8 @@ class _Parser(argparse.ArgumentParser):
     """
 
     def error(self, message: str):
-        self.exit(2, f"error: {message}\n")
+        # "unrecognized arguments" quotes the arguments as given, newlines too
+        self.exit(2, f"error: {message}".replace("\n", "\\n") + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -338,6 +377,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_search.add_argument("--json", action="store_true")
     p_search.set_defaults(func=_cmd_search)
+
+    p_sweep = sub.add_parser("sweep", help="search every pair of a region, or the pairs given")
+    p_sweep.add_argument("k", type=int, help="polar degree")
+    p_sweep.add_argument("pairs", nargs="*", type=_pair, metavar="n,d",
+                         help="pairs to search, e.g. 5,3 (default: every pair of the region for k)")
+    p_sweep.set_defaults(func=_cmd_sweep)
 
     p_region = sub.add_parser("region", help="finite candidate (n, d) region for one k")
     p_region.add_argument("k", type=int)

@@ -178,21 +178,25 @@ class Spectrum:
     def from_json_obj(cls, obj: list[dict[str, int]]) -> "Spectrum":
         if not isinstance(obj, list):
             raise ValueError(f"a spectrum is a JSON list of entries, got {obj!r}")
-        pairs, den = [], 1
+        # each entry is read once, as its lowest terms p/q, and moved over the
+        # lcm of the q once every q is known
+        entries, den = [], 1
         for e in obj:
             # type() is int rejects JSON floats and booleans alike
             if not isinstance(e, dict) or not all(
                 type(e.get(key)) is int for key in ("num", "den", "mult")
             ):
                 raise ValueError(f"spectrum entry {e!r} needs integer num, den and mult")
-            if e["den"] == 0:
+            p, q = e["num"], e["den"]
+            if q == 0:
                 raise ValueError(f"spectrum entry {e!r} has den 0")
-            alpha = Fraction(e["num"], e["den"])
-            den = math.lcm(den, alpha.denominator)
+            g = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
+            q //= g
+            den = math.lcm(den, q)
             if den.bit_length() > MAX_DENOMINATOR_BITS:
                 raise ValueError(f"the spectrum's common denominator has more than {MAX_DENOMINATOR_BITS} bits")
-            pairs.append((alpha, e["mult"]))
-        return make_spectrum(pairs)
+            entries.append((p // g, q, e["mult"]))
+        return from_numerators(den, ((p * (den // q), m) for p, q, m in entries))
 
     @classmethod
     def from_json(cls, text: str) -> "Spectrum":

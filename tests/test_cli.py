@@ -224,7 +224,9 @@ def test_search_decided_by_the_centred_window_lists_no_pool(n, d, k, monkeypatch
     assert report["pruned_by"] == {"alpha1": 0, "corank": 0, "huh": 0, "semicontinuity": 1}
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["search", "--help"], ["spectrum", "germ", "--help"]])
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["search", "--help"], ["spectrum", "germ", "--help"], ["sweep", "--help"]]
+)
 def test_help_exits_zero(argv, capsys):
     code, out, err = invoke(capsys, *argv)
     assert (code, err) == (0, "")
@@ -304,6 +306,40 @@ def test_region(capsys):
     region = json.loads(out)
     assert [3, 3] in region["pairs"]
     assert region["pairs"] == sorted(region["pairs"])
+    code, out, _ = invoke(capsys, "region", "2")
+    lines = out.splitlines()
+    assert lines[0] == "candidate (n, d) region for polar degree 2: 13 pairs"
+    assert lines[14] == "excluded pairs in scanned rectangle: 42 (d=2: 5, l:1: 36, t:Huh2: 1)"
+
+
+def _sweep_blocks(capsys, *argv):
+    # the blocks of a sweep's stdout, each ending in a newline
+    code, out, err = invoke(capsys, "sweep", *argv)
+    assert (code, err) == (0, "")
+    assert out.endswith("\n\n")
+    return [block + "\n" for block in out[:-2].split("\n\n")]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_sweep_prints_the_search_block_of_every_pair(k, capsys):
+    pairs = sorted(specpol.candidate_region(k).pairs)
+    blocks = _sweep_blocks(capsys, str(k))
+    assert len(blocks) == len(pairs)
+    for (n, d), block in zip(pairs, blocks):
+        assert invoke(capsys, "search", str(n), str(d), str(k)) == (0, block, "")
+    if k == 2:
+        survivors = [int(re.search(r"^survivors \((\d+) candidates\):$", b, re.M).group(1)) for b in blocks]
+        assert survivors == [2, 20, 8, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0]
+
+
+def test_sweep_reports_an_infeasible_pair_and_goes_on(capsys):
+    # (2,3) is the first pair of the k=5 region and has (d-1)^n = 4 < 5; the
+    # 96 pairs after it are still searched
+    blocks = _sweep_blocks(capsys, "5")
+    assert len(blocks) == len(specpol.candidate_region(5).pairs) == 97
+    assert blocks[0] == "search n=2 d=3 k=5  infeasible: polar degree 5 exceeds (d-1)^n = 4\n"
+    assert sum("infeasible" in block for block in blocks) == 1
+    assert _sweep_blocks(capsys, "5", "2,4", "2,3") == blocks[1:2] + blocks[:1]
 
 
 def test_verify_huh(capsys):
@@ -391,6 +427,16 @@ def test_usage_errors_exit_two(capsys):
         # 200 distinct odd 1,000-digit denominators: refused as their lcm
         # passes MAX_DENOMINATOR_BITS, before any gcd over it
         ["deg", "{over_budget_file}", "--from=0", "--to=1"],
+        # malformed sweep pairs, each refused before any pair is searched
+        ["sweep", "2", "5"],
+        ["sweep", "2", "2,x"],
+        ["sweep", "2", "5,3", "2,3,4"],
+        ["sweep", "2", "1,3"],
+        # a sweep over no region: k below 2, and a scan over its budget
+        ["sweep", "1"],
+        ["sweep", "300"],
+        # a usage error that quotes an argument with a newline in it
+        ["search", "2", "3", "2", "-x\ny"],
     ],
 )
 def test_malformed_input_exits_two_with_one_line(argv, tmp_path, capsys):
@@ -509,10 +555,15 @@ _search_lines = st.builds(
     _json_flag,
 )
 _region_lines = st.builds(lambda k, json_flag: ("region", k, *json_flag), st.integers(-3, 60).map(str), _json_flag)
+_sweep_lines = st.builds(
+    lambda k, pairs: ("sweep", k, *pairs),
+    st.integers(-1, 3).map(str),
+    st.lists(st.builds("{},{}".format, _small, _small) | _words, max_size=2),
+)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_search_lines | _region_lines)
+@given(_search_lines | _region_lines | _sweep_lines)
 def test_fuzzed_search_and_region_exit_zero_or_two_with_one_line(argv):
     _exits_zero_or_two_with_one_line(argv)
 
@@ -601,18 +652,19 @@ def test_python_dash_m_runs_from_a_checkout(capsys):
 
 def test_output_into_a_closed_pipe_stops_quietly():
     # stdout is a pipe whose reader is gone, as under `| head` once head exits
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "specpol", "search", "2", "5", "3"],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
-        )
-    finally:
-        os.close(write_end)
-    assert proc.stderr == ""
-    assert proc.returncode not in (0, 2)
+    for argv in (["search", "2", "5", "3"], ["sweep", "2", "5,3"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "specpol", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == "", argv
+        assert proc.returncode not in (0, 2), argv
 
 
 def test_unpruned_plane_search_at_k1_is_refused_by_the_configuration_budget(capsys):
@@ -639,9 +691,8 @@ def test_readme_command_block_runs(capsys):
             assert out.strip() == expected.group(1), line
 
 
-# One command line per path into the library: a file source is the only one
-# that reaches make_spectrum, `region 2` the only one that reaches
-# lemma1_region_k2, and `region k` with k >= 3 the one that reaches
+# One command line per path into the library: `region 2` is the only one that
+# reaches lemma1_region_k2, and `region k` with k >= 3 the one that reaches
 # dimension_excluded.
 REACH_COMMANDS = [
     ["spectrum", "germ", "A2", "--vars", "4"],
@@ -664,6 +715,7 @@ LIBRARY_ONLY = {
     "corank_curve": "test_implied_pool_filters_are_vacuous uses it",
     "sectional_milnor_plane": "huh_inequality_holds calls it; the search applies huh per family",
     "multiplicity_curve": "huh_inequality_holds calls it; the search applies huh per family",
+    "make_spectrum": "a spectrum file is read over integer numerators; the tests build spectra with it",
 }
 
 
