@@ -18,7 +18,6 @@ ever evaluated in floating point.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -75,9 +74,6 @@ class Region:
             ],
             "notes": list(self.notes),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
 
 def ell(n: int, k: int) -> int:

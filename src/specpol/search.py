@@ -729,31 +729,24 @@ def enumerate_configurations(
 
 @dataclass(frozen=True)
 class HuhEntryResult:
+    """One bundled entry and its verdict: the problems found, in the order checked.
+
+    ``computed_pol`` is None for an entry whose total Milnor number exceeds
+    (d-1)^n; an entry with no problems is ok.
+    """
+
     key: str
     configuration: Configuration
     expected_pol: int
     computed_pol: Optional[int]
-    pol_ok: bool
-    semicontinuity_ok: bool
-    in_survivors: bool
+    problems: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return self.pol_ok and self.semicontinuity_ok and self.in_survivors
+        return not self.problems
 
     def diagnosis(self) -> str:
-        if self.ok:
-            return "ok"
-        problems = []
-        if not self.pol_ok:
-            problems.append(
-                f"polar degree {self.computed_pol} != expected {self.expected_pol}"
-            )
-        if not self.semicontinuity_ok:
-            problems.append("fails semicontinuity")
-        if not self.in_survivors:
-            problems.append("missing from search survivors")
-        return "; ".join(problems)
+        return "; ".join(self.problems) or "ok"
 
     def to_json_obj(self) -> dict:
         return {
@@ -780,9 +773,6 @@ class HuhVerification:
             "entries": [e.to_json_obj() for e in self.entries],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
-
 
 def load_huh_lists() -> list[tuple[str, Configuration, int]]:
     """The 15 bundled reference configurations with their stated polar degrees."""
@@ -800,12 +790,14 @@ def load_huh_lists() -> list[tuple[str, Configuration, int]]:
 def verify_huh_lists(workers: int = 1) -> HuhVerification:
     """Check every bundled entry: stated polar degree, semicontinuity, search membership.
 
-    ``workers`` is passed to `enumerate_configurations`, which ignores it.
+    Each failed check adds its problem to the entry's ``problems``, in that
+    order: ``polar degree <computed> != expected <stated>``, ``fails
+    semicontinuity`` and ``missing from search survivors``.  ``workers`` is
+    passed to `enumerate_configurations`, which ignores it.
     """
-    entries = load_huh_lists()
     search_cache: dict[tuple[int, int, int], SearchReport] = {}
     results = []
-    for key, config, expected in entries:
+    for key, config, expected in load_huh_lists():
         try:
             computed: Optional[int] = polar_degree(config)
         except InfeasibleConfigurationError:
@@ -813,16 +805,10 @@ def verify_huh_lists(workers: int = 1) -> HuhVerification:
         params = (config.n, config.d, expected)
         if params not in search_cache:
             search_cache[params] = enumerate_configurations(*params, workers=workers)
-        report = search_cache[params]
-        results.append(
-            HuhEntryResult(
-                key=key,
-                configuration=config,
-                expected_pol=expected,
-                computed_pol=computed,
-                pol_ok=computed == expected,
-                semicontinuity_ok=check_configuration(config).holds,
-                in_survivors=config in report.survivors,
-            )
-        )
+        problems = [] if computed == expected else [f"polar degree {computed} != expected {expected}"]
+        if not check_configuration(config).holds:
+            problems.append("fails semicontinuity")
+        if config not in search_cache[params].survivors:
+            problems.append("missing from search survivors")
+        results.append(HuhEntryResult(key, config, expected, computed, tuple(problems)))
     return HuhVerification(tuple(results))

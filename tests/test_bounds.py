@@ -27,6 +27,10 @@ def test_ell_values():
     assert ell(2, 0) == 0
     assert ell(5, 0) == 0
     assert ell(2, 1) == 1
+    with pytest.raises(ValueError, match="need n >= 1"):
+        ell(0, 1)
+    with pytest.raises(ValueError, match="need k >= 0"):
+        ell(1, -1)
 
 
 def test_ell_definition_is_tight():

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from io import BytesIO, StringIO, TextIOWrapper
 from pathlib import Path
 from unittest import mock
@@ -342,6 +343,17 @@ def test_sweep_reports_an_infeasible_pair_and_goes_on(capsys):
     assert _sweep_blocks(capsys, "5", "2,4", "2,3") == blocks[1:2] + blocks[:1]
 
 
+def test_sweep_stops_at_a_pair_the_search_refuses(capsys):
+    # (2,300000) is refused by the diagonal-germ budget: the block of (5,3)
+    # before it is printed, then one error line and status 2
+    _, block, _ = invoke(capsys, "search", "5", "3", "2")
+    assert invoke(capsys, "sweep", "2", "5,3", "2,300000") == (
+        2,
+        block + "\n",
+        "error: (n=2, d=300000, k=2): the diagonal-germ spectrum for n=2, d=300000 takes more than 1000000 steps\n",
+    )
+
+
 def test_verify_huh(capsys):
     code, out, _ = invoke(capsys, "verify-huh")
     assert code == 0
@@ -350,8 +362,78 @@ def test_verify_huh(capsys):
     assert json.loads(out)["all_ok"] is True
 
 
-def test_usage_errors_exit_two(capsys):
+def test_verify_huh_reports_each_failing_entry(monkeypatch, capsys):
+    # four entries that fail: a wrong stated polar degree, a configuration
+    # that fails semicontinuity, one missing from its search's survivors and
+    # an infeasible one (total Milnor number 5 > (3-1)^2).  The search keeps
+    # exactly the configurations that pass the other two checks, so the third
+    # entry is taken out of the report by hand to fail on that count alone.
+    def config(n, d, *germs):
+        return specpol.Configuration.from_json_obj({"n": n, "d": d, "germs": list(germs)})
+
+    entries = [
+        ("bad:pol", config(2, 3, "A2"), 1),
+        ("bad:semi", config(2, 4, "A1", "A2", "A2", "A2"), 2),
+        ("bad:miss", config(2, 4, "A7"), 2),
+        ("bad:infs", config(2, 3, "A5"), 2),
+    ]
+    search_all = specpol.search.enumerate_configurations
+
+    def search_without_the_third(*args, **kwargs):
+        report = search_all(*args, **kwargs)
+        return replace(report, survivors=tuple(c for c in report.survivors if c != entries[2][1]))
+
+    monkeypatch.setattr(specpol.search, "load_huh_lists", lambda: entries)
+    monkeypatch.setattr(specpol.search, "enumerate_configurations", search_without_the_third)
+    missing = "missing from search survivors"
+    expected = [
+        ("bad:pol", [3, ["A2"]], 1, 2, f"polar degree 2 != expected 1; {missing}"),
+        ("bad:semi", [4, ["A1", "A2", "A2", "A2"]], 2, 2, f"fails semicontinuity; {missing}"),
+        ("bad:miss", [4, ["A7"]], 2, 2, missing),
+        ("bad:infs", [3, ["A5"]], 2, None, f"polar degree None != expected 2; fails semicontinuity; {missing}"),
+    ]
+    objs = [
+        {
+            "key": key,
+            "configuration": {"n": 2, "d": d, "germs": germs},
+            "expected_pol": expected_pol,
+            "computed_pol": computed_pol,
+            "ok": False,
+            "diagnosis": diagnosis,
+        }
+        for key, (d, germs), expected_pol, computed_pol, diagnosis in expected
+    ]
+    verification = specpol.verify_huh_lists()
+    assert not verification.all_ok
+    assert [(e.ok, e.diagnosis()) for e in verification.entries] == [(False, obj["diagnosis"]) for obj in objs]
+    assert [e.to_json_obj() for e in verification.entries] == objs
+
+    assert invoke(capsys, "verify-huh") == (
+        0,
+        f"bad:pol    (n=2, d=3; A2)  pol=1  FAIL (polar degree 2 != expected 1; {missing})\n"
+        f"bad:semi   (n=2, d=4; A1, A2, A2, A2)  pol=2  FAIL (fails semicontinuity; {missing})\n"
+        f"bad:miss   (n=2, d=4; A7)  pol=2  FAIL ({missing})\n"
+        f"bad:infs   (n=2, d=3; A5)  pol=2  FAIL (polar degree None != expected 2; fails semicontinuity; {missing})\n"
+        "0/4 entries pass\n",
+        "",
+    )
+    out = json.dumps({"all_ok": False, "entries": objs}, sort_keys=True, separators=(",", ":")) + "\n"
+    assert invoke(capsys, "verify-huh", "--json") == (0, out, "")
+
+
+def test_usage_errors_exit_two(tmp_path, capsys):
     assert invoke(capsys, "spectrum", "germ", "Q9")[0] == 2
+    assert invoke(capsys, "deg", "germ:A2:3:4", "--from=0", "--to=1") == (
+        2, "", "error: bad germ source 'germ:A2:3:4'; use germ:<class>[:<vars>]\n"
+    )
+    assert invoke(capsys, "deg", "fermat:2", "--from=0", "--to=1") == (
+        2, "", "error: bad fermat source 'fermat:2'; use fermat:<n>:<d>\n"
+    )
+    config_file = tmp_path / "config.json"
+    config_file.write_text("[1]")
+    assert invoke(capsys, "check", "--config", str(config_file)) == (
+        2, "", "error: a configuration is a JSON object, got [1]\n"
+    )
     assert invoke(capsys, "deg", "fermat:5:3", "--from", "x", "--to", "2")[0] == 2
     assert invoke(capsys, "deg", "fermat:5:3", "--from=1/0", "--to", "2")[0] == 2
     assert invoke(capsys, "pol", "--config", '{"n":2,"d":3,"germs":["A9"]}')[0] == 2

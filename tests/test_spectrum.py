@@ -95,6 +95,8 @@ def test_shift_and_suspend():
     assert one.shift(F(0)) == one
     assert one.suspend(2).support == (F(1),)
     assert one.suspend(0) == one
+    with pytest.raises(ValueError, match="suspension count must be >= 0"):
+        one.suspend(-1)
     a2 = make_spectrum([(F(-1, 6), 1), (F(1, 6), 1)])
     assert a2.shift(F(1)).support == (F(5, 6), F(7, 6))
 
@@ -279,6 +281,11 @@ def test_is_symmetric():
     assert fermat_spectrum(5, 3).is_symmetric(F(3, 2))
     assert not make_spectrum([(F(0), 1), (F(1), 2)]).is_symmetric(F(1, 2))
     assert make_spectrum([]).is_symmetric(F(0))
+    # 1/7 is no spectral number of the plane cubic, nor its centre: twice
+    # 1/7 is not a multiple of 1/3, the step of its spectral numbers
+    cubic = fermat_spectrum(2, 3)
+    assert cubic.multiplicity(F(1, 7)) == 0
+    assert cubic.is_symmetric(F(1, 7)) is False
 
 
 def test_unit_window_degree_kinds():
