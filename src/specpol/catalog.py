@@ -24,10 +24,12 @@ spectrum is the expansion of
     (t^w1 - t)/(1 - t^w1) * (t^w2 - t)/(1 - t^w2)
 
 in fractional powers of t: one spectral number (a+1) w1 + (b+1) w2 - 1 per
-monomial x^a y^b of a basis of the Milnor algebra.  :func:`curve_spectrum`
+monomial x^a y^b of a basis of the Milnor algebra.  `_curve_progressions`
 writes these sums in closed form, as one or two arithmetic progressions of
-numerators per family; the test suite keeps the generating-function
-expansion itself as an independent oracle.  Spectra are stored in the
+numerators per family (J(k, i>0) takes six, and numbers at 0), and
+:func:`curve_spectrum` builds its spectrum from them; a search reads the
+progressions alone.  The test suite keeps the generating-function expansion
+itself as an independent oracle.  Spectra are stored in the
 convention where a curve spectrum is symmetric about 0 and contained in
 ]-1, 1[; an ambient-n germ spectrum is the (n-2)-fold suspension of its curve
 spectrum.
@@ -55,7 +57,7 @@ from functools import lru_cache
 from itertools import chain
 from math import lcm
 from operator import neg
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .spectrum import Spectrum, _suspended, from_numerators
 
@@ -169,6 +171,10 @@ MAX_EXPANSION_LENGTH = 500_000
 #: (den, numerators, multiplicities): a spectrum before the Spectrum constructor
 _Parts = tuple[int, Sequence[int], Sequence[int]]
 
+#: (den, ranges, zero): a curve spectrum as the multiset sum of the ranges of
+#: numerators over den, plus ``zero`` more numbers at 0
+_Progressions = tuple[int, tuple[range, ...], int]
+
 
 def _disjoint(den: int, *progressions: range) -> _Parts:
     # progressions of numerators over den that share no number, each once
@@ -176,7 +182,7 @@ def _disjoint(den: int, *progressions: range) -> _Parts:
     return den, nums, (1,) * len(nums)
 
 
-def _j_negative_part(k: int, i: int) -> tuple[int, Iterable[int]]:
+def _j_negative_part(k: int, i: int) -> tuple[int, tuple[range, range, range]]:
     # Negative spectral numbers of the J(k, i>0) curve germ as numerators over
     # their common denominator den: group 1, -2k+1 .. floor(-3k/2) and
     # -k+1 .. -1 over 3k, then group 2, the numerators above -(3k+i) with the
@@ -187,34 +193,64 @@ def _j_negative_part(k: int, i: int) -> tuple[int, Iterable[int]]:
     low2 = -(3 * k + i) + 1
     low2 += (low2 - i) % 2
     assert 2 * low2 > -den2, "second-group value not above -1/2"
-    return den, chain(
+    return den, (
         range((-2 * k + 1) * f1, ((-3 * k) // 2 + 1) * f1, f1),
         range((-k + 1) * f1, 0, f1),
         range(low2 * f2, 0, 2 * f2),
     )
 
 
-# A search reads each pool class's spectrum in its root walk, lightest germ
-# first (the walk stops early where the root is not cut), and, below the
-# root, once more for the tables of the DFS, in the walk's order, so the
-# classes the walk read last are still cached; the leaves read those tables'
-# spectra and no cache.  Of the pairs of k = 2..12 the search still lists
-# a pool for, (2,19,9) has the largest, 8,739 classes, read once by a walk that
-# cuts the root: unbounded, the cache keeps them all and the search peaks at
-# 113 MB, against 36 MB at this size (1.3-1.5 s either way).  The largest pool
-# searched below the root, the 1,172 classes of (2,12,11), is over this size,
-# yet from a cleared cache its search builds each spectrum once (1,172
-# misses), and it peaks at 19 MB either way.
+def _curve_progressions(fam: str, k: int, i: int) -> _Progressions:
+    """The curve spectrum of the class (fam, k, i) as progressions of numerators.
+
+    Returns (den, ranges, zero): the spectrum is the multiset sum of the
+    members of ``ranges``, each a number over den, plus ``zero`` numbers at
+    0 that no range lists.  The ranges are those of `curve_spectrum`'s
+    docstring: one for A, two for D (their overlap is the double 0 of even
+    k), two for E, 1-2k .. k-1 and 1-k .. 2k-1 over 3k for J(k,0) (their
+    overlap is the doubled middle), and for J(k, i>0) the three negative
+    ranges of `_j_negative_part` and their mirror images, with the rest of
+    the Milnor number at 0.  A class with Milnor number over
+    MAX_EXPANSION_LENGTH is refused with a ValueError before any range is
+    made.  Taken from the class's fields, so that no GermClass is built.
+    """
+    mu = 6 * k - 2 + i if fam == "J" else k  # GermClass.milnor
+    if mu > MAX_EXPANSION_LENGTH:
+        raise ValueError(f"the spectrum of {GermClass(fam, k, i)} has more than {MAX_EXPANSION_LENGTH} spectral numbers")
+    if fam == "A":
+        return 2 * k + 2, (range(1 - k, k, 2),), 0
+    if fam == "D":
+        return 2 * k - 2, (range(2 - k, k - 1, 2), range(0, 1)), 0
+    if fam == "E":
+        r, res = divmod(k, 6)
+        if res == 1:
+            return 6 * r + 3, (range(-4 * r, 4 * r + 1, 2), range(1 - 2 * r, 2 * r, 2)), 0
+        m = 3 * r + 1 + res // 2
+        return 3 * m, (range(3 - 2 * m, m, 3), range(3 - m, 2 * m, 3)), 0
+    if i == 0:
+        return 3 * k, (range(1 - 2 * k, k), range(1 - k, 2 * k)), 0
+    den, negatives = _j_negative_part(k, i)
+    zero = mu - 2 * sum(map(len, negatives))
+    assert zero >= 0, f"negative multiplicity at 0 for J{k}_{i}"
+    # each negative range is non-empty; its mirror holds the negatives of its members
+    mirrors = tuple(range(-r[-1], 1 - r[0], r.step) for r in negatives)
+    return den, negatives + mirrors, zero
+
+
+# The cache serves `check` (one spectrum per distinct class of the
+# configuration), `verify-huh`, whose 15 checks read 10 classes (17 hits),
+# and the command line's `spectrum germ`, `deg` and `check`.  A search reads
+# no curve spectrum: it reads each pool class as its progressions
+# (`_curve_progressions`).  1,024 entries keep every class of the largest
+# pool of k = 2, the 946 classes of (2,11,2).
 CURVE_CACHE_SIZE = 1024
 
 # The largest Milnor number whose curve spectrum the cache keeps, so that the
 # cache holds at most CURVE_CACHE_SIZE * CURVE_CACHE_MAX_MILNOR spectral
 # numbers (1,024 A, D and J classes of mu 1,707 to 2,048 take 148 MB); a
-# larger class is built on each call.  Every class of a search pool
-# within MAX_POOL_CLASSES over all four families is kept (such a pool has mu
-# at most 1,540); a pool over a narrower whitelist can list larger classes,
-# and its search builds those twice, once in the root walk and once in
-# `build`.
+# larger class is built on each call.  Every class that a search pool within
+# MAX_POOL_CLASSES over all four families lists is kept (such a pool has mu
+# at most 1,540), so a `check` of a configuration drawn from one is cached.
 CURVE_CACHE_MAX_MILNOR = 2048
 
 
@@ -261,34 +297,21 @@ curve_spectrum.cache_clear = _cached_curve_spectrum.cache_clear
 def _curve_parts(fam: str, k: int, i: int) -> _Parts:
     # den, increasing numerators and their multiplicities: the curve spectrum
     # of the class (fam, k, i) before the Spectrum constructor checks and
-    # reduces them; taken from the class's fields, so that a cache miss
-    # builds no GermClass
-    mu = 6 * k - 2 + i if fam == "J" else k  # GermClass.milnor
-    if mu > MAX_EXPANSION_LENGTH:
-        raise ValueError(f"the spectrum of {GermClass(fam, k, i)} has more than {MAX_EXPANSION_LENGTH} spectral numbers")
-    if fam == "A":
-        return _disjoint(2 * k + 2, range(1 - k, k, 2))
-    if fam == "D":
-        if k % 2:
-            return _disjoint(2 * k - 2, range(2 - k, k - 1, 2), range(0, 1))
+    # reduces them, from the ranges of `_curve_progressions`
+    den, ranges, at_zero = _curve_progressions(fam, k, i)
+    if fam == "D" and k % 2 == 0:
         mults = [1] * (k - 1)
         mults[k // 2 - 1] = 2
-        return 2 * k - 2, range(2 - k, k - 1, 2), mults
-    if fam == "E":
-        r, res = divmod(k, 6)
-        if res == 1:
-            return _disjoint(6 * r + 3, range(-4 * r, 4 * r + 1, 2), range(1 - 2 * r, 2 * r, 2))
-        m = 3 * r + 1 + res // 2
-        return _disjoint(3 * m, range(3 - 2 * m, m, 3), range(3 - m, 2 * m, 3))
+        return den, ranges[0], mults
+    if fam != "J":
+        return _disjoint(den, *ranges)
     if i == 0:
-        return 3 * k, range(1 - 2 * k, 2 * k), (1,) * k + (2,) * (2 * k - 1) + (1,) * k
-    den, negatives = _j_negative_part(k, i)
-    # the two groups can share a number, so merge them; then mirror about 0
-    merged = Counter(negatives)
+        return den, range(1 - 2 * k, 2 * k), (1,) * k + (2,) * (2 * k - 1) + (1,) * k
+    # the two negative groups can share a number, so merge them; then mirror
+    # about 0
+    merged = Counter(chain(*ranges[:3]))
     nums = sorted(merged)
-    mults = [merged[x] for x in nums]
-    at_zero = mu - 2 * sum(mults)
-    assert at_zero >= 0, f"negative multiplicity at 0 for J{k}_{i}"
+    mults = list(map(merged.__getitem__, nums))
     middle_nums, middle_mults = ([0], [at_zero]) if at_zero else ([], [])
     return den, nums + middle_nums + list(map(neg, reversed(nums))), mults + middle_mults + mults[::-1]
 

@@ -72,18 +72,22 @@ Filters:
   them all 14 whose pools are over the budget; without it, 33 of the 51.
 * Root walk (part of ``semicontinuity``): at the root the bound is a
   single-window certificate, and it is decided before any window vector is
-  built.  The walk takes the pool lightest germ first and counts each germ
-  only on the lanes that can still certify the root; a lane drops out at the
-  first germ whose density is too low (`_SearchContext._root_is_cut` has the
-  proof that this is exactly the lookahead's test at the root).  If a lane
-  is left at the end, the search reports a cut root and builds, packs and
-  visits nothing more: of the pairs the lemma leaves, (2,7), (2,9), (2,11)
-  and (4,3) at k = 2 and 6 of the 12 at k = 3 end there.  Otherwise the
-  vectors are built from one cell table (`_SearchContext.build`) and the DFS
-  runs as above.  The walk, the vectors and the leaves all count curve
-  spectra against the target moved down once by (n-2)/2, the amount a germ
-  spectrum (the (n-2)-fold suspension) lies above its curve spectrum: moving
-  both spectra moves every test point along and changes no count.
+  built.  The walk takes one lane at a time and counts the pool in it
+  lightest germ first; the lane dies at the first germ whose density is too
+  low, and the first lane that outlives the whole pool cuts the root
+  (`_SearchContext._root_is_cut` has the proof that this is exactly the
+  lookahead's test at the root).  Then the search reports a cut root and
+  builds, packs and visits nothing more: of the pairs the lemma leaves,
+  (2,7), (2,9), (2,11) and (4,3) at k = 2 and 6 of the 12 at k = 3 end
+  there.  Otherwise the vectors are built from one cell table
+  (`_SearchContext.build`) and the DFS runs as above.  No `Spectrum` of a
+  pool class is built: the walk, the vectors and the leaves read each
+  class as the arithmetic progressions of numerators that its curve
+  spectrum is (`catalog._curve_progressions`), the walk counting a
+  progression in a window in closed form.  They count curve spectra
+  against the target moved down once by (n-2)/2, the amount a germ
+  spectrum (the (n-2)-fold suspension) lies above its curve spectrum:
+  moving both spectra moves every test point along and changes no count.
 
 Reported counts: ``examined`` is the number of complete configurations that
 reached the target Milnor sum and entered per-configuration checking;
@@ -121,7 +125,7 @@ from itertools import accumulate, chain
 from math import lcm
 from typing import Iterable, Optional
 
-from .catalog import FAMILIES, GermClass, curve_spectrum, fermat_spectrum
+from .catalog import FAMILIES, GermClass, _curve_progressions, _Progressions, fermat_spectrum
 from .polar import Configuration, InfeasibleConfigurationError, diagonal_milnor, polar_degree
 from .semicontinuity import check_configuration, check_windows, window_counts
 from .spectrum import EMPTY, NEG_INF, deg_window
@@ -372,6 +376,29 @@ def _lanes(rhs: list[int], bound: int) -> tuple[int, int, int]:
     return width, _pack([half - 1 - r for r in rhs], width), _pack([half] * len(rhs), width)
 
 
+def _window_count(progressions: _Progressions, den: int, t: int, closed: bool) -> int:
+    """The count of a class's progressions in ]t/den, t/den + 1], or ]t/den, t/den + 1[.
+
+    ``progressions`` is (s, ranges, zero) of `catalog._curve_progressions`.
+    The thresholds are those of `window_counts` on the numerators x over s:
+    x > floor(t*s/den) on the left, and x <= floor((t+den)*s/den) on the
+    right of a closed window, x <= ceil((t+den)*s/den) - 1 of an open one.
+    The members of range(a, b, step) up to v number
+    min(len, (v - a)//step + 1) when v >= a, and none below a.
+    """
+    s, ranges, zero = progressions
+    low, right = t * s // den, (t + den) * s
+    high = right // den if closed else -(-right // den) - 1
+    count = zero if low < 0 <= high else 0
+    for r in ranges:
+        a = r.start
+        if high >= a:
+            count += min(len(r), (high - a) // r.step + 1)
+            if low >= a:
+                count -= min(len(r), (low - a) // r.step + 1)
+    return count
+
+
 def _count_configurations(total: int, families: Iterable[str], cap: int) -> int:
     """How many multisets of classes of ``families`` have Milnor sum ``total``, up to ``cap``.
 
@@ -440,7 +467,9 @@ class _SearchContext:
     (`_root_is_cut`); the tables of `build` are made only if it is not cut.
     The DFS of every default search reads all T + 1 lookahead entries (at
     (2,3,2), (3,3,2), (2,4,2), (2,5,2), (2,6,2), (2,7,7), (2,9,8), (2,12,11)
-    and (5,3,7)), so `build` makes them all.
+    and (5,3,7)), so `build` makes them all.  The walk, `build` and the
+    leaves read pool class i as ``progressions[i]``, (den, ranges, zero)
+    of `catalog._curve_progressions`; no class's `Spectrum` is built.
     """
 
     def __init__(self, n: int, d: int, k: int, families: frozenset[str], filters: SearchFilters):
@@ -462,6 +491,9 @@ class _SearchContext:
         self.rank = sorted(range(len(canonical)), key=lambda r: -canonical[r].milnor)
         self.pool = [canonical[r] for r in self.rank]
         self.mus = [g.milnor for g in self.pool]
+        # each class's curve spectrum as progressions of numerators; no
+        # Spectrum of a pool class is built
+        self.progressions = [_curve_progressions(g.family, g.k, g.i) for g in self.pool]
         # in the frame of the curve spectra (see the module docstring)
         self.target = fermat_spectrum(n, d).shift(Fraction(2 - n, 2))
         # the lanes, at -2 < t/den < 1 (see the class docstring); none and high == 0 without semicontinuity
@@ -484,30 +516,31 @@ class _SearchContext:
         The root is cut exactly when some lane j has T * x_j/m_j > rhs_j,
         with T = target_mu and x_j/m_j the least density of lane j over the
         whole pool (see `build`; rhs_j is an integer, so the ceiling
-        changes nothing).  The walk counts each germ on the lanes still live
-        only, with one `window_counts` call, lightest germ first; the order
-        decides only how soon lanes drop (with A in the whitelist A1 comes
-        first, whose one spectral number is the centre, and drops every lane
-        whose window misses it).
-        A lane is dropped at the first germ g with
+        changes nothing).  The walk takes one lane at a time and counts the
+        pool's classes in it lightest first, each in closed form from its
+        progressions (`_window_count`); the order decides only how soon a
+        lane dies (with A in the whitelist A1 comes first, whose one
+        spectral number is the centre, and kills every lane whose window
+        misses it).  A lane dies at the first class g with
         T * count_j(g) <= rhs_j * mu_g: the least density is at most that
-        germ's, so the lane cannot certify the root.  (No window with
-        rhs_j >= T is a lane: a density is at most 1, so none would be
-        live.)  A lane live after the whole pool has every density above
-        rhs_j/T, its least one included, so it certifies the root; the lanes
-        live at the end are exactly those whose bit is set in
-        (start + lookahead[T]) & high.
+        class's, so the lane cannot certify the root.  (No window with
+        rhs_j >= T is a lane: a density is at most 1, so such a window
+        would die at the first class.)  A lane that outlives the whole pool has
+        every density above rhs_j/T, its least one included, so it
+        certifies the root, and the walk stops there; the lanes that would
+        outlive the pool are exactly those whose bit is set in
+        (start + lookahead[T]) & high.  Each lane's test is the one of a
+        walk over all live lanes at once, so the verdict is too.
         """
-        T, den, live = self.target_mu, self.den, list(zip(self.lanes, self.rhs))
-        for g in reversed(self.pool):
-            if not live:
-                return False
-            counts = window_counts(curve_spectrum(g), den, [w for w, _ in live])
-            live = [(w, r) for (w, r), x in zip(live, counts) if T * x > r * g.milnor]
-        return bool(live)
+        T, den = self.target_mu, self.den
+        lightest_first = list(zip(reversed(self.mus), reversed(self.progressions)))
+        for (t, closed), r in zip(self.lanes, self.rhs):
+            if all(T * _window_count(p, den, t, closed) > r * mu for mu, p in lightest_first):
+                return True
+        return False
 
     def build(self) -> None:
-        """Every table the DFS reads: pool spectra, packed window vectors, lookahead.
+        """Every table the DFS reads: packed window vectors, lookahead, leaf frame.
 
         The vectors come from one cell table.  The lane endpoints t and
         t + den, sorted as e_0 < ... < e_(m-1), cut the line into cells:
@@ -518,8 +551,11 @@ class _SearchContext:
         cell bisect_right(bounds, 2q + (r > 0)), with q, r = divmod(y*den, s)
         and bounds = 2e_i, 2e_i + 1 per endpoint: its place over den is q
         exactly when r is 0, and strictly between q and q + 1 otherwise.  So
-        a germ's packed vector is the sum of its multiplicities times their
-        cells' ints, the counts `window_counts(s, den, lanes)` gives.
+        a class's packed vector is its cells' ints summed over the members
+        of its progressions, once per member (a number that two ranges
+        list is counted twice, as its multiplicity says), plus ``zero``
+        times the cell of 0: the counts `window_counts(s, den, lanes)` gives
+        on its curve spectrum s, which is never built.
         """
         width, den, high, T = self.width, self.den, self.high, self.target_mu
         # No carry between lanes: a node tests acc + lookahead, where acc is its
@@ -528,8 +564,6 @@ class _SearchContext:
         # at most the r - mu_g left after it, so a lane gains at most
         # r <= target_mu < 2^(B-1) and stays below 2^B.
         assert max(self.mus, default=0) <= T < 1 << (width - 1)
-        # in the root walk's order, so what it read last is still cached
-        self.spectra = [curve_spectrum(g) for g in reversed(self.pool)][::-1]
         ends = sorted({e for t, _ in self.lanes for e in (t, t + den)})
         cell_of = {e: 2 * i + 1 for i, e in enumerate(ends)}
         diff = [0] * (2 * len(ends) + 1)
@@ -539,12 +573,14 @@ class _SearchContext:
             diff[cell_of[t + den] + closed] -= 1 << (j * width)
         cells = list(accumulate(diff))
         bounds = [b for e in ends for b in (2 * e, 2 * e + 1)]
+        at_zero = cells[bisect_right(bounds, 0)]
         self.packed = []
-        for s in self.spectra:
-            places = (divmod(y * den, s.den) for y in s.nums)
-            self.packed.append(
-                sum(m * cells[bisect_right(bounds, 2 * q + (r > 0))] for (q, r), m in zip(places, s.mults))
-            )
+        for s, ranges, zero in self.progressions:
+            vec = zero * at_zero
+            for y in chain(*ranges):
+                q, r = divmod(y * den, s)
+                vec += cells[bisect_right(bounds, 2 * q + (r > 0))]
+            self.packed.append(vec)
         # Per lane, the least density vec_g[j]/mu_g over the whole pool as
         # xs[j]/ms[j]; it starts at 1/1, the largest density (a germ has mu_g
         # spectral numbers), which also bounds an empty pool: that has no
@@ -572,18 +608,20 @@ class _SearchContext:
         # the leaf's frame, where every pool number is an integer, and its
         # tables, filled per class at its first leaf; the target needs no
         # place in it, as `window_counts` counts in windows over any den
-        self.frame = lcm(*(s.den for s in self.spectra))
+        self.frame = lcm(*(s for s, _, _ in self.progressions))
         self.frame_numbers: list[Optional[list[int]]] = [None] * len(self.pool)
         self.frame_bound: dict[int, int] = {}
 
     def _frame_numbers_of(self, i: int) -> list[int]:
-        # pool class i's numbers over the frame, repeated by multiplicity, and
-        # the target's count in ]x - L, x] at each new number x
-        s, L, bound = self.spectra[i], self.frame, self.frame_bound
-        nums = [x * (L // s.den) for x in s.nums]
-        new = [x for x in nums if x not in bound]
+        # pool class i's numbers over the frame, sorted and repeated by
+        # multiplicity, and the target's count in ]x - L, x] at each new
+        # number x
+        (s, ranges, zero), L, bound = self.progressions[i], self.frame, self.frame_bound
+        scale = L // s
+        nums = [x * scale for x in sorted(chain([0] * zero, *ranges))]
+        new = [x for x in dict.fromkeys(nums) if x not in bound]
         bound.update(zip(new, window_counts(self.target, L, [(x - L, True) for x in new])))
-        return [x for x, m in zip(nums, s.mults) for _ in range(m)]
+        return nums
 
     def leaf_passes(self, germs: list[int]) -> bool:
         """Whether the complete configuration of pool indices ``germs`` passes the check.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import comb, lcm
 
 import pytest
@@ -24,7 +24,7 @@ from specpol import (
     parse_germ,
     germ_pool,
 )
-from specpol.catalog import CURVE_CACHE_MAX_MILNOR, MAX_EXPANSION_LENGTH
+from specpol.catalog import CURVE_CACHE_MAX_MILNOR, MAX_EXPANSION_LENGTH, _curve_progressions
 from specpol.spectrum import NEG_INF
 from oracles import (
     NotWeightedHomogeneousError,
@@ -465,6 +465,33 @@ def test_curve_spectra_equal_from_numerators_up_to_mu_400():
             _assert_same(s, spectrum_from_weights(*weights(g)))
             expanded += 1
     assert expanded == 400 + 397 + 198 + 66
+
+
+def test_progressions_equal_the_curve_spectra_up_to_mu_400():
+    # A search reads each class as its progressions and builds no spectrum:
+    # the members of the ranges, with the extra numbers at 0, must be the
+    # curve spectrum, multiplicities included, and the numbers of
+    # `_curve_numerators`, one per basis element (cross-multiplied, as the
+    # denominators can differ), which curve_spectrum does not share.  Every
+    # J(k, i) with 6k - 2 + i <= 400 is among the classes, at both parities
+    # of i; the ranges of even D and J(k, 0) overlap, and so do some
+    # J(k, i>0) groups.
+    j_parities, overlapping = set(), 0
+    for g in germ_pool(2, 400):
+        den, ranges, zero = _curve_progressions(g.family, g.k, g.i)
+        members = [*chain(*ranges), *[0] * zero]
+        assert from_numerators(den, ((x, 1) for x in members)) == curve_spectrum(g), g
+        basis_den, basis = _curve_numerators(g)
+        assert sorted(x * basis_den for x in members) == sorted(x * den for x in basis), g
+        overlapping += len(set(chain(*ranges))) < sum(map(len, ranges))
+        if g.family == "J" and g.i > 0:
+            j_parities.add(g.i % 2)
+            # three negative ranges, then their mirror images
+            assert len(ranges) == 6 and all(max(r) < 0 for r in ranges[:3]), g
+            assert [sorted(-x for x in r) for r in ranges[:3]] == [list(r) for r in ranges[3:]], g
+        else:
+            assert zero == 0, g
+    assert j_parities == {0, 1} and overlapping >= 199 + 66, (j_parities, overlapping)
 
 
 def _assert_same(x, y):

@@ -7,7 +7,7 @@ import json
 import random
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from pathlib import Path
 
 import pytest
@@ -47,6 +47,7 @@ from specpol.search import (
     _pack,
     _run_search,
     _SearchContext,
+    _window_count,
     centred_window_certificate,
 )
 from specpol.semicontinuity import (
@@ -55,7 +56,7 @@ from specpol.semicontinuity import (
     window_test_points,
 )
 from specpol import catalog
-from specpol.catalog import CURVE_CACHE_MAX_MILNOR
+from specpol.catalog import CURVE_CACHE_MAX_MILNOR, _curve_progressions
 from specpol.spectrum import EMPTY
 from oracles import brute_deg, newton_diagram_negatives, spectrum_from_weights, weights
 
@@ -219,7 +220,9 @@ def test_centred_window_certificates_agree_with_the_explicit_search(monkeypatch)
 def test_curve_spectrum_cache_is_bounded():
     maxsize = curve_spectrum.cache_info().maxsize
     assert maxsize is not None
-    # room for the largest pool of the k=2 region, (2,11,2)
+    # no search reads the cache (see `test_a_search_builds_no_spectrum`); it
+    # keeps every class of the largest pool of the k=2 region, (2,11,2), for
+    # the checks of configurations drawn from it
     assert maxsize >= germ_pool_size((11 - 1) ** 2 - 2)
     # a pool within the pool budget has no class the cache would not keep
     assert germ_pool_size(CURVE_CACHE_MAX_MILNOR + 1) > MAX_POOL_CLASSES
@@ -232,8 +235,9 @@ def test_curve_spectrum_cache_keeps_one_entry_per_curve_class(monkeypatch):
     assert curve_spectrum(parse_germ("J3_4", 2)) is curve_spectrum(parse_germ("J3_4", 7))
     info = curve_spectrum.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-    # verify-huh searches pairs of n = 2..5: every class it reads is built
-    # once, and the cache holds one entry per distinct curve class
+    # verify-huh checks configurations of n = 2..5 (its searches read no
+    # curve spectrum): every class it reads is built once, and the cache
+    # holds one entry per distinct curve class
     built = []
     real_parts = catalog._curve_parts
 
@@ -333,6 +337,28 @@ def test_window_counts_equal_deg_window(open_variant):
             assert window_counts(spec, den, windows) == expected
             told_apart += expected != [deg_window(spec, a, b) for a, b, _, _ in bounds]
     assert off_grid >= 10 and told_apart >= 10 * open_variant
+
+
+_POOL_120 = germ_pool(2, 120)
+
+
+@given(st.sampled_from(_POOL_120), st.data())
+def test_closed_form_counts_equal_window_counts(g, data):
+    # The root walk counts a class in a window from its progressions, in
+    # closed form; over any denominator and window (t, closed) that is the
+    # count of its curve spectrum.  Half the draws put an end of the window
+    # on one of the class's numbers, or one step beside it.
+    progressions = _curve_progressions(g.family, g.k, g.i)
+    s, ranges, zero = progressions
+    if data.draw(st.booleans()):
+        den = data.draw(st.integers(1, 400))
+        t = data.draw(st.integers(-3 * den, 2 * den))
+    else:
+        den = s * data.draw(st.integers(1, 3))
+        x = data.draw(st.sampled_from([*chain(*ranges), *[0] * zero])) * (den // s)
+        t = x - data.draw(st.sampled_from([0, den])) + data.draw(st.sampled_from([-1, 0, 1]))
+    closed = data.draw(st.booleans())
+    assert _window_count(progressions, den, t, closed) == window_counts(curve_spectrum(g), den, [(t, closed)])[0]
 
 
 @pytest.mark.parametrize("open_variant", [True, False])
@@ -576,23 +602,32 @@ def test_dfs_counts_are_pinned(n, d, k, open_variant, pruned, examined):
     assert report.examined == examined
 
 
-@pytest.mark.parametrize(
-    "n, d, k, open_variant, pruned, examined",
-    [(2, 4, 2, True, 4, 20), (2, 7, 4, False, 10624, 141)],
-)
-def test_dfs_reads_no_spectrum_once_the_context_is_built(n, d, k, open_variant, pruned, examined, monkeypatch):
-    # The leaves read the spectra `build` read; nothing after it fetches one.
-    filters = SearchFilters(open_variant=open_variant)
-    expected = set(enumerate_configurations(n, d, k, filters=filters).survivors)
-    ctx = _SearchContext(n, d, k, frozenset("ADEJ"), filters)
+def test_a_search_builds_no_spectrum(monkeypatch):
+    # The root walk, `build` and the leaves read each pool class as its
+    # progressions: no curve spectrum is built, from a cleared cache, for a
+    # root cut, (2,7,2), a pool over the cache size, the 1,172 classes of
+    # (2,12,11), searches that reach leaves, and one whose leaves fail the
+    # check.  (cuts, examined, survivors) stay pinned.
+    from specpol import search
 
-    def refuse(g):
-        raise AssertionError(f"curve_spectrum({g}) called by the DFS")
+    assert "curve_spectrum" not in vars(search)
 
-    monkeypatch.setattr("specpol.search.curve_spectrum", refuse)
-    survivors, dfs_examined, cuts = _run_search(ctx)
-    assert (cuts, dfs_examined) == (pruned, examined)
-    assert set(survivors) == expected
+    def refuse(*curve_class):
+        raise AssertionError(f"the spectrum of {curve_class} was built by a search")
+
+    curve_spectrum.cache_clear()
+    monkeypatch.setattr(catalog, "_curve_parts", refuse)
+    for (n, d, k), open_variant, counts in [
+        ((2, 7, 2), True, (1, 0, 0)),
+        ((2, 12, 11), True, (1370, 0, 0)),
+        ((2, 4, 2), True, (4, 20, 20)),
+        ((3, 3, 2), True, (9, 7, 7)),
+        ((2, 7, 4), False, (10624, 141, 128)),
+    ]:
+        report = enumerate_configurations(n, d, k, filters=SearchFilters(open_variant=open_variant))
+        assert (report.pruned_by_dict()["semicontinuity"], report.examined, len(report.survivors)) == counts
+    assert germ_pool_size(11**2 - 11) == 1172 > curve_spectrum.cache_info().maxsize
+    assert curve_spectrum.cache_info().currsize == 0
 
 
 def test_leaf_tables_are_built_for_the_classes_a_leaf_reads():
@@ -616,18 +651,6 @@ def test_leaf_tables_are_built_for_the_classes_a_leaf_reads():
         assert set(ctx.frame_bound) == {x for i in read for x in ctx.frame_numbers[i]}
         for x, bound in ctx.frame_bound.items():
             assert bound == deg_window(ctx.target, Fraction(x - L, L), Fraction(x, L), right_open=False)
-
-
-def test_a_pool_over_the_cache_size_builds_each_spectrum_once():
-    # (2,12,11) lists 1,172 classes, more than the curve-spectrum cache
-    # holds; `build` reads them in the root walk's order, so the classes the
-    # walk read last are still cached and every class is built once.
-    curve_spectrum.cache_clear()
-    report = enumerate_configurations(2, 12, 11)
-    info = curve_spectrum.cache_info()
-    ctx = _SearchContext(2, 12, 11, frozenset("ADEJ"), SearchFilters())
-    assert not ctx.root_cut and report.examined == 0
-    assert info.misses == len(ctx.pool) == 1172 > info.maxsize
 
 
 @pytest.mark.parametrize("n, d, k", [(2, 9, 2), (4, 4, 0), (2, 40, 2)])
