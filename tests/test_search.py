@@ -6,6 +6,7 @@ import functools
 import json
 import random
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, product
 from pathlib import Path
@@ -630,6 +631,28 @@ def test_a_search_builds_no_spectrum(monkeypatch):
     assert curve_spectrum.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize(
+    "n, d, k, open_variant, pruned, examined",
+    [(2, 4, 2, True, 4, 20), (2, 7, 4, False, 10624, 141)],
+)
+def test_dfs_reads_no_spectrum_once_the_context_is_built(n, d, k, open_variant, pruned, examined, monkeypatch):
+    # The DFS and the leaves read the progressions the context listed;
+    # nothing after it lists a class's progressions or builds its spectrum.
+    filters = SearchFilters(open_variant=open_variant)
+    expected = set(enumerate_configurations(n, d, k, filters=filters).survivors)
+    ctx = _SearchContext(n, d, k, frozenset("ADEJ"), filters)
+
+    def refuse(*curve_class):
+        raise AssertionError(f"{curve_class} read by the DFS")
+
+    monkeypatch.setattr("specpol.search._curve_progressions", refuse)
+    monkeypatch.setattr(catalog, "_curve_progressions", refuse)
+    monkeypatch.setattr(catalog, "_curve_parts", refuse)
+    survivors, dfs_examined, cuts = _run_search(ctx)
+    assert (cuts, dfs_examined) == (pruned, examined)
+    assert set(survivors) == expected
+
+
 def test_leaf_tables_are_built_for_the_classes_a_leaf_reads():
     # Every pool number is an integer over the frame.  (2,6,2) reaches no
     # leaf, so it tables nothing; (2,4,2) and (3,3,2) table the classes of
@@ -651,6 +674,29 @@ def test_leaf_tables_are_built_for_the_classes_a_leaf_reads():
         assert set(ctx.frame_bound) == {x for i in read for x in ctx.frame_numbers[i]}
         for x, bound in ctx.frame_bound.items():
             assert bound == deg_window(ctx.target, Fraction(x - L, L), Fraction(x, L), right_open=False)
+
+
+def test_a_pool_over_the_cache_size_builds_each_spectrum_once(monkeypatch):
+    # (2,12,11) lists 1,172 classes, more than the curve-spectrum cache
+    # holds; the search lists each class's progressions once, when its
+    # context is built, and leaves the cache empty.
+    from specpol import search
+
+    listed = Counter()
+
+    def counted(family, k, i):
+        listed[family, k, i] += 1
+        return catalog._curve_progressions(family, k, i)
+
+    curve_spectrum.cache_clear()
+    monkeypatch.setattr(search, "_curve_progressions", counted)
+    report = enumerate_configurations(2, 12, 11)
+    ctx = _SearchContext(2, 12, 11, frozenset("ADEJ"), SearchFilters())
+    assert not ctx.root_cut and report.examined == 0
+    assert set(listed) == {(g.family, g.k, g.i) for g in ctx.pool}
+    assert set(listed.values()) == {2}  # the search's context and this one
+    assert len(ctx.pool) == 1172 > curve_spectrum.cache_info().maxsize
+    assert curve_spectrum.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("n, d, k", [(2, 9, 2), (4, 4, 0), (2, 40, 2)])
