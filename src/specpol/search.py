@@ -52,9 +52,11 @@ Filters:
   density vec_g[j]/mu_g over the whole pool (a fractional-knapsack
   relaxation), and, counts being integers, at least ceil(remaining * rho_j).
   The germs a node may still take are a subset of the pool, so the
-  whole-pool rho_j bounds them too; the packed bounds are a table by
-  ``remaining``, built once with the vectors.  The node adds these bounds
-  to its own counts and is cut if a lane's top bit is set.  Then every
+  whole-pool rho_j bounds them too.  The packed bounds are a table by
+  ``remaining``, built once after the vectors: lane j's bound rises by one
+  at each r = floor(v / rho_j) + 1, so the table adds one lane bit at each
+  such r and is summed once.  The node adds these bounds to its own counts
+  and is cut if a lane's top bit is set.  Then every
   completion overflows that lane, so the cut drops only configurations
   that the lanes would reject at their last germ: survivors and
   ``examined`` are those of the search without it; only cuts change.
@@ -81,10 +83,12 @@ Filters:
   (2,7), (2,9), (2,11) and (4,3) at k = 2 and 6 of the 12 at k = 3 end
   there.  Otherwise the vectors are built from one cell table
   (`_SearchContext.build`) and the DFS runs as above.  No `Spectrum` of a
-  pool class is built: the walk, the vectors and the leaves read each
-  class as the arithmetic progressions of numerators that its curve
-  spectrum is (`catalog._curve_progressions`), the walk counting a
-  progression in a window in closed form.  They count curve spectra
+  pool class is built, and no `GermClass` unless a survivor is kept: the
+  pool is listed as (family, k, i) fields (`_pool_fields`), and the walk,
+  the vectors and the leaves read each class as the arithmetic
+  progressions of numerators that its curve spectrum is
+  (`catalog._curve_progressions`), the walk counting a progression in a
+  window in closed form.  They count curve spectra
   against the target moved down once by (n-2)/2, the amount a germ
   spectrum (the (n-2)-fold suspension) lies above its curve spectrum:
   moving both spectra moves every test point along and changes no count.
@@ -98,7 +102,10 @@ canonical order of classes is `germ_pool`'s (family in ``FAMILIES`` order,
 then k, then i, which is ``GermClass.sort_key``), each survivor lists its
 germs in it, and the survivors are in lexicographic order of those lists.
 The DFS keeps each survivor as its pool indices and sorts them once, as
-tuples of canonical places, before any `Configuration` is built.  Every
+tuples of canonical places; only then, and only if there is a survivor,
+does `germ_pool` make the classes each `Configuration` holds.  The diagonal
+germ's spectrum is built at most once per search and read by the centred
+window, the search context and the diagnostic windows.  Every
 search runs in this process; the ``workers`` argument is checked but selects
 nothing, so any worker count gives the same report.  Survivors satisfy a
 necessary criterion only: they are candidates, not certified hypersurfaces.
@@ -123,12 +130,12 @@ from fractions import Fraction
 from importlib import resources
 from itertools import accumulate, chain
 from math import lcm
-from typing import Iterable, Optional
+from typing import AbstractSet, Iterable, Optional
 
 from .catalog import FAMILIES, GermClass, _curve_progressions, _Progressions, fermat_spectrum
 from .polar import Configuration, InfeasibleConfigurationError, diagonal_milnor, polar_degree
 from .semicontinuity import check_configuration, check_windows, window_counts
-from .spectrum import EMPTY, NEG_INF, deg_window
+from .spectrum import EMPTY, NEG_INF, Spectrum, deg_window
 
 __all__ = [
     "CentredWindowCertificate",
@@ -249,38 +256,41 @@ def germ_pool_size(mu_max: int, whitelist: Iterable[str] = FAMILIES) -> int:
     return size
 
 
-def germ_pool(n: int, mu_max: int, whitelist: Iterable[str] = FAMILIES) -> list[GermClass]:
-    """All catalog classes in ambient n with Milnor number <= mu_max, in canonical order.
+def _pool_fields(mu_max: int, families: AbstractSet[str]) -> list[tuple[str, int, int]]:
+    """(family, k, i) of every class of ``families`` with Milnor number <= mu_max, in canonical order.
 
     The order is family by family in ``FAMILIES`` order, each by k and then
     i: ascending ``GermClass.sort_key``, as the classes are listed, so
     nothing is sorted.  Raises ValueError, before listing any class, if
     there are more than ``MAX_POOL_CLASSES``.
     """
-    families = _families(whitelist)
     size = germ_pool_size(mu_max, families)
     if size > MAX_POOL_CLASSES:
         shown = size if size < 10**18 else "more than 10^18"  # int-to-str has a digit limit
         raise ValueError(f"the germ pool would list {shown} classes, over the budget of {MAX_POOL_CLASSES}")
-    pool: list[GermClass] = []
+    fields: list[tuple[str, int, int]] = []
     if "A" in families:
-        pool += [GermClass("A", k, 0, n) for k in range(1, mu_max + 1)]
+        fields += [("A", k, 0) for k in range(1, mu_max + 1)]
     if "D" in families:
-        pool += [GermClass("D", k, 0, n) for k in range(4, mu_max + 1)]
+        fields += [("D", k, 0) for k in range(4, mu_max + 1)]
     if "E" in families:
-        pool += [
-            GermClass("E", m, 0, n)
-            for m in range(6, mu_max + 1)
-            if m % 6 in (0, 1, 2)
-        ]
+        fields += [("E", m, 0) for m in range(6, mu_max + 1) if m % 6 in (0, 1, 2)]
     if "J" in families:
         k = 2
         while 6 * k - 2 <= mu_max:
-            pool += [
-                GermClass("J", k, i, n) for i in range(0, mu_max - (6 * k - 2) + 1)
-            ]
+            fields += [("J", k, i) for i in range(0, mu_max - (6 * k - 2) + 1)]
             k += 1
-    return pool
+    return fields
+
+
+def germ_pool(n: int, mu_max: int, whitelist: Iterable[str] = FAMILIES) -> list[GermClass]:
+    """All catalog classes in ambient n with Milnor number <= mu_max, in canonical order.
+
+    The classes of `_pool_fields`, in its order and under its budget.  A
+    search lists its pool as those fields and makes the classes only when
+    it keeps a survivor (`_run_search`).
+    """
+    return [GermClass(f, k, i, n) for f, k, i in _pool_fields(mu_max, _families(whitelist))]
 
 
 # The least share of a catalog curve spectrum inside ]-1/2, 1/2[, and a class
@@ -308,7 +318,7 @@ class CentredWindowCertificate:
 
 
 def centred_window_certificate(
-    n: int, d: int, k: int, open_variant: bool = True
+    n: int, d: int, k: int, open_variant: bool = True, diagonal: Optional[Spectrum] = None
 ) -> Optional[CentredWindowCertificate]:
     """Eliminate (n, d, k) by the unit window centred on the spectra, or return None.
 
@@ -345,14 +355,17 @@ def centred_window_certificate(
     ]c-1/2, c+1/2] is at least its open count, so without ``open_variant``
     the same ceil(4T/5) is set against the diagonal germ's half-open count,
     which the check without the open variant bounds.  Nothing depends on the
-    whitelist: any subset of the catalog has the density.
+    whitelist: any subset of the catalog has the density.  ``diagonal`` is
+    `fermat_spectrum(n, d)` if the caller has built it.
     """
     total = diagonal_milnor(n, d) - k
     centre = Fraction(n - 2, 2)
     low, high = centre - Fraction(1, 2), centre + Fraction(1, 2)
     # ceil(total * 4/5), in integers
     forced = -(-total * CENTRED_DENSITY.numerator // CENTRED_DENSITY.denominator)
-    target = deg_window(fermat_spectrum(n, d), low, high, right_open=open_variant)
+    if diagonal is None:
+        diagonal = fermat_spectrum(n, d)
+    target = deg_window(diagonal, low, high, right_open=open_variant)
     if forced <= target:
         return None
     return CentredWindowCertificate(
@@ -467,16 +480,28 @@ class _SearchContext:
     (`_root_is_cut`); the tables of `build` are made only if it is not cut.
     The DFS of every default search reads all T + 1 lookahead entries (at
     (2,3,2), (3,3,2), (2,4,2), (2,5,2), (2,6,2), (2,7,7), (2,9,8), (2,12,11)
-    and (5,3,7)), so `build` makes them all.  The walk, `build` and the
-    leaves read pool class i as ``progressions[i]``, (den, ranges, zero)
-    of `catalog._curve_progressions`; no class's `Spectrum` is built.
+    and (5,3,7)), so `build` makes them all.  ``pool`` lists the classes
+    heaviest first as (family, k, i) fields, and ``rank[i]`` is class i's
+    place in canonical order; no `GermClass` is made (`_run_search` makes
+    them for its survivors).  The walk, `build` and the leaves read pool
+    class i as ``progressions[i]``, (den, ranges, zero) of
+    `catalog._curve_progressions`; no class's `Spectrum` is built.
+    ``diagonal`` is `fermat_spectrum(n, d)` if the caller has built it.
     """
 
-    def __init__(self, n: int, d: int, k: int, families: frozenset[str], filters: SearchFilters):
+    def __init__(
+        self,
+        n: int,
+        d: int,
+        k: int,
+        families: frozenset[str],
+        filters: SearchFilters,
+        diagonal: Optional[Spectrum] = None,
+    ):
         self.n, self.d, self.k = n, d, k
         self.filters = filters
         self.target_mu = T = diagonal_milnor(n, d) - k
-        # over the pool budget `germ_pool` refuses first, which also bounds
+        # over the pool budget `_pool_fields` refuses first, which also bounds
         # the count's T + 1 ints
         if not filters.semicontinuity and germ_pool_size(T, families) <= MAX_POOL_CLASSES:
             cap = MAX_UNPRUNED_CONFIGURATIONS + 1
@@ -484,18 +509,23 @@ class _SearchContext:
                 raise ValueError(
                     f"the unpruned search would list more than {MAX_UNPRUNED_CONFIGURATIONS} configurations"
                 )
-        # the DFS order, heaviest germ first, listed before any spectrum is
-        # built; the sort is stable, so germs of one Milnor number keep the
-        # canonical order, and rank[i] is pool class i's place in that order
-        self.canonical = canonical = germ_pool(n, T, families)
-        self.rank = sorted(range(len(canonical)), key=lambda r: -canonical[r].milnor)
-        self.pool = [canonical[r] for r in self.rank]
-        self.mus = [g.milnor for g in self.pool]
+        # the pool in DFS order, heaviest germ first, as (family, k, i): no
+        # GermClass is made for it.  The sort is stable, so germs of one Milnor
+        # number keep the canonical order, and rank[i] is pool class i's place
+        # in it
+        self.families = families
+        fields = _pool_fields(T, families)
+        mus = [6 * k - 2 + i if f == "J" else k for f, k, i in fields]  # GermClass.milnor
+        self.rank = sorted(range(len(fields)), key=mus.__getitem__, reverse=True)
+        self.pool = [fields[r] for r in self.rank]
+        self.mus = [mus[r] for r in self.rank]
         # each class's curve spectrum as progressions of numerators; no
         # Spectrum of a pool class is built
-        self.progressions = [_curve_progressions(g.family, g.k, g.i) for g in self.pool]
+        self.progressions = [_curve_progressions(*f) for f in self.pool]
         # in the frame of the curve spectra (see the module docstring)
-        self.target = fermat_spectrum(n, d).shift(Fraction(2 - n, 2))
+        if diagonal is None:
+            diagonal = fermat_spectrum(n, d)
+        self.target = diagonal.shift(Fraction(2 - n, 2))
         # the lanes, at -2 < t/den < 1 (see the class docstring); none and high == 0 without semicontinuity
         den, windows = check_windows(EMPTY, self.target, filters.open_variant) if filters.semicontinuity else (1, [])
         windows = [(t, closed) for t, closed in windows if -2 * den < t < den]
@@ -547,15 +577,19 @@ class _SearchContext:
         cell 2i+1 is the point e_i, cell 2i the open gap below it and cell 2m
         the gap above e_(m-1).  Every lane's window is a run of cells, so
         each cell gets the packed int with a 1 in every lane that holds it
-        (a difference array, summed once).  A spectral number y/s lies in
-        cell bisect_right(bounds, 2q + (r > 0)), with q, r = divmod(y*den, s)
-        and bounds = 2e_i, 2e_i + 1 per endpoint: its place over den is q
-        exactly when r is 0, and strictly between q and q + 1 otherwise.  So
-        a class's packed vector is its cells' ints summed over the members
-        of its progressions, once per member (a number that two ranges
-        list is counted twice, as its multiplicity says), plus ``zero``
-        times the cell of 0: the counts `window_counts(s, den, lanes)` gives
-        on its curve spectrum s, which is never built.
+        (a difference array, summed once).  A spectral number y/s has place
+        2q + (r > 0) over den, with q, r = divmod(y*den, s): it is q/den
+        exactly when r is 0, and strictly between q/den and (q + 1)/den
+        otherwise.  Place p lies in cell bisect_right(bounds, p), with
+        bounds = 2e_i, 2e_i + 1 per endpoint.  Every curve number lies in
+        ]-1, 1[, so its place is in [-2 den, 2 den), and the cell of each
+        such place is tabled once (4 den entries), so that each member costs
+        one divmod and one index.  A class's packed vector is its cells'
+        ints summed over the members of its progressions, once per member
+        (a number that two ranges list is counted twice, as its multiplicity
+        says), plus ``zero`` times the cell of 0: the counts
+        `window_counts(s, den, lanes)` gives on its curve spectrum s, which
+        is never built.
         """
         width, den, high, T = self.width, self.den, self.high, self.target_mu
         # No carry between lanes: a node tests acc + lookahead, where acc is its
@@ -573,13 +607,18 @@ class _SearchContext:
             diff[cell_of[t + den] + closed] -= 1 << (j * width)
         cells = list(accumulate(diff))
         bounds = [b for e in ends for b in (2 * e, 2 * e + 1)]
-        at_zero = cells[bisect_right(bounds, 0)]
+        # every curve number lies in ]-1, 1[, so its place is in
+        # [-2 den, 2 den): at[p + 2 den] is the cell of place p
+        at = [cells[bisect_right(bounds, p)] for p in range(-2 * den, 2 * den)]
+        off = 2 * den
         self.packed = []
         for s, ranges, zero in self.progressions:
-            vec = zero * at_zero
-            for y in chain(*ranges):
-                q, r = divmod(y * den, s)
-                vec += cells[bisect_right(bounds, 2 * q + (r > 0))]
+            vec = zero * at[off]
+            for members in ranges:
+                assert -s < members[0] and members[-1] < s
+                for y in members:
+                    q, r = divmod(y * den, s)
+                    vec += at[2 * q + (r > 0) + off]
             self.packed.append(vec)
         # Per lane, the least density vec_g[j]/mu_g over the whole pool as
         # xs[j]/ms[j]; it starts at 1/1, the largest density (a germ has mu_g
@@ -602,9 +641,16 @@ class _SearchContext:
                 if x * ms[j] < xs[j] * mu:
                     xs[j], ms[j] = x, mu
         # lookahead[r]: a completion of r adds at least ceil(r * xs[j]/ms[j])
-        # to lane j; no carry, as a density is at most 1 and r <= target_mu
+        # to lane j; no carry, as a density is at most 1 and r <= target_mu.
+        # That ceiling rises by one at each r = floor(v * m/x) + 1, the least
+        # r with r * x/m > v, for v = 0 .. ceil(T * x/m) - 1: one step per
+        # rise, summed once.
         assert all(x <= m for x, m in zip(xs, ms))
-        self.lookahead = [_pack([-(-r * x // m) for x, m in zip(xs, ms)], width) for r in range(T + 1)]
+        steps = [0] * (T + 1)
+        for j, (x, m) in enumerate(zip(xs, ms)):
+            for v in range(-(-T * x // m)):
+                steps[v * m // x + 1] += 1 << (j * width)
+        self.lookahead = list(accumulate(steps))
         # the leaf's frame, where every pool number is an integer, and its
         # tables, filled per class at its first leaf; the target needs no
         # place in it, as `window_counts` counts in windows over any den
@@ -659,7 +705,7 @@ def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int]:
     if ctx.root_cut:
         # what the DFS returns when its first lookahead test cuts the root
         return [], 0, 1
-    pool, mus, packed, high, rank, canonical = ctx.pool, ctx.mus, ctx.packed, ctx.high, ctx.rank, ctx.canonical
+    mus, packed, high = ctx.mus, ctx.packed, ctx.high
     lookahead, semicontinuity, leaf_passes = ctx.lookahead, ctx.filters.semicontinuity, ctx.leaf_passes
     found: list[tuple[int, ...]] = []
     examined = cuts = 0
@@ -677,7 +723,7 @@ def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int]:
                 return
             found.append(tuple(stack))
             return
-        for idx in range(first, len(pool)):
+        for idx in range(first, len(mus)):
             if mus[idx] > remaining:
                 continue
             stack.append(idx)
@@ -687,6 +733,9 @@ def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int]:
     # target_mu == 0 gives an empty pool: the DFS examines the smooth
     # configuration once and runs it through the same leaf test
     dfs(0, ctx.target_mu, ctx.start)
+    if not found:
+        return [], examined, cuts
+    rank, canonical = ctx.rank, germ_pool(ctx.n, ctx.target_mu, ctx.families)
     places = sorted(tuple(sorted(rank[i] for i in s)) for s in found)
     return [Configuration(ctx.n, ctx.d, tuple(canonical[r] for r in t)) for t in places], examined, cuts
 
@@ -730,7 +779,11 @@ def enumerate_configurations(
         # D/E/J class at k = 1 and none from k = 2 on
         families = whitelist & {"A"}
         pruned["huh"] = germ_pool_size(smooth - k, whitelist - {"A"})
-    if filters.semicontinuity and centred_window_certificate(n, d, k, filters.open_variant):
+    # the diagonal germ's spectrum, built once where the centred window or the
+    # diagnostics read it, and passed to the context, which builds it only
+    # where neither does
+    diagonal = fermat_spectrum(n, d) if filters.semicontinuity or (n, d) in _DIAGNOSTIC_CASES else None
+    if filters.semicontinuity and centred_window_certificate(n, d, k, filters.open_variant, diagonal):
         # what a cut root reports, without listing the pool
         survivors, examined, cuts = [], 0, 1
     elif smooth > k and not germ_pool_size(smooth - k, families):
@@ -738,14 +791,13 @@ def enumerate_configurations(
         # semicontinuity, as nothing cut without it, and no table is built
         survivors, examined, cuts = [], 0, int(filters.semicontinuity)
     else:
-        survivors, examined, cuts = _run_search(_SearchContext(n, d, k, families, filters))
+        survivors, examined, cuts = _run_search(_SearchContext(n, d, k, families, filters, diagonal))
     pruned["semicontinuity"] = cuts
 
     diagnostics = ()
     if (n, d) in _DIAGNOSTIC_CASES:
-        target = fermat_spectrum(n, d)
         diagnostics = tuple(
-            (label, deg_window(target, *bounds))
+            (label, deg_window(diagonal, *bounds))
             for label, bounds in _DIAGNOSTIC_WINDOWS
         )
     return SearchReport(
@@ -831,9 +883,12 @@ def verify_huh_lists(workers: int = 1) -> HuhVerification:
     Each failed check adds its problem to the entry's ``problems``, in that
     order: ``polar degree <computed> != expected <stated>``, ``fails
     semicontinuity`` and ``missing from search survivors``.  ``workers`` is
-    passed to `enumerate_configurations`, which ignores it.
+    passed to `enumerate_configurations`, which ignores it.  Each search
+    builds its own diagonal-germ spectrum, and the checks build one per
+    distinct (n, d) of the entries.
     """
     search_cache: dict[tuple[int, int, int], SearchReport] = {}
+    diagonals: dict[tuple[int, int], Spectrum] = {}
     results = []
     for key, config, expected in load_huh_lists():
         try:
@@ -844,7 +899,9 @@ def verify_huh_lists(workers: int = 1) -> HuhVerification:
         if params not in search_cache:
             search_cache[params] = enumerate_configurations(*params, workers=workers)
         problems = [] if computed == expected else [f"polar degree {computed} != expected {expected}"]
-        if not check_configuration(config).holds:
+        if (config.n, config.d) not in diagonals:
+            diagonals[config.n, config.d] = fermat_spectrum(config.n, config.d)
+        if not check_configuration(config, diagonal=diagonals[config.n, config.d]).holds:
             problems.append("fails semicontinuity")
         if config not in search_cache[params].survivors:
             problems.append("missing from search survivors")

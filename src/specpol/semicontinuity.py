@@ -30,7 +30,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .catalog import curve_spectrum, fermat_spectrum
 from .polar import Configuration
@@ -183,14 +183,17 @@ def candidate_spectrum(c: Configuration) -> Spectrum:
 MAX_CHECK_SUPPORT = 200_000
 
 
-def check_configuration(c: Configuration, open_variant: bool = True) -> SemicontinuityReport:
+def check_configuration(
+    c: Configuration, open_variant: bool = True, diagonal: Optional[Spectrum] = None
+) -> SemicontinuityReport:
     """Run the semicontinuity check of a configuration against its target.
 
-    The target is always the diagonal-germ spectrum for (n, d).  The half-open
-    windows are always checked; the open windows are added unless
-    ``open_variant`` is False.  A configuration whose bound on the union
-    support is over ``MAX_CHECK_SUPPORT`` is refused with a ValueError before
-    any spectrum is built.
+    The target is always the diagonal-germ spectrum for (n, d), passed as
+    ``diagonal`` by a caller that has built it.  The half-open windows are
+    always checked; the open windows are added unless ``open_variant`` is
+    False.  A configuration whose bound on the union support is over
+    ``MAX_CHECK_SUPPORT`` is refused with a ValueError before any spectrum
+    is built.
     """
     support = sum(g.milnor for g in set(c.germs)) + c.n * (c.d - 2) + 1
     if support > MAX_CHECK_SUPPORT:
@@ -198,4 +201,6 @@ def check_configuration(c: Configuration, open_variant: bool = True) -> Semicont
         raise ValueError(
             f"the check could count {shown} distinct spectral numbers, over the budget of {MAX_CHECK_SUPPORT}"
         )
-    return check(candidate_spectrum(c), fermat_spectrum(c.n, c.d), open_variant)
+    if diagonal is None:
+        diagonal = fermat_spectrum(c.n, c.d)
+    return check(candidate_spectrum(c), diagonal, open_variant)

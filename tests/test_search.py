@@ -210,7 +210,7 @@ def test_centred_window_certificates_agree_with_the_explicit_search(monkeypatch)
     def refuse(self):
         raise AssertionError("the explicit search did not cut the root")
 
-    monkeypatch.setattr("specpol.search.centred_window_certificate", lambda n, d, k, kind: None)
+    monkeypatch.setattr("specpol.search.centred_window_certificate", lambda n, d, k, kind, diagonal: None)
     monkeypatch.setattr(_SearchContext, "build", refuse)
     for (n, d, k, wl, filters), expected in lemma.items():
         explicit = enumerate_configurations(n, d, k, wl, filters)
@@ -395,6 +395,12 @@ def _context(n, d, k, open_variant):
     return ctx
 
 
+def _pool(ctx, whitelist="ADEJ"):
+    # the context's classes in its DFS order, pool index i at canonical place rank[i]
+    canonical = germ_pool(ctx.n, ctx.target_mu, whitelist)
+    return [canonical[r] for r in ctx.rank]
+
+
 def _completions(mus, s, remaining):
     # every multiset of pool[s:] with Milnor sum ``remaining``, as index tuples
     if remaining == 0:
@@ -477,7 +483,7 @@ def test_vectors_count_the_curve_spectrum_at_shifted_points(n, d, k):
         assert a.denominator == 1 and a in points
         unmoved.append((int(a), closed))
     assert ctx.rhs == window_counts(target, den, unmoved)
-    for g, packed in zip(ctx.pool, ctx.packed):
+    for g, packed in zip(_pool(ctx), ctx.packed):
         assert packed == _pack(window_counts(germ_spectrum(g), den, unmoved), ctx.width), g
 
 
@@ -543,7 +549,7 @@ def test_cell_table_vectors_and_least_densities_equal_the_lane_counts():
         if ctx.root_cut:
             continue
         built += 1
-        counts = [window_counts(curve_spectrum(g), ctx.den, ctx.lanes) for g in ctx.pool]
+        counts = [window_counts(curve_spectrum(g), ctx.den, ctx.lanes) for g in _pool(ctx, whitelist)]
         assert ctx.packed == [_pack(c, ctx.width) for c in counts], (n, d, k, whitelist)
         least = [
             min([Fraction(1)] + [Fraction(c[j], mu) for c, mu in zip(counts, ctx.mus)])
@@ -663,13 +669,14 @@ def test_leaf_tables_are_built_for_the_classes_a_leaf_reads():
         ctx = _SearchContext(n, d, k, frozenset("ADEJ"), SearchFilters())
         survivors, examined, _cuts = _run_search(ctx)
         assert examined == len(survivors) == leaves
-        read = {ctx.pool.index(g) for c in survivors for g in c.germs}
+        pool = _pool(ctx)
+        read = {pool.index(g) for c in survivors for g in c.germs}
         tabled = {i for i, numbers in enumerate(ctx.frame_numbers) if numbers is not None}
         assert tabled == read
         L = ctx.frame
-        assert all(L % curve_spectrum(g).den == 0 for g in ctx.pool)
+        assert all(L % curve_spectrum(g).den == 0 for g in pool)
         for i in read:
-            spectrum = curve_spectrum(ctx.pool[i])
+            spectrum = curve_spectrum(pool[i])
             assert [Fraction(x, L) for x in ctx.frame_numbers[i]] == [a for a, m in spectrum for _ in range(m)]
         assert set(ctx.frame_bound) == {x for i in read for x in ctx.frame_numbers[i]}
         for x, bound in ctx.frame_bound.items():
@@ -693,10 +700,85 @@ def test_a_pool_over_the_cache_size_builds_each_spectrum_once(monkeypatch):
     report = enumerate_configurations(2, 12, 11)
     ctx = _SearchContext(2, 12, 11, frozenset("ADEJ"), SearchFilters())
     assert not ctx.root_cut and report.examined == 0
-    assert set(listed) == {(g.family, g.k, g.i) for g in ctx.pool}
+    pool = _pool(ctx)
+    assert set(listed) == {(g.family, g.k, g.i) for g in pool}
     assert set(listed.values()) == {2}  # the search's context and this one
-    assert len(ctx.pool) == 1172 > curve_spectrum.cache_info().maxsize
+    assert len(pool) == 1172 > curve_spectrum.cache_info().maxsize
     assert curve_spectrum.cache_info().misses == 0
+
+
+def test_a_search_without_survivors_makes_no_germ_class(monkeypatch):
+    # The context lists its pool as (family, k, i) fields; a GermClass is
+    # made only for a search that keeps a survivor.  Root cuts at (2,7,2),
+    # (4,3,2) and (2,19,9) (8,739 classes) and the cuts below the root at
+    # (2,6,2) report what they report with the classes listed.
+    cases = [(2, 6, 2), (2, 7, 2), (4, 3, 2), (2, 19, 9)]
+    expected = {case: enumerate_configurations(*case).to_json() for case in cases}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search without survivors made a germ class")
+
+    monkeypatch.setattr("specpol.search.germ_pool", refuse)
+    monkeypatch.setattr(catalog.GermClass, "__post_init__", refuse)
+    for case in cases:
+        report = enumerate_configurations(*case)
+        assert report.survivors == () and report.to_json() == expected[case], case
+
+
+def test_refused_and_certified_searches_list_no_pool_fields(monkeypatch):
+    # A search lists its pool through `_pool_fields`, not `germ_pool`: the
+    # unpruned budget refuses before it, and the centred window decides
+    # (9,6,3) and (100,3,2) without it (both pools are over the budget).
+    monkeypatch.setattr("specpol.search._pool_fields", _refuse)
+    for n, d, k in [(2, 9, 2), (4, 4, 0), (2, 40, 2)]:
+        with pytest.raises(ValueError, match=f"more than {MAX_UNPRUNED_CONFIGURATIONS} configurations"):
+            enumerate_configurations(n, d, k, filters=SearchFilters(semicontinuity=False))
+    for n, d, k in [(9, 6, 3), (100, 3, 2)]:
+        report = enumerate_configurations(n, d, k)
+        assert (report.examined, report.pruned_by_dict()["semicontinuity"]) == (0, 1)
+
+
+def _count_diagonal_builds(monkeypatch):
+    # every fermat_spectrum call made through the search and the check
+    from specpol import search, semicontinuity
+
+    built = []
+
+    def counted(n, d):
+        built.append((n, d))
+        return catalog.fermat_spectrum(n, d)
+
+    monkeypatch.setattr(search, "fermat_spectrum", counted)
+    monkeypatch.setattr(semicontinuity, "fermat_spectrum", counted)
+    return built
+
+
+def test_a_search_builds_the_diagonal_spectrum_once(monkeypatch):
+    # The centred certificate, the context and the diagnostics read one
+    # diagonal-germ spectrum: (2,5,2) tries the certificate and searches,
+    # (4,3,2) also reports diagnostics, and (5,3,2) is decided by the
+    # certificate and reports diagnostics.  Without semicontinuity and with
+    # no pool, nothing reads it, even at a d whose spectrum is over its budget.
+    built = _count_diagonal_builds(monkeypatch)
+    for n, d, k in [(2, 5, 2), (4, 3, 2), (5, 3, 2)]:
+        built.clear()
+        report = enumerate_configurations(n, d, k)
+        assert built == [(n, d)], (n, d, k)
+        assert bool(report.diagnostic_windows) == ((n, d) != (2, 5))
+    built.clear()
+    enumerate_configurations(2, 10**20, 2, (), SearchFilters(semicontinuity=False))
+    assert built == []
+
+
+def test_verify_huh_lists_builds_one_diagonal_spectrum_per_search_and_pair(monkeypatch):
+    # 6 searches build one each, and the 15 checks one per distinct (n, d)
+    built = _count_diagonal_builds(monkeypatch)
+    assert verify_huh_lists().all_ok
+    searches = {(c.n, c.d, pol) for _key, c, pol in load_huh_lists()}
+    pairs = {(c.n, c.d) for _key, c, _pol in load_huh_lists()}
+    assert (len(searches), len(pairs)) == (6, 5)
+    assert len(built) == len(searches) + len(pairs) == 11
+    assert set(built) == pairs
 
 
 @pytest.mark.parametrize("n, d, k", [(2, 9, 2), (4, 4, 0), (2, 40, 2)])

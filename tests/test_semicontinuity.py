@@ -259,7 +259,8 @@ def _search_leaves(monkeypatch, searches):
 
     def leaf(ctx, germs):
         passed = real_leaf(ctx, germs)
-        seen.append((Configuration(ctx.n, ctx.d, tuple(ctx.pool[i] for i in germs)), passed))
+        canonical = search.germ_pool(ctx.n, ctx.target_mu, ctx.families)
+        seen.append((Configuration(ctx.n, ctx.d, tuple(canonical[ctx.rank[i]] for i in germs)), passed))
         return passed
 
     monkeypatch.setattr(search._SearchContext, "leaf_passes", leaf)
