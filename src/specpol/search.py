@@ -81,14 +81,14 @@ Filters:
   lookahead's test at the root).  Then the search reports a cut root and
   builds, packs and visits nothing more: of the pairs the lemma leaves,
   (2,7), (2,9), (2,11) and (4,3) at k = 2 and 6 of the 12 at k = 3 end
-  there.  Otherwise the vectors are built from one cell table
-  (`_SearchContext.build`) and the DFS runs as above.  No `Spectrum` of a
-  pool class is built, and no `GermClass` unless a survivor is kept: the
-  pool is listed as (family, k, i) fields (`_pool_fields`), and the walk,
-  the vectors and the leaves read each class as the arithmetic
-  progressions of numerators that its curve spectrum is
-  (`catalog._curve_progressions`), the walk counting a progression in a
-  window in closed form.  They count curve spectra
+  there.  Otherwise the vectors are built from one table of packed ints
+  by place (`_SearchContext.build`) and the DFS runs as above.  No
+  `Spectrum` of a pool class is built, and a `GermClass` only for a class
+  that a survivor holds: the pool is listed once, as (family, k, i) fields
+  (`_pool_fields`), and the walk, the vectors and the leaves read each
+  class as the arithmetic progressions of numerators that its curve
+  spectrum is (`catalog._curve_progressions`), the walk counting a
+  progression in a window in closed form.  They count curve spectra
   against the target moved down once by (n-2)/2, the amount a germ
   spectrum (the (n-2)-fold suspension) lies above its curve spectrum:
   moving both spectra moves every test point along and changes no count.
@@ -102,8 +102,8 @@ canonical order of classes is `germ_pool`'s (family in ``FAMILIES`` order,
 then k, then i, which is ``GermClass.sort_key``), each survivor lists its
 germs in it, and the survivors are in lexicographic order of those lists.
 The DFS keeps each survivor as its pool indices and sorts them once, as
-tuples of canonical places; only then, and only if there is a survivor,
-does `germ_pool` make the classes each `Configuration` holds.  The diagonal
+tuples of canonical places; only then is one `GermClass` made per distinct
+place the survivors hold, from the context's fields.  The diagonal
 germ's spectrum is built at most once per search and read by the centred
 window, the search context and the diagnostic windows.  Every
 search runs in this process; the ``workers`` argument is checked but selects
@@ -287,8 +287,8 @@ def germ_pool(n: int, mu_max: int, whitelist: Iterable[str] = FAMILIES) -> list[
     """All catalog classes in ambient n with Milnor number <= mu_max, in canonical order.
 
     The classes of `_pool_fields`, in its order and under its budget.  A
-    search lists its pool as those fields and makes the classes only when
-    it keeps a survivor (`_run_search`).
+    search lists its pool as those fields and makes a class only for each
+    one that its survivors hold (`_run_search`), so it does not call this.
     """
     return [GermClass(f, k, i, n) for f, k, i in _pool_fields(mu_max, _families(whitelist))]
 
@@ -480,12 +480,13 @@ class _SearchContext:
     (`_root_is_cut`); the tables of `build` are made only if it is not cut.
     The DFS of every default search reads all T + 1 lookahead entries (at
     (2,3,2), (3,3,2), (2,4,2), (2,5,2), (2,6,2), (2,7,7), (2,9,8), (2,12,11)
-    and (5,3,7)), so `build` makes them all.  ``pool`` lists the classes
-    heaviest first as (family, k, i) fields, and ``rank[i]`` is class i's
-    place in canonical order; no `GermClass` is made (`_run_search` makes
-    them for its survivors).  The walk, `build` and the leaves read pool
-    class i as ``progressions[i]``, (den, ranges, zero) of
-    `catalog._curve_progressions`; no class's `Spectrum` is built.
+    and (5,3,7)), so `build` makes them all.  ``fields`` lists the classes
+    in canonical order as (family, k, i), and the DFS takes them heaviest
+    first: pool index i is the class ``fields[rank[i]]``.  No `GermClass`
+    is made (`_run_search` makes one per class its survivors hold).  The
+    walk, `build` and the leaves read pool class i as ``progressions[i]``,
+    (den, ranges, zero) of `catalog._curve_progressions`; no class's
+    `Spectrum` is built.
     ``diagonal`` is `fermat_spectrum(n, d)` if the caller has built it.
     """
 
@@ -509,19 +510,17 @@ class _SearchContext:
                 raise ValueError(
                     f"the unpruned search would list more than {MAX_UNPRUNED_CONFIGURATIONS} configurations"
                 )
-        # the pool in DFS order, heaviest germ first, as (family, k, i): no
-        # GermClass is made for it.  The sort is stable, so germs of one Milnor
-        # number keep the canonical order, and rank[i] is pool class i's place
-        # in it
-        self.families = families
-        fields = _pool_fields(T, families)
+        # the pool as (family, k, i) fields in canonical order: no GermClass is
+        # made for it.  The DFS goes heaviest germ first: pool index i is the
+        # class at canonical place rank[i], a stable sort, so germs of one
+        # Milnor number keep the canonical order
+        self.fields = fields = _pool_fields(T, families)
         mus = [6 * k - 2 + i if f == "J" else k for f, k, i in fields]  # GermClass.milnor
         self.rank = sorted(range(len(fields)), key=mus.__getitem__, reverse=True)
-        self.pool = [fields[r] for r in self.rank]
         self.mus = [mus[r] for r in self.rank]
         # each class's curve spectrum as progressions of numerators; no
         # Spectrum of a pool class is built
-        self.progressions = [_curve_progressions(*f) for f in self.pool]
+        self.progressions = [_curve_progressions(*fields[r]) for r in self.rank]
         # in the frame of the curve spectra (see the module docstring)
         if diagonal is None:
             diagonal = fermat_spectrum(n, d)
@@ -572,24 +571,21 @@ class _SearchContext:
     def build(self) -> None:
         """Every table the DFS reads: packed window vectors, lookahead, leaf frame.
 
-        The vectors come from one cell table.  The lane endpoints t and
-        t + den, sorted as e_0 < ... < e_(m-1), cut the line into cells:
-        cell 2i+1 is the point e_i, cell 2i the open gap below it and cell 2m
-        the gap above e_(m-1).  Every lane's window is a run of cells, so
-        each cell gets the packed int with a 1 in every lane that holds it
-        (a difference array, summed once).  A spectral number y/s has place
-        2q + (r > 0) over den, with q, r = divmod(y*den, s): it is q/den
-        exactly when r is 0, and strictly between q/den and (q + 1)/den
-        otherwise.  Place p lies in cell bisect_right(bounds, p), with
-        bounds = 2e_i, 2e_i + 1 per endpoint.  Every curve number lies in
-        ]-1, 1[, so its place is in [-2 den, 2 den), and the cell of each
-        such place is tabled once (4 den entries), so that each member costs
-        one divmod and one index.  A class's packed vector is its cells'
-        ints summed over the members of its progressions, once per member
-        (a number that two ranges list is counted twice, as its multiplicity
-        says), plus ``zero`` times the cell of 0: the counts
-        `window_counts(s, den, lanes)` gives on its curve spectrum s, which
-        is never built.
+        The vectors come from one table by place.  A spectral number y/s
+        has place 2q + (r > 0) over den, with q, r = divmod(y*den, s): place
+        2q is the point q/den, and place 2q + 1 the open gap between q/den
+        and (q + 1)/den.  So the window ]t/den, t/den + 1] holds exactly the
+        places 2t + 1 .. 2(t + den), and the open ]t/den, t/den + 1[ the same
+        less 2(t + den).  Every curve number lies in ]-1, 1[, so its place
+        is in [-2 den, 2 den), and each such place gets the packed int with
+        a 1 in every lane that holds it, once (4 den entries, a difference
+        array over the lanes' place ranges clamped to that interval, summed
+        once), so that each member costs one divmod and one index.  A
+        class's packed vector is its places' ints summed over the members of
+        its progressions, once per member (a number that two ranges list is
+        counted twice, as its multiplicity says), plus ``zero`` times the
+        int of place 0: the counts `window_counts(s, den, lanes)` gives on
+        its curve spectrum s, which is never built.
         """
         width, den, high, T = self.width, self.den, self.high, self.target_mu
         # No carry between lanes: a node tests acc + lookahead, where acc is its
@@ -598,19 +594,14 @@ class _SearchContext:
         # at most the r - mu_g left after it, so a lane gains at most
         # r <= target_mu < 2^(B-1) and stays below 2^B.
         assert max(self.mus, default=0) <= T < 1 << (width - 1)
-        ends = sorted({e for t, _ in self.lanes for e in (t, t + den)})
-        cell_of = {e: 2 * i + 1 for i, e in enumerate(ends)}
-        diff = [0] * (2 * len(ends) + 1)
-        for j, (t, closed) in enumerate(self.lanes):
-            # ]t, t + den] takes the point cell t + den, ]t, t + den[ stops below it
-            diff[cell_of[t] + 1] += 1 << (j * width)
-            diff[cell_of[t + den] + closed] -= 1 << (j * width)
-        cells = list(accumulate(diff))
-        bounds = [b for e in ends for b in (2 * e, 2 * e + 1)]
-        # every curve number lies in ]-1, 1[, so its place is in
-        # [-2 den, 2 den): at[p + 2 den] is the cell of place p
-        at = [cells[bisect_right(bounds, p)] for p in range(-2 * den, 2 * den)]
+        # at[p + off] is the packed int of place p; lane j adds its bit from
+        # place 2t + 1 and removes it after 2(t + den), or at it when open
         off = 2 * den
+        diff = [0] * (2 * off + 1)
+        for j, (t, closed) in enumerate(self.lanes):
+            diff[max(2 * t + 1 + off, 0)] += 1 << (j * width)
+            diff[min(2 * (t + den) + closed + off, 2 * off)] -= 1 << (j * width)
+        at = list(accumulate(diff))
         self.packed = []
         for s, ranges, zero in self.progressions:
             vec = zero * at[off]
@@ -655,7 +646,7 @@ class _SearchContext:
         # tables, filled per class at its first leaf; the target needs no
         # place in it, as `window_counts` counts in windows over any den
         self.frame = lcm(*(s for s, _, _ in self.progressions))
-        self.frame_numbers: list[Optional[list[int]]] = [None] * len(self.pool)
+        self.frame_numbers: list[Optional[list[int]]] = [None] * len(self.rank)
         self.frame_bound: dict[int, int] = {}
 
     def _frame_numbers_of(self, i: int) -> list[int]:
@@ -698,7 +689,8 @@ def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int]:
     A leaf that passes keeps its pool indices; once the DFS is done they
     become canonical places (``rank``), each survivor's sorted, and the
     survivors are sorted as those int tuples, which is the canonical order
-    of the module docstring.  Only then is each made a `Configuration`.
+    of the module docstring.  Only then is each made a `Configuration`,
+    over one `GermClass` per distinct place, made from ``fields``.
     Every survivor has polar degree k by construction: its Milnor numbers
     sum to T, as ``remaining`` reached 0.
     """
@@ -735,9 +727,10 @@ def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int]:
     dfs(0, ctx.target_mu, ctx.start)
     if not found:
         return [], examined, cuts
-    rank, canonical = ctx.rank, germ_pool(ctx.n, ctx.target_mu, ctx.families)
+    rank, fields = ctx.rank, ctx.fields
     places = sorted(tuple(sorted(rank[i] for i in s)) for s in found)
-    return [Configuration(ctx.n, ctx.d, tuple(canonical[r] for r in t)) for t in places], examined, cuts
+    classes = {r: GermClass(*fields[r], ctx.n) for r in set(chain.from_iterable(places))}
+    return [Configuration(ctx.n, ctx.d, tuple(classes[r] for r in t)) for t in places], examined, cuts
 
 
 def enumerate_configurations(

@@ -807,6 +807,7 @@ LIBRARY_ONLY = {
     "sectional_milnor_plane": "huh_inequality_holds calls it; the search applies huh per family",
     "multiplicity_curve": "huh_inequality_holds calls it; the search applies huh per family",
     "make_spectrum": "a spectrum file is read over integer numerators; the tests build spectra with it",
+    "germ_pool": "perfbench's pool_windows and check_batch list their pools with it; a search lists fields",
 }
 
 

@@ -429,7 +429,7 @@ def test_lookahead_bounds_every_completion(data):
     )
     ctx = _context(n, d, k, open_variant)
     remaining = data.draw(_up_to(min(ctx.target_mu, 12)))
-    s = data.draw(st.integers(0, len(ctx.pool)))
+    s = data.draw(st.integers(0, len(ctx.rank)))
     lanes = len(ctx.lanes)
     bound = _unpack(ctx.lookahead[remaining], ctx.width, lanes)
     for completion in _completions(ctx.mus, s, remaining):
@@ -538,11 +538,12 @@ def test_lanes_are_the_windows_that_can_cut():
 
 
 def test_cell_table_vectors_and_least_densities_equal_the_lane_counts():
-    # The cell table's packed vectors against `window_counts` at each lane's
-    # own window, and every entry of the lookahead table against the ceiling
-    # of r times a Fraction minimum per lane, on every pair of `_small_pairs`
-    # whose root is not cut.  Some mu must have two classes whose lane counts
-    # cross, so the lane-wise minimum differs from both vectors.
+    # The packed vectors, read from the table by place, against
+    # `window_counts` at each lane's own window, and every entry of the
+    # lookahead table against the ceiling of r times a Fraction minimum per
+    # lane, on every pair of `_small_pairs` whose root is not cut.  Some mu
+    # must have two classes whose lane counts cross, so the lane-wise minimum
+    # differs from both vectors.
     built = crossed = 0
     for n, d, k, whitelist, open_variant in _small_pairs():
         ctx = _SearchContext(n, d, k, frozenset(whitelist), SearchFilters(open_variant=open_variant))
@@ -736,6 +737,59 @@ def test_refused_and_certified_searches_list_no_pool_fields(monkeypatch):
     for n, d, k in [(9, 6, 3), (100, 3, 2)]:
         report = enumerate_configurations(n, d, k)
         assert (report.examined, report.pruned_by_dict()["semicontinuity"]) == (0, 1)
+
+
+# searches that keep survivors: (2,3,2) 2, (2,4,2) 20, (2,5,2) 8, (3,3,2) 7
+# and (2,3,1) 3, whose pool huh cuts down to A
+_SURVIVOR_SEARCHES = [(2, 3, 2), (2, 4, 2), (2, 5, 2), (3, 3, 2), (2, 3, 1)]
+
+
+def test_a_search_lists_its_pool_once(monkeypatch):
+    # The context lists the fields, and the survivors' classes are made from
+    # them, not from a second listing.
+    from specpol import search
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = search._pool_fields
+    monkeypatch.setattr(search, "_pool_fields", counted)
+    for case in _SURVIVOR_SEARCHES:
+        calls.clear()
+        assert enumerate_configurations(*case).survivors, case
+        assert len(calls) == 1, case
+
+
+def test_searches_with_survivors_do_not_call_germ_pool(monkeypatch):
+    expected = [enumerate_configurations(*case).to_json() for case in _SURVIVOR_SEARCHES]
+    verified = verify_huh_lists().to_json_obj()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search called germ_pool")
+
+    monkeypatch.setattr("specpol.search.germ_pool", refuse)
+    assert [enumerate_configurations(*case).to_json() for case in _SURVIVOR_SEARCHES] == expected
+    assert verify_huh_lists().to_json_obj() == verified
+
+
+def test_a_search_makes_one_germ_class_per_class_its_survivors_hold(monkeypatch):
+    # (2,5,2) keeps 8 survivors over 9 distinct classes of its 36-class pool
+    report = enumerate_configurations(2, 5, 2)
+    held = {g for c in report.survivors for g in c.germs}
+    assert (len(report.survivors), len(held)) == (8, 9)
+    made = []
+    real = catalog.GermClass.__post_init__
+
+    def counted(self):
+        made.append((self.family, self.k, self.i))
+        real(self)
+
+    monkeypatch.setattr(catalog.GermClass, "__post_init__", counted)
+    assert enumerate_configurations(2, 5, 2) == report
+    assert sorted(made) == sorted((g.family, g.k, g.i) for g in held)
 
 
 def _count_diagonal_builds(monkeypatch):

@@ -24,6 +24,7 @@ from specpol import (
     search,
     semicontinuity,
 )
+from specpol.catalog import GermClass
 from specpol.search import SearchFilters
 from specpol.semicontinuity import window_test_points
 from specpol.spectrum import EMPTY, POS_INF
@@ -259,8 +260,8 @@ def _search_leaves(monkeypatch, searches):
 
     def leaf(ctx, germs):
         passed = real_leaf(ctx, germs)
-        canonical = search.germ_pool(ctx.n, ctx.target_mu, ctx.families)
-        seen.append((Configuration(ctx.n, ctx.d, tuple(canonical[ctx.rank[i]] for i in germs)), passed))
+        germ_classes = tuple(GermClass(*ctx.fields[ctx.rank[i]], ctx.n) for i in germs)
+        seen.append((Configuration(ctx.n, ctx.d, germ_classes), passed))
         return passed
 
     monkeypatch.setattr(search._SearchContext, "leaf_passes", leaf)
