@@ -345,7 +345,8 @@ def fermat_spectrum(n: int, d: int) -> Spectrum:
     length-(d-1) all-ones vector n times (never by tuple enumeration); the
     total is (d-1)^n.  Each convolution is a running sum over a window of
     width d-1, so it is linear in the support.  More than MAX_FERMAT_WORK
-    steps in all is refused with a ValueError before the first pass.
+    steps in all is refused with a ValueError before the first pass.  The
+    last pair's spectrum is kept, and a repeated call returns it.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -355,6 +356,16 @@ def fermat_spectrum(n: int, d: int) -> Spectrum:
         raise ValueError(
             f"the diagonal-germ spectrum for n={n}, d={d} takes more than {MAX_FERMAT_WORK} steps"
         )
+    return _diagonal(n, d)
+
+
+# One entry suffices: callers ask for one (n, d) several times in a row (a
+# search, a sweep pair, the bundled lists, whose entries come in runs of one
+# (n, d)), and MAX_FERMAT_WORK bounds its size.  typed, so that
+# fermat_spectrum(2.0, 3) raises as it would uncached, not served the (2, 3)
+# entry (2.0 == 2).
+@lru_cache(maxsize=1, typed=True)
+def _diagonal(n: int, d: int) -> Spectrum:
     counts = [1]  # counts[m] = ways to reach sum m + (#parts so far)
     for _ in range(n):
         padded = counts + [0] * (d - 2)

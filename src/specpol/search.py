@@ -103,9 +103,10 @@ then k, then i, which is ``GermClass.sort_key``), each survivor lists its
 germs in it, and the survivors are in lexicographic order of those lists.
 The DFS keeps each survivor as its pool indices and sorts them once, as
 tuples of canonical places; only then is one `GermClass` made per distinct
-place the survivors hold, from the context's fields.  The diagonal
-germ's spectrum is built at most once per search and read by the centred
-window, the search context and the diagnostic windows.  Every
+place the survivors hold, from the context's fields.  The centred
+window, the search context and the diagnostic windows read the diagonal
+germ's spectrum from `fermat_spectrum`, which keeps the last (n, d) it
+built, so a search builds it at most once.  Every
 search runs in this process; the ``workers`` argument is checked but selects
 nothing, so any worker count gives the same report.  Survivors satisfy a
 necessary criterion only: they are candidates, not certified hypersurfaces.
@@ -135,7 +136,7 @@ from typing import AbstractSet, Iterable, Optional
 from .catalog import FAMILIES, GermClass, _curve_progressions, _Progressions, fermat_spectrum
 from .polar import Configuration, InfeasibleConfigurationError, diagonal_milnor, polar_degree
 from .semicontinuity import check_configuration, check_windows, window_counts
-from .spectrum import EMPTY, NEG_INF, Spectrum, deg_window
+from .spectrum import EMPTY, NEG_INF, deg_window
 
 __all__ = [
     "CentredWindowCertificate",
@@ -318,7 +319,7 @@ class CentredWindowCertificate:
 
 
 def centred_window_certificate(
-    n: int, d: int, k: int, open_variant: bool = True, diagonal: Optional[Spectrum] = None
+    n: int, d: int, k: int, open_variant: bool = True
 ) -> Optional[CentredWindowCertificate]:
     """Eliminate (n, d, k) by the unit window centred on the spectra, or return None.
 
@@ -355,17 +356,14 @@ def centred_window_certificate(
     ]c-1/2, c+1/2] is at least its open count, so without ``open_variant``
     the same ceil(4T/5) is set against the diagonal germ's half-open count,
     which the check without the open variant bounds.  Nothing depends on the
-    whitelist: any subset of the catalog has the density.  ``diagonal`` is
-    `fermat_spectrum(n, d)` if the caller has built it.
+    whitelist: any subset of the catalog has the density.
     """
     total = diagonal_milnor(n, d) - k
     centre = Fraction(n - 2, 2)
     low, high = centre - Fraction(1, 2), centre + Fraction(1, 2)
     # ceil(total * 4/5), in integers
     forced = -(-total * CENTRED_DENSITY.numerator // CENTRED_DENSITY.denominator)
-    if diagonal is None:
-        diagonal = fermat_spectrum(n, d)
-    target = deg_window(diagonal, low, high, right_open=open_variant)
+    target = deg_window(fermat_spectrum(n, d), low, high, right_open=open_variant)
     if forced <= target:
         return None
     return CentredWindowCertificate(
@@ -487,7 +485,6 @@ class _SearchContext:
     walk, `build` and the leaves read pool class i as ``progressions[i]``,
     (den, ranges, zero) of `catalog._curve_progressions`; no class's
     `Spectrum` is built.
-    ``diagonal`` is `fermat_spectrum(n, d)` if the caller has built it.
     """
 
     def __init__(
@@ -497,7 +494,6 @@ class _SearchContext:
         k: int,
         families: frozenset[str],
         filters: SearchFilters,
-        diagonal: Optional[Spectrum] = None,
     ):
         self.n, self.d, self.k = n, d, k
         self.filters = filters
@@ -522,9 +518,7 @@ class _SearchContext:
         # Spectrum of a pool class is built
         self.progressions = [_curve_progressions(*fields[r]) for r in self.rank]
         # in the frame of the curve spectra (see the module docstring)
-        if diagonal is None:
-            diagonal = fermat_spectrum(n, d)
-        self.target = diagonal.shift(Fraction(2 - n, 2))
+        self.target = fermat_spectrum(n, d).shift(Fraction(2 - n, 2))
         # the lanes, at -2 < t/den < 1 (see the class docstring); none and high == 0 without semicontinuity
         den, windows = check_windows(EMPTY, self.target, filters.open_variant) if filters.semicontinuity else (1, [])
         windows = [(t, closed) for t, closed in windows if -2 * den < t < den]
@@ -772,11 +766,7 @@ def enumerate_configurations(
         # D/E/J class at k = 1 and none from k = 2 on
         families = whitelist & {"A"}
         pruned["huh"] = germ_pool_size(smooth - k, whitelist - {"A"})
-    # the diagonal germ's spectrum, built once where the centred window or the
-    # diagnostics read it, and passed to the context, which builds it only
-    # where neither does
-    diagonal = fermat_spectrum(n, d) if filters.semicontinuity or (n, d) in _DIAGNOSTIC_CASES else None
-    if filters.semicontinuity and centred_window_certificate(n, d, k, filters.open_variant, diagonal):
+    if filters.semicontinuity and centred_window_certificate(n, d, k, filters.open_variant):
         # what a cut root reports, without listing the pool
         survivors, examined, cuts = [], 0, 1
     elif smooth > k and not germ_pool_size(smooth - k, families):
@@ -784,13 +774,13 @@ def enumerate_configurations(
         # semicontinuity, as nothing cut without it, and no table is built
         survivors, examined, cuts = [], 0, int(filters.semicontinuity)
     else:
-        survivors, examined, cuts = _run_search(_SearchContext(n, d, k, families, filters, diagonal))
+        survivors, examined, cuts = _run_search(_SearchContext(n, d, k, families, filters))
     pruned["semicontinuity"] = cuts
 
     diagnostics = ()
     if (n, d) in _DIAGNOSTIC_CASES:
         diagnostics = tuple(
-            (label, deg_window(diagonal, *bounds))
+            (label, deg_window(fermat_spectrum(n, d), *bounds))
             for label, bounds in _DIAGNOSTIC_WINDOWS
         )
     return SearchReport(
@@ -876,12 +866,12 @@ def verify_huh_lists(workers: int = 1) -> HuhVerification:
     Each failed check adds its problem to the entry's ``problems``, in that
     order: ``polar degree <computed> != expected <stated>``, ``fails
     semicontinuity`` and ``missing from search survivors``.  ``workers`` is
-    passed to `enumerate_configurations`, which ignores it.  Each search
-    builds its own diagonal-germ spectrum, and the checks build one per
-    distinct (n, d) of the entries.
+    passed to `enumerate_configurations`, which ignores it.  The searches
+    and the checks share the diagonal-germ spectrum that `fermat_spectrum`
+    keeps for the last (n, d), so it is built once per run of entries with
+    one (n, d).
     """
     search_cache: dict[tuple[int, int, int], SearchReport] = {}
-    diagonals: dict[tuple[int, int], Spectrum] = {}
     results = []
     for key, config, expected in load_huh_lists():
         try:
@@ -892,9 +882,7 @@ def verify_huh_lists(workers: int = 1) -> HuhVerification:
         if params not in search_cache:
             search_cache[params] = enumerate_configurations(*params, workers=workers)
         problems = [] if computed == expected else [f"polar degree {computed} != expected {expected}"]
-        if (config.n, config.d) not in diagonals:
-            diagonals[config.n, config.d] = fermat_spectrum(config.n, config.d)
-        if not check_configuration(config, diagonal=diagonals[config.n, config.d]).holds:
+        if not check_configuration(config).holds:
             problems.append("fails semicontinuity")
         if config not in search_cache[params].survivors:
             problems.append("missing from search survivors")

@@ -30,7 +30,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .catalog import curve_spectrum, fermat_spectrum
 from .polar import Configuration
@@ -183,13 +183,11 @@ def candidate_spectrum(c: Configuration) -> Spectrum:
 MAX_CHECK_SUPPORT = 200_000
 
 
-def check_configuration(
-    c: Configuration, open_variant: bool = True, diagonal: Optional[Spectrum] = None
-) -> SemicontinuityReport:
+def check_configuration(c: Configuration, open_variant: bool = True) -> SemicontinuityReport:
     """Run the semicontinuity check of a configuration against its target.
 
-    The target is always the diagonal-germ spectrum for (n, d), passed as
-    ``diagonal`` by a caller that has built it.  The half-open windows are
+    The target is always the diagonal-germ spectrum for (n, d), from
+    `fermat_spectrum`, which keeps the last one built.  The half-open windows are
     always checked; the open windows are added unless ``open_variant`` is
     False.  A configuration whose bound on the union support is over
     ``MAX_CHECK_SUPPORT`` is refused with a ValueError before any spectrum
@@ -201,6 +199,4 @@ def check_configuration(
         raise ValueError(
             f"the check could count {shown} distinct spectral numbers, over the budget of {MAX_CHECK_SUPPORT}"
         )
-    if diagonal is None:
-        diagonal = fermat_spectrum(c.n, c.d)
-    return check(candidate_spectrum(c), diagonal, open_variant)
+    return check(candidate_spectrum(c), fermat_spectrum(c.n, c.d), open_variant)

@@ -404,6 +404,25 @@ def test_fermat_is_fast_at_moderate_size():
     assert s.total() == 11**12
 
 
+def test_fermat_spectrum_keeps_the_last_pair_only():
+    # a repeat returns the kept object, another pair replaces it, and the
+    # key is typed: 2.0 == 2, but (2.0, 3) is not served the (2, 3) entry
+    first = fermat_spectrum(2, 3)
+    assert fermat_spectrum(2, 3) is first
+    other = fermat_spectrum(3, 3)
+    assert fermat_spectrum(3, 3) is other
+    again = fermat_spectrum(2, 3)
+    assert again == first and again is not first
+    with pytest.raises(TypeError):
+        fermat_spectrum(2.0, 3)
+    assert fermat_spectrum(True, 3) == fermat_spectrum(1, 3)
+    # an over-budget pair is refused before the kept entry changes
+    kept = fermat_spectrum(2, 5)
+    with pytest.raises(ValueError, match="takes more than"):
+        fermat_spectrum(2, 10**7)
+    assert fermat_spectrum(2, 5) is kept
+
+
 # --- the integer form against Fraction arithmetic ------------------------------
 
 

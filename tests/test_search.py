@@ -210,7 +210,7 @@ def test_centred_window_certificates_agree_with_the_explicit_search(monkeypatch)
     def refuse(self):
         raise AssertionError("the explicit search did not cut the root")
 
-    monkeypatch.setattr("specpol.search.centred_window_certificate", lambda n, d, k, kind, diagonal: None)
+    monkeypatch.setattr("specpol.search.centred_window_certificate", lambda n, d, k, kind: None)
     monkeypatch.setattr(_SearchContext, "build", refuse)
     for (n, d, k, wl, filters), expected in lemma.items():
         explicit = enumerate_configurations(n, d, k, wl, filters)
@@ -792,47 +792,42 @@ def test_a_search_makes_one_germ_class_per_class_its_survivors_hold(monkeypatch)
     assert sorted(made) == sorted((g.family, g.k, g.i) for g in held)
 
 
-def _count_diagonal_builds(monkeypatch):
-    # every fermat_spectrum call made through the search and the check
-    from specpol import search, semicontinuity
-
-    built = []
-
-    def counted(n, d):
-        built.append((n, d))
-        return catalog.fermat_spectrum(n, d)
-
-    monkeypatch.setattr(search, "fermat_spectrum", counted)
-    monkeypatch.setattr(semicontinuity, "fermat_spectrum", counted)
-    return built
+def _count_diagonal_builds():
+    # the diagonal-germ spectra built from here on: fermat_spectrum's misses
+    catalog._diagonal.cache_clear()
+    return lambda: catalog._diagonal.cache_info().misses
 
 
-def test_a_search_builds_the_diagonal_spectrum_once(monkeypatch):
+def test_a_search_builds_the_diagonal_spectrum_once():
     # The centred certificate, the context and the diagnostics read one
     # diagonal-germ spectrum: (2,5,2) tries the certificate and searches,
     # (4,3,2) also reports diagnostics, and (5,3,2) is decided by the
     # certificate and reports diagnostics.  Without semicontinuity and with
     # no pool, nothing reads it, even at a d whose spectrum is over its budget.
-    built = _count_diagonal_builds(monkeypatch)
     for n, d, k in [(2, 5, 2), (4, 3, 2), (5, 3, 2)]:
-        built.clear()
+        built = _count_diagonal_builds()
         report = enumerate_configurations(n, d, k)
-        assert built == [(n, d)], (n, d, k)
+        assert built() == 1, (n, d, k)
+        fermat_spectrum(n, d)  # the kept entry is (n, d)'s
+        assert built() == 1, (n, d, k)
         assert bool(report.diagnostic_windows) == ((n, d) != (2, 5))
-    built.clear()
+    built = _count_diagonal_builds()
     enumerate_configurations(2, 10**20, 2, (), SearchFilters(semicontinuity=False))
-    assert built == []
+    assert built() == 0
 
 
-def test_verify_huh_lists_builds_one_diagonal_spectrum_per_search_and_pair(monkeypatch):
-    # 6 searches build one each, and the 15 checks one per distinct (n, d)
-    built = _count_diagonal_builds(monkeypatch)
+def test_verify_huh_lists_builds_one_diagonal_spectrum_per_search_and_pair():
+    # the searches and the checks share one spectrum per run of entries with
+    # one (n, d): (3,3), (2,5), (2,4), (2,3), (2,2), (2,3), 6 builds where
+    # one per search and one per distinct (n, d) would be 11
+    built = _count_diagonal_builds()
     assert verify_huh_lists().all_ok
-    searches = {(c.n, c.d, pol) for _key, c, pol in load_huh_lists()}
-    pairs = {(c.n, c.d) for _key, c, _pol in load_huh_lists()}
-    assert (len(searches), len(pairs)) == (6, 5)
-    assert len(built) == len(searches) + len(pairs) == 11
-    assert set(built) == pairs
+    runs = [(c.n, c.d) for _key, c, _pol in load_huh_lists()]
+    runs = [p for i, p in enumerate(runs) if i == 0 or p != runs[i - 1]]
+    assert runs == [(3, 3), (2, 5), (2, 4), (2, 3), (2, 2), (2, 3)]
+    assert built() == len(runs) == 6
+    fermat_spectrum(2, 3)  # the kept entry is the last run's
+    assert built() == 6
 
 
 @pytest.mark.parametrize("n, d, k", [(2, 9, 2), (4, 4, 0), (2, 40, 2)])
