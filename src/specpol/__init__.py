@@ -28,11 +28,9 @@ from .catalog import (
 from .polar import (
     Configuration,
     InfeasibleConfigurationError,
-    UnsupportedDimensionError,
     diagonal_milnor,
     huh_inequality_holds,
     polar_degree,
-    sectional_milnor_plane,
 )
 from .search import (
     SearchFilters,

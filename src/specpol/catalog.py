@@ -151,9 +151,15 @@ def corank_curve(g: GermClass) -> int:
     return 2
 
 
+# Plane multiplicity of each family's normal form.  The search's huh filter
+# keeps or drops whole families by it, so a family whose multiplicity varies
+# by class cannot join this table as it is.
+_MULTIPLICITY = {"A": 2, "D": 3, "E": 3, "J": 3}
+
+
 def multiplicity_curve(g: GermClass) -> int:
     """Order of the two-variable normal form at the origin: 2 for A, 3 for D/E/J."""
-    return 2 if g.family == "A" else 3
+    return _MULTIPLICITY[g.family]
 
 
 # The most spectral numbers a catalog curve spectrum is built with: a class

@@ -7,9 +7,13 @@ catalog germs in a :class:`Configuration`, the polar degree is
 
 which is non-negative for every configuration that an actual hypersurface can
 carry.  The gradient-map lower bound (polar degree >= sectional Milnor number
-at every singular point) is exact in the plane, where the search applies it to
-its germ pool.  In higher dimension it is only a catalog-membership condition,
-which every catalog germ meets, so the search does not call it there.
+at every singular point) is exact in the plane: there the sectional Milnor
+number is multiplicity - 1, so the bound is multiplicity - 1 <= k at every
+point.  `huh_inequality_holds` and the search both read the multiplicity from
+`catalog.multiplicity_curve`'s per-family table, the search per family for
+every k >= 1.  In higher dimension the bound is only a catalog-membership
+condition, which every catalog germ meets, so the search does not call it
+there.
 """
 
 from __future__ import annotations
@@ -22,11 +26,9 @@ from .catalog import GermClass, multiplicity_curve, parse_germ
 __all__ = [
     "Configuration",
     "InfeasibleConfigurationError",
-    "UnsupportedDimensionError",
     "diagonal_milnor",
     "huh_inequality_holds",
     "polar_degree",
-    "sectional_milnor_plane",
 ]
 
 
@@ -38,10 +40,6 @@ MAX_POWER_BITS = 100_000
 
 class InfeasibleConfigurationError(ValueError):
     """Total Milnor number exceeds (d-1)^n: no hypersurface carries it."""
-
-
-class UnsupportedDimensionError(ValueError):
-    """Raised when an exact sectional Milnor number is only known for curves."""
 
 
 @dataclass(frozen=True)
@@ -129,28 +127,18 @@ def polar_degree(c: Configuration) -> int:
     return value
 
 
-def sectional_milnor_plane(g: GermClass) -> int:
-    """Milnor number of a generic point section of a plane-curve germ.
-
-    For a curve this is multiplicity - 1: 1 for the A family, 2 for D/E/J.
-    """
-    if g.ambient_vars != 2:
-        raise UnsupportedDimensionError(
-            f"exact sectional Milnor number only implemented for curves, got n={g.ambient_vars}"
-        )
-    return multiplicity_curve(g) - 1
-
-
 def huh_inequality_holds(c: Configuration, k: int) -> bool:
     """Gradient-degree lower bound, as far as it is exactly computable.
 
-    In the plane the sectional Milnor number is multiplicity - 1 and must not
-    exceed k at any singular point.  For n >= 3 and k <= 2 the bound forces
-    every germ into the A/D/E/J catalog, which is a membership condition on
-    our germ type that every `GermClass` meets (it rejects any other family);
-    for k >= 3 no exact criterion is available and the check passes
-    vacuously.  So only the plane can fail.
+    In the plane the sectional Milnor number is multiplicity - 1, read from
+    `multiplicity_curve`'s per-family table, and must not exceed k at any
+    singular point; the search applies the same table per family for every
+    k >= 1.  For n >= 3 and k <= 2 the bound forces every germ into the
+    A/D/E/J catalog, which is a membership condition on our germ type that
+    every `GermClass` meets (it rejects any other family); for k >= 3 no
+    exact criterion is available and the check passes vacuously.  So only the
+    plane can fail.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    return c.n != 2 or all(sectional_milnor_plane(g) <= k for g in c.germs)
+    return c.n != 2 or all(multiplicity_curve(g) - 1 <= k for g in c.germs)

@@ -18,12 +18,13 @@ Filters:
   applied from that k on and prunes nothing (checked by
   ``test_implied_pool_filters_are_vacuous``); below it, it is not listed.
 * ``huh`` (k >= 1, plane only): multiplicity - 1 <= k for every pool germ.
-  That is 1 for A and 2 for D/E/J, so ``huh`` removes whole families: every
-  D/E/J class at k = 1 and nothing from k = 2 on.  `enumerate_configurations`
-  applies it per family, counting what it removes in closed form
-  (`germ_pool_size`), before any class is listed.  For n >= 3 the
-  gradient-degree bound is catalog membership, which the pool has by
-  construction.
+  The multiplicity is one per family, read from the table behind
+  `catalog.multiplicity_curve` (2 for A, 3 for D/E/J), so for every k >= 1
+  `enumerate_configurations` keeps the families with multiplicity - 1 <= k
+  and counts what it removes in closed form (`germ_pool_size`), before any
+  class is listed: every D/E/J class at k = 1, nothing from k = 2 on.  For
+  n >= 3 the gradient-degree bound is catalog membership, which the pool has
+  by construction.
 * ``semicontinuity``: window counts of the summed spectrum must not exceed
   the diagonal-germ target's anywhere; applied to every complete
   configuration, and incrementally during the search (window counts only grow
@@ -133,7 +134,7 @@ from itertools import accumulate, chain
 from math import lcm
 from typing import AbstractSet, Iterable, Optional
 
-from .catalog import FAMILIES, GermClass, _curve_progressions, _Progressions, fermat_spectrum
+from .catalog import _MULTIPLICITY, FAMILIES, GermClass, _curve_progressions, _Progressions, fermat_spectrum
 from .polar import Configuration, InfeasibleConfigurationError, diagonal_milnor, polar_degree
 from .semicontinuity import check_configuration, check_windows, window_counts
 from .spectrum import EMPTY, NEG_INF, deg_window
@@ -761,11 +762,9 @@ def enumerate_configurations(
     whitelist = frozenset(_families(whitelist))
     # every pool filter, decided per family before any class is listed
     families, pruned = whitelist, dict.fromkeys(FILTER_NAMES, 0)
-    if filters.huh and n == 2 and k == 1:
-        # multiplicity - 1 is 1 for A and 2 for D/E/J, so huh removes every
-        # D/E/J class at k = 1 and none from k = 2 on
-        families = whitelist & {"A"}
-        pruned["huh"] = germ_pool_size(smooth - k, whitelist - {"A"})
+    if filters.huh and n == 2 and k >= 1:
+        families = frozenset(f for f in whitelist if _MULTIPLICITY[f] - 1 <= k)
+        pruned["huh"] = germ_pool_size(smooth - k, whitelist - families)
     if filters.semicontinuity and centred_window_certificate(n, d, k, filters.open_variant):
         # what a cut root reports, without listing the pool
         survivors, examined, cuts = [], 0, 1

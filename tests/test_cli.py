@@ -804,8 +804,7 @@ LIBRARY_ONLY = {
     "huh_inequality_holds": "perfbench/spans.py traces it by name",
     "alpha1_threshold": "perfbench/spans.py traces it by name",
     "corank_curve": "test_implied_pool_filters_are_vacuous uses it",
-    "sectional_milnor_plane": "huh_inequality_holds calls it; the search applies huh per family",
-    "multiplicity_curve": "huh_inequality_holds calls it; the search applies huh per family",
+    "multiplicity_curve": "huh_inequality_holds calls it; the plane class formula (ROADMAP item 3) will read it",
     "make_spectrum": "a spectrum file is read over integer numerators; the tests build spectra with it",
     "germ_pool": "perfbench's pool_windows and check_batch list their pools with it; a search lists fields",
 }

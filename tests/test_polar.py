@@ -10,12 +10,10 @@ from specpol import (
     Configuration,
     GermClass,
     InfeasibleConfigurationError,
-    UnsupportedDimensionError,
     huh_inequality_holds,
     load_huh_lists,
     parse_germ,
     polar_degree,
-    sectional_milnor_plane,
 )
 
 
@@ -83,14 +81,6 @@ def test_configuration_validation_and_json():
 def test_configuration_normalises_ambient():
     c = Configuration(4, 3, (GermClass("A", 2),))
     assert all(g.ambient_vars == 4 for g in c.germs)
-
-
-def test_sectional_milnor_plane():
-    assert sectional_milnor_plane(GermClass("A", 9)) == 1
-    assert sectional_milnor_plane(GermClass("D", 4)) == 2
-    assert sectional_milnor_plane(GermClass("J", 2, 4)) == 2
-    with pytest.raises(UnsupportedDimensionError):
-        sectional_milnor_plane(GermClass("A", 2, 0, 3))
 
 
 def test_huh_inequality_plane():

@@ -33,9 +33,9 @@ from specpol import (
     germ_spectrum,
     huh_inequality_holds,
     load_huh_lists,
+    multiplicity_curve,
     parse_germ,
     polar_degree,
-    sectional_milnor_plane,
     verify_huh_lists,
 )
 from specpol.search import (
@@ -850,7 +850,7 @@ def test_configuration_count_equals_the_unpruned_search():
         total = (d - 1) ** n - k
         for huh in (True, False):
             report = enumerate_configurations(n, d, k, filters=SearchFilters(huh=huh, semicontinuity=False))
-            kept = [g for g in germ_pool(n, total) if not huh or n > 2 or k < 1 or sectional_milnor_plane(g) <= k]
+            kept = [g for g in germ_pool(n, total) if not huh or n > 2 or k < 1 or multiplicity_curve(g) - 1 <= k]
             families = {g.family for g in kept}
             assert _count_configurations(total, families, MAX_UNPRUNED_CONFIGURATIONS) == report.examined
     assert _count_configurations(4, {"A", "D"}, 10) == 6
@@ -1075,18 +1075,36 @@ def test_huh_per_family_equals_the_per_class_scan():
     # huh removes whole families, so the search applies it per family, in
     # closed form; a scan of every listed class must count the same removals,
     # and the survivors must be those of the search without huh that pass
-    # huh_inequality_holds; on (2, d, 1) for d = 2..12 and the plane pairs
-    # of candidate_region(2)
+    # huh_inequality_holds; on (2, d, 1) for d = 2..12, the plane pairs of
+    # candidate_region(2) and those of candidate_region(3) with d <= 8, and
+    # three pairs off the plane, where huh removes nothing
     plane_k2 = [(n, d, 2) for n, d in sorted(candidate_region(2).pairs) if n == 2]
-    for n, d, k in [(2, d, 1) for d in range(2, 13)] + plane_k2:
+    plane_k3 = [(n, d, 3) for n, d in sorted(candidate_region(3).pairs) if n == 2 and d <= 8]
+    off_plane = [(3, 3, 1), (4, 3, 1), (3, 4, 1)]
+    for n, d, k in [(2, d, 1) for d in range(2, 13)] + plane_k2 + plane_k3 + off_plane:
         total = (d - 1) ** n - k
         for wl in ("ADEJ", "DEJ", "AJ", "J"):
             report = enumerate_configurations(n, d, k, wl)
-            scan = sum(sectional_milnor_plane(g) > k for g in germ_pool(n, total, wl))
+            scan = sum(n == 2 and multiplicity_curve(g) - 1 > k for g in germ_pool(n, total, wl))
             assert report.pruned_by_dict()["huh"] == scan, (n, d, k, wl)
             without = enumerate_configurations(n, d, k, wl, SearchFilters(huh=False))
             kept = [c for c in without.survivors if huh_inequality_holds(c, k)]
             assert list(report.survivors) == kept, (n, d, k, wl)
+
+
+def test_the_search_and_huh_inequality_holds_read_one_multiplicity(monkeypatch):
+    # Give D multiplicity 4 in the catalog's table: at k = 2 the search must
+    # then remove every D class, counted in closed form, and keep exactly the
+    # survivors without huh that huh_inequality_holds passes
+    monkeypatch.setitem(catalog._MULTIPLICITY, "D", 4)
+    for d, pruned, kept in [(4, 4, 13), (5, 11, 2)]:
+        report = enumerate_configurations(2, d, 2)
+        total = (d - 1) ** 2 - 2
+        assert report.pruned_by_dict()["huh"] == germ_pool_size(total, {"D"}) == pruned
+        without = enumerate_configurations(2, d, 2, filters=SearchFilters(huh=False))
+        assert list(report.survivors) == [c for c in without.survivors if huh_inequality_holds(c, 2)]
+        assert len(report.survivors) == kept
+    assert not huh_inequality_holds(config(2, 4, "D4"), 2)
 
 
 def test_huh_filter_prunes_plane_germs_at_k1():
