@@ -42,10 +42,21 @@ Filters:
   proofs).  A configuration that passes the check fits every lane.  The
   converse fails, as the lanes test the target's test points only (A13 +
   E7 + E12 at (2,7) fits every half-open lane, not ]a,a+1] at a = -5/9),
-  so each leaf also tests ]x-1, x] at each of its own spectral numbers x,
-  the only windows that can still fail (`_SearchContext` has the proof).
-  It sums no spectrum: it sorts its germs' numbers over one integer frame
-  and reads the target's counts from a table (`_SearchContext.leaf_passes`).
+  so each leaf is tested once more, first by the target's cells.  Between
+  consecutive breakpoints b < c of the target (its numbers y and y - 1)
+  the target's count in ]a, a+1] is a constant h for a in [b, c), and the
+  window lies in the cell ]b, c+1[; below the first breakpoint and from
+  the last on the count is 0, and the windows lie in the two end cells.  A
+  cell is one more lane of the same packed counts, with the bound h, but
+  no node tests it and no lookahead reaches it, so it never cuts; a leaf
+  that fits every cell fits every window ]a, a+1] and passes at once.  A
+  leaf that overflows a cell goes to the exact test, ]x-1, x] at each of
+  its own spectral numbers x, the only windows that can still fail, and
+  a leaf the cells pass passes it too (`_SearchContext` has both proofs).
+  The exact test sums no spectrum: it sorts its germs' numbers over one
+  integer frame and reads the target's counts from a table
+  (`_SearchContext.leaf_passes`).  It runs at no leaf of a default search
+  of `candidate_region(2)`.
 * Lookahead (part of ``semicontinuity``): a node with ``remaining`` Milnor
   number still to place is completed by pool germs whose Milnor numbers sum
   to ``remaining``.  Such a completion adds sum_g vec_g[j] = sum_g mu_g *
@@ -475,7 +486,20 @@ class _SearchContext:
       bound of at least T (its half-open twin's bound is larger) or misses
       ]-1, 1[.
 
-    This holds with or without the open variant.  The root is decided first
+    This holds with or without the open variant.  Most leaves are decided
+    before it, by the target's cells.  Let b_0 < ... < b_m be the
+    breakpoints of D, its numbers y and y - 1.  h_D is constant on each
+    [b_i, b_{i+1}), so for a there ]a, a+1] lies in the cell
+    ]b_i, b_{i+1} + 1[, and D counts h_D(b_i) in it; for a < b_0 the window
+    lies in ]-inf, b_0 + 1[ and for a >= b_m in ]b_m, inf[, and D counts 0
+    in it.  So a leaf C that counts at most the bound in every cell has
+    h_C(a) <= h_D(a) for every a, at each a = x - 1 too, and the exact test
+    would pass it: the cells pass no leaf that it rejects.  A cell with a
+    bound of at least T, or whose places miss ]-1, 1[, never overflows, and
+    is left out.  The cells are lanes of the same packed state, but no bit
+    of ``high`` and no lookahead entry is theirs, so they cut no node and
+    reject no leaf: cuts, ``examined`` and survivors are those of the
+    exact test alone.  The root is decided first
     (`_root_is_cut`); the tables of `build` are made only if it is not cut.
     The DFS of every default search reads all T + 1 lookahead entries (at
     (2,3,2), (3,3,2), (2,4,2), (2,5,2), (2,6,2), (2,7,7), (2,9,8), (2,12,11)
@@ -485,7 +509,9 @@ class _SearchContext:
     is made (`_run_search` makes one per class its survivors hold).  The
     walk, `build` and the leaves read pool class i as ``progressions[i]``,
     (den, ranges, zero) of `catalog._curve_progressions`; no class's
-    `Spectrum` is built.
+    `Spectrum` is built.  The exact leaf test's frame and tables are made at
+    the first leaf the cells do not pass, so a search without one makes
+    none.
     """
 
     def __init__(
@@ -525,6 +551,7 @@ class _SearchContext:
         windows = [(t, closed) for t, closed in windows if -2 * den < t < den]
         bounds = dict(zip(windows, window_counts(self.target, den, windows)))
         self.den = den
+        self.bounds = bounds  # the cells of `build` read theirs here
         self.lanes = [
             (t, closed) for (t, closed), r in bounds.items() if r < T and (closed or r < bounds[t, True])
         ]
@@ -564,7 +591,7 @@ class _SearchContext:
         return False
 
     def build(self) -> None:
-        """Every table the DFS reads: packed window vectors, lookahead, leaf frame.
+        """Every table the DFS reads: packed window and cell vectors, lookahead.
 
         The vectors come from one table by place.  A spectral number y/s
         has place 2q + (r > 0) over den, with q, r = divmod(y*den, s): place
@@ -581,13 +608,28 @@ class _SearchContext:
         counted twice, as its multiplicity says), plus ``zero`` times the
         int of place 0: the counts `window_counts(s, den, lanes)` gives on
         its curve spectrum s, which is never built.
+
+        The target's cells (see the class docstring) are more lanes of the
+        same table, above the window lanes: the cell ]b/den, c/den + 1[, b < c
+        consecutive breakpoints of the target, holds the places 2b + 1 ..
+        2(c + den) - 1, and its bound h_D(b) is the target's count in
+        ]b/den, b/den + 1], read from ``bounds`` (every breakpoint is a test
+        point) or, for b <= -2 den, counted.  ``cells`` lists them as
+        (b, c, bound), with b = None for ]-inf, c/den + 1[ and c = None for
+        ]b/den, inf[, both of bound 0.  A cell whose clamped place range is
+        empty holds no curve number and is skipped before its bound is read,
+        and one whose bound is at least T is dropped, as no count exceeds T.
+        ``start`` gains the cells' start states, and ``cell_high`` holds their
+        top bits; no lookahead entry and no bit of ``high`` is theirs.
         """
         width, den, high, T = self.width, self.den, self.high, self.target_mu
         # No carry between lanes: a node tests acc + lookahead, where acc is its
         # parent's state (every lane at most 2^(B-1) - 1, or the parent was cut)
         # plus germ g's vector.  g adds at most mu_g to a lane and the lookahead
         # at most the r - mu_g left after it, so a lane gains at most
-        # r <= target_mu < 2^(B-1) and stays below 2^B.
+        # r <= target_mu < 2^(B-1) and stays below 2^B.  A cell lane is never
+        # tested before the leaf; it starts at most 2^(B-1) - 1 and gains at
+        # most the target_mu placed on the whole branch, so it stays below 2^B.
         assert max(self.mus, default=0) <= T < 1 << (width - 1)
         # at[p + off] is the packed int of place p; lane j adds its bit from
         # place 2t + 1 and removes it after 2(t + den), or at it when open
@@ -596,6 +638,31 @@ class _SearchContext:
         for j, (t, closed) in enumerate(self.lanes):
             diff[max(2 * t + 1 + off, 0)] += 1 << (j * width)
             diff[min(2 * (t + den) + closed + off, 2 * off)] -= 1 << (j * width)
+        # the cells, from the target's breakpoints y and y - 1 over den; none
+        # without semicontinuity, as no leaf is tested then
+        target, bounds = self.target, self.bounds
+        scale = den // target.den
+        ys = [y * scale for y in target.nums]
+        breaks = sorted({*ys, *(y - den for y in ys)})
+        edges = zip([None, *breaks], [*breaks, None]) if self.filters.semicontinuity else ()
+        self.cells: list[tuple[Optional[int], Optional[int], int]] = []
+        bit = 1 << (len(self.lanes) * width)
+        for b, c in edges:
+            first = 0 if b is None else max(2 * b + 1 + off, 0)
+            end = 2 * off if c is None else min(2 * (c + den) + off, 2 * off)
+            if first >= end:
+                continue
+            if b is None:
+                bound = 0
+            elif b > -2 * den:  # and b < den, as the cell holds a place
+                bound = bounds[b, True]
+            else:
+                bound = window_counts(target, den, [(b, True)])[0]
+            if bound < T:
+                self.cells.append((b, c, bound))
+                diff[first] += bit
+                diff[end] -= bit
+                bit <<= width
         at = list(accumulate(diff))
         self.packed = []
         for s, ranges, zero in self.progressions:
@@ -606,6 +673,11 @@ class _SearchContext:
                     q, r = divmod(y * den, s)
                     vec += at[2 * q + (r > 0) + off]
             self.packed.append(vec)
+        shift = len(self.lanes) * width
+        cell_width, cell_start, cell_high = _lanes([bound for _b, _c, bound in self.cells], T)
+        assert cell_width == width
+        self.start += cell_start << shift
+        self.cell_high = cell_high << shift
         # Per lane, the least density vec_g[j]/mu_g over the whole pool as
         # xs[j]/ms[j]; it starts at 1/1, the largest density (a germ has mu_g
         # spectral numbers), which also bounds an empty pool: that has no
@@ -613,8 +685,11 @@ class _SearchContext:
         # is the least count, taken lane-wise on the packed vectors: every
         # lane is below 2^(B-1), so in (vec | high) - low lane j keeps its top
         # bit exactly when vec_j >= low_j, and no lane borrows from the next.
+        # The cell lanes are masked off first: they take no part in it.
         least: dict[int, int] = {}
+        lane_mask = (1 << shift) - 1
         for mu, vec in zip(self.mus, self.packed):
+            vec &= lane_mask
             low = least.setdefault(mu, vec)
             keep = ((vec | high) - low) & high
             take_low = (keep << 1) - (keep >> (width - 1))  # all ones in those lanes
@@ -637,12 +712,9 @@ class _SearchContext:
             for v in range(-(-T * x // m)):
                 steps[v * m // x + 1] += 1 << (j * width)
         self.lookahead = list(accumulate(steps))
-        # the leaf's frame, where every pool number is an integer, and its
-        # tables, filled per class at its first leaf; the target needs no
-        # place in it, as `window_counts` counts in windows over any den
-        self.frame = lcm(*(s for s, _, _ in self.progressions))
-        self.frame_numbers: list[Optional[list[int]]] = [None] * len(self.rank)
-        self.frame_bound: dict[int, int] = {}
+        # the exact leaf test's frame and tables, made at the first leaf that
+        # the cells do not certify (`leaf_passes`)
+        self.frame_numbers: Optional[list[Optional[list[int]]]] = None
 
     def _frame_numbers_of(self, i: int) -> list[int]:
         # pool class i's numbers over the frame, sorted and repeated by
@@ -655,17 +727,28 @@ class _SearchContext:
         bound.update(zip(new, window_counts(self.target, L, [(x - L, True) for x in new])))
         return nums
 
-    def leaf_passes(self, germs: list[int]) -> bool:
+    def leaf_passes(self, germs: list[int], acc: int) -> bool:
         """Whether the complete configuration of pool indices ``germs`` passes the check.
 
-        It fits every lane, so only ]x-1, x] at its own numbers x can still
-        fail (see the class docstring).  Over L = ``frame``, the lcm of every
-        pool spectrum's denominator, such a window is ]x - L, x]: the leaf
-        sorts its germs' numbers over L and counts them there with two
-        bisects, against the target's count at x, tabled once per search.
-        Integers only; no spectrum is summed.
+        ``acc`` is the leaf's packed state.  It fits every lane, so if it
+        also fits every cell, no bit of ``cell_high`` set, it passes (see the
+        class docstring).  Otherwise only ]x-1, x] at its own numbers x can
+        still fail.  Over L = ``frame``, the lcm of every pool spectrum's
+        denominator, such a window is ]x - L, x]: the leaf sorts its germs'
+        numbers over L and counts them there with two bisects, against the
+        target's count at x, tabled once per search.  Integers only; no
+        spectrum is summed.
         """
+        if not acc & self.cell_high:
+            return True
         numbers = self.frame_numbers
+        if numbers is None:
+            # the frame, where every pool number is an integer, and its tables,
+            # filled per class at its first leaf here; the target needs no
+            # place in it, as `window_counts` counts in windows over any den
+            self.frame = lcm(*(s for s, _, _ in self.progressions))
+            self.frame_numbers = numbers = [None] * len(self.rank)
+            self.frame_bound: dict[int, int] = {}
         for i in germs:
             if numbers[i] is None:
                 numbers[i] = self._frame_numbers_of(i)
@@ -705,7 +788,7 @@ def _run_search(ctx: _SearchContext) -> tuple[list[Configuration], int, int]:
             return
         if remaining == 0:
             examined += 1
-            if semicontinuity and not leaf_passes(stack):
+            if semicontinuity and not leaf_passes(stack, acc):
                 cuts += 1
                 return
             found.append(tuple(stack))

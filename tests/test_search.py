@@ -57,8 +57,8 @@ from specpol.semicontinuity import (
     window_test_points,
 )
 from specpol import catalog
-from specpol.catalog import CURVE_CACHE_MAX_MILNOR, _curve_progressions
-from specpol.spectrum import EMPTY
+from specpol.catalog import CURVE_CACHE_MAX_MILNOR, GermClass, _curve_progressions
+from specpol.spectrum import EMPTY, NEG_INF, POS_INF
 from oracles import brute_deg, newton_diagram_negatives, spectrum_from_weights, weights
 
 
@@ -417,6 +417,11 @@ def _unpack(packed, width, count):
     return [(packed >> (j * width)) & mask for j in range(count)]
 
 
+def _lane_bits(ctx, packed):
+    # the window lanes of a packed int, without the cell lanes above them
+    return packed & ((1 << (len(ctx.lanes) * ctx.width)) - 1)
+
+
 @given(st.data())
 def test_lookahead_bounds_every_completion(data):
     # Each packed bound lane is at most the smallest count that lane reaches
@@ -484,7 +489,7 @@ def test_vectors_count_the_curve_spectrum_at_shifted_points(n, d, k):
         unmoved.append((int(a), closed))
     assert ctx.rhs == window_counts(target, den, unmoved)
     for g, packed in zip(_pool(ctx), ctx.packed):
-        assert packed == _pack(window_counts(germ_spectrum(g), den, unmoved), ctx.width), g
+        assert _lane_bits(ctx, packed) == _pack(window_counts(germ_spectrum(g), den, unmoved), ctx.width), g
 
 
 def _small_pairs():
@@ -551,7 +556,7 @@ def test_cell_table_vectors_and_least_densities_equal_the_lane_counts():
             continue
         built += 1
         counts = [window_counts(curve_spectrum(g), ctx.den, ctx.lanes) for g in _pool(ctx, whitelist)]
-        assert ctx.packed == [_pack(c, ctx.width) for c in counts], (n, d, k, whitelist)
+        assert [_lane_bits(ctx, p) for p in ctx.packed] == [_pack(c, ctx.width) for c in counts], (n, d, k, whitelist)
         least = [
             min([Fraction(1)] + [Fraction(c[j], mu) for c, mu in zip(counts, ctx.mus)])
             for j in range(len(ctx.rhs))
@@ -661,17 +666,35 @@ def test_dfs_reads_no_spectrum_once_the_context_is_built(n, d, k, open_variant, 
 
 
 def test_leaf_tables_are_built_for_the_classes_a_leaf_reads():
-    # Every pool number is an integer over the frame.  (2,6,2) reaches no
-    # leaf, so it tables nothing; (2,4,2) and (3,3,2) table the classes of
-    # their leaves alone: each class's spectral numbers over the frame,
-    # repeated by multiplicity, and at each number x the target's count in
-    # ]x-1, x]
-    for (n, d, k), leaves in [((2, 6, 2), 0), ((2, 4, 2), 20), ((3, 3, 2), 7)]:
-        ctx = _SearchContext(n, d, k, frozenset("ADEJ"), SearchFilters())
-        survivors, examined, _cuts = _run_search(ctx)
-        assert examined == len(survivors) == leaves
+    # Every pool number is an integer over the frame.  The frame and its
+    # tables are made at the first leaf the cells do not certify: (2,6,2)
+    # reaches no leaf, and the cells certify every leaf of (2,4,2) and
+    # (3,3,2), so those table nothing.  (2,7,4) without the open variant
+    # tables the classes of its 86 other leaves alone: each class's spectral
+    # numbers over the frame, repeated by multiplicity, and at each number x
+    # the target's count in ]x-1, x]
+    for (n, d, k), open_variant, leaves, exact in [
+        ((2, 6, 2), True, 0, 0),
+        ((2, 4, 2), True, 20, 0),
+        ((3, 3, 2), True, 7, 0),
+        ((2, 7, 4), False, 141, 86),
+    ]:
+        ctx = _SearchContext(n, d, k, frozenset("ADEJ"), SearchFilters(open_variant=open_variant))
+        tested = []
+
+        def leaf(germs, acc, ctx=ctx, real=ctx.leaf_passes, tested=tested):
+            if acc & ctx.cell_high:
+                tested.append(tuple(germs))
+            return real(germs, acc)
+
+        ctx.leaf_passes = leaf
+        _survivors, examined, _cuts = _run_search(ctx)
+        assert (examined, len(tested)) == (leaves, exact), (n, d, k)
+        if not tested:
+            assert ctx.frame_numbers is None, (n, d, k)
+            continue
         pool = _pool(ctx)
-        read = {pool.index(g) for c in survivors for g in c.germs}
+        read = set(chain.from_iterable(tested))
         tabled = {i for i, numbers in enumerate(ctx.frame_numbers) if numbers is not None}
         assert tabled == read
         L = ctx.frame
@@ -682,6 +705,108 @@ def test_leaf_tables_are_built_for_the_classes_a_leaf_reads():
         assert set(ctx.frame_bound) == {x for i in read for x in ctx.frame_numbers[i]}
         for x, bound in ctx.frame_bound.items():
             assert bound == deg_window(ctx.target, Fraction(x - L, L), Fraction(x, L), right_open=False)
+
+
+def test_cells_are_the_target_cells():
+    # Each cell against its definition from the target spectrum alone.  The
+    # breakpoints b_0 < ... < b_m are the target's numbers y and y - 1;
+    # consecutive b < c give ]b, c+1[ with bound deg_window(target, b, b+1,
+    # right_open=False), and the two ends ]-inf, b_0+1[ and ]b_m, inf[ have
+    # bound 0.  A cell is kept when it meets ]-1, 1[ and its bound is below
+    # T.  Each rule drops cells somewhere, and some kept cell starts at or
+    # below -2, where the bound is counted, not read from the lanes' table.
+    # The cell lanes of each packed vector count the class's curve spectrum
+    # in the cell, and the start state and ``cell_high`` hold each cell's
+    # bound and top bit there.
+    kept = outside = by_bound = far = 0
+    for n, d, k, whitelist, open_variant in _small_pairs():
+        ctx = _SearchContext(n, d, k, frozenset(whitelist), SearchFilters(open_variant=open_variant))
+        if ctx.root_cut:
+            ctx.build()
+        target, T = ctx.target, ctx.target_mu
+        ys = [y for y, _m in target]
+        breaks = sorted({*ys, *(y - 1 for y in ys)})
+        expected = []
+        for b, c in zip([NEG_INF, *breaks], [*breaks, POS_INF]):
+            right = POS_INF if c is POS_INF else c + 1
+            if b >= 1 or right <= -1:
+                outside += 1
+                continue
+            bound = 0 if b is NEG_INF else deg_window(target, b, b + 1, right_open=False)
+            if bound >= T:
+                by_bound += 1
+                continue
+            expected.append((b, right, bound))
+            far += b is not NEG_INF and b <= -2
+        cells = [
+            (NEG_INF if b is None else Fraction(b, ctx.den), POS_INF if c is None else Fraction(c, ctx.den) + 1, bound)
+            for b, c, bound in ctx.cells
+        ]
+        assert cells == expected, (n, d, k, whitelist, open_variant)
+        kept += len(cells)
+        lanes, width, count = len(ctx.lanes), ctx.width, len(cells)
+        half = 1 << (width - 1)
+        assert _unpack(ctx.start >> (lanes * width), width, count + 1) == [half - 1 - r for *_w, r in cells] + [0]
+        assert ctx.cell_high == _pack([half] * count, width) << (lanes * width)
+        for g, packed in zip(_pool(ctx, whitelist), ctx.packed):
+            counts = [deg_window(curve_spectrum(g), low, high) for low, high, _r in cells]
+            assert packed >> (lanes * width) == _pack(counts, width), g
+    assert kept >= 1000 and outside >= 10 and by_bound >= 100 and far >= 10, (kept, outside, by_bound, far)
+
+
+# the searches whose leaves the cell tests draw from: the k = 2 sweep, the
+# searches of `verify_huh_lists`, and two pairs without the open variant
+# whose leaves the exact test rejects
+_LEAF_SEARCHES = {
+    "k2-sweep": [(n, d, 2, True) for n, d in [(2, 3), (3, 3), (2, 4), (4, 3), (2, 5), (2, 6), (3, 4), (5, 3), (2, 7)]],
+    "huh-lists": sorted({(c.n, c.d, pol, True) for _key, c, pol in load_huh_lists()}),
+    "2-7-4-no-open": [(2, 7, 4, False)],
+    "5-3-5-no-open": [(5, 3, 5, False)],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _leaf_verdicts(name):
+    # (configuration, open variant, certified by the cells, verdict) at
+    # every leaf of the searches named, read through the leaf test
+    seen = []
+    real_leaf = _SearchContext.leaf_passes
+
+    def leaf(ctx, germs, acc):
+        passed = real_leaf(ctx, germs, acc)
+        c = Configuration(ctx.n, ctx.d, tuple(GermClass(*ctx.fields[ctx.rank[i]], ctx.n) for i in germs))
+        seen.append((c, ctx.filters.open_variant, not acc & ctx.cell_high, passed))
+        return passed
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_SearchContext, "leaf_passes", leaf)
+        for n, d, k, open_variant in _LEAF_SEARCHES[name]:
+            enumerate_configurations(n, d, k, filters=SearchFilters(open_variant=open_variant))
+    return tuple(seen)
+
+
+@given(st.data())
+def test_a_leaf_the_cells_certify_passes_the_check(data):
+    name = data.draw(st.sampled_from(sorted(_LEAF_SEARCHES)))
+    certified = [(c, open_variant) for c, open_variant, cells, _passed in _leaf_verdicts(name) if cells]
+    c, open_variant = data.draw(st.sampled_from(certified))
+    assert check_configuration(c, open_variant).holds, c
+
+
+@pytest.mark.parametrize(
+    "name, leaves, exact, rejected",
+    [("k2-sweep", 37, 0, 0), ("huh-lists", 41, 0, 0), ("2-7-4-no-open", 141, 86, 13), ("5-3-5-no-open", 12, 7, 7)],
+)
+def test_exact_leaf_test_runs_where_a_cell_overflows(name, leaves, exact, rejected):
+    # The cells certify every leaf of the k = 2 sweep and of the bundled
+    # lists' searches, so the exact test runs at none of them.  Without the
+    # open variant it runs at 86 leaves of (2,7,4) and rejects 13, and at 7
+    # of (5,3,5) and rejects all 7; each rejected leaf is one it tested.
+    verdicts = _leaf_verdicts(name)
+    assert len(verdicts) == leaves
+    assert sum(not cells for _c, _o, cells, _p in verdicts) == exact
+    assert sum(not cells and not passed for _c, _o, cells, passed in verdicts) == rejected
+    assert sum(not passed for _c, _o, _cells, passed in verdicts) == rejected
 
 
 def test_a_pool_over_the_cache_size_builds_each_spectrum_once(monkeypatch):
@@ -1054,7 +1179,7 @@ def test_incremental_pruning_never_drops_a_survivor():
 def test_unpruned_search_builds_no_spectrum_at_a_leaf(monkeypatch):
     # With semicontinuity off nothing reads a leaf's spectral numbers: every
     # complete configuration survives, and the leaf test is never called.
-    def refuse(ctx, germs):
+    def refuse(ctx, germs, acc):
         raise AssertionError("a leaf was tested with semicontinuity off")
 
     monkeypatch.setattr(_SearchContext, "leaf_passes", refuse)

@@ -254,12 +254,13 @@ def test_integer_check_equals_fraction_reference(candidate, target, open_variant
 
 def _search_leaves(monkeypatch, searches):
     # (configuration, verdict) at every leaf of the given searches, read
-    # through the leaf test, which gets the leaf's pool indices
+    # through the leaf test, which gets the leaf's pool indices and packed
+    # state, and tries the cells before the exact test
     seen = []
     real_leaf = search._SearchContext.leaf_passes
 
-    def leaf(ctx, germs):
-        passed = real_leaf(ctx, germs)
+    def leaf(ctx, germs, acc):
+        passed = real_leaf(ctx, germs, acc)
         germ_classes = tuple(GermClass(*ctx.fields[ctx.rank[i]], ctx.n) for i in germs)
         seen.append((Configuration(ctx.n, ctx.d, germ_classes), passed))
         return passed
